@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -42,7 +43,7 @@ func BenchmarkTableI(b *testing.B) {
 	reg.Reset()
 	cfg := harness.Config{Seed: 2024, MaxInputs: 6, MaxSpecs: 3, Flows: []string{"orchestrate"}}
 	for i := 0; i < b.N; i++ {
-		res, err := harness.Run(cfg)
+		res, err := harness.RunContext(context.Background(), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -61,7 +62,7 @@ func BenchmarkTableII(b *testing.B) {
 	reg.Reset()
 	cfg := harness.Config{Seed: 2024, MaxInputs: 6, MaxSpecs: 3}
 	for i := 0; i < b.N; i++ {
-		res, err := harness.Run(cfg)
+		res, err := harness.RunContext(context.Background(), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -84,7 +85,7 @@ func BenchmarkFigure2(b *testing.B) {
 // BenchmarkFigure3 measures the Figure 3 scatter (Resub Score vs ROD).
 func BenchmarkFigure3(b *testing.B) {
 	cfg := harness.Config{Seed: 2024, MaxInputs: 6, MaxSpecs: 3, Flows: []string{"orchestrate"}}
-	res, err := harness.Run(cfg)
+	res, err := harness.RunContext(context.Background(), cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -160,7 +161,7 @@ func BenchmarkFlows(b *testing.B) {
 	for _, flow := range opt.Flows() {
 		b.Run(flow.Name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				flow.Run(g, 1)
+				flow.RunCtx(context.Background(), g, 1)
 			}
 		})
 	}

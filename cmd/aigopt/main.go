@@ -159,37 +159,37 @@ func runScript(ctx context.Context, g *aig.AIG, script string, seed int64, flowT
 		if atom == "" {
 			continue
 		}
+		// Each single-pass atom is one opt/<pass> step, so the pass
+		// summary has one row per pass (rw and rwz share opt/rewrite).
+		in := cur
 		switch atom {
 		case "b":
-			cur = opt.Balance(cur)
-		case "rw":
-			cur = opt.RewriteOnce(cur, opt.RewriteOptions{})
-		case "rwz":
-			cur = opt.RewriteOnce(cur, opt.RewriteOptions{ZeroCost: true})
-		case "rf":
-			cur = opt.RefactorOnce(cur, opt.RefactorOptions{})
-		case "rfz":
-			cur = opt.RefactorOnce(cur, opt.RefactorOptions{ZeroCost: true})
-		case "rs":
-			cur = opt.ResubOnce(cur, opt.ResubOptions{})
-		case "rsz":
-			cur = opt.ResubOnce(cur, opt.ResubOptions{ZeroCost: true})
+			cur = opt.Step(ctx, "opt/balance", in, func(context.Context) *aig.AIG { return opt.Balance(in) })
+		case "rw", "rwz":
+			o := opt.RewriteOptions{ZeroCost: atom == "rwz"}
+			cur = opt.Step(ctx, "opt/rewrite", in, func(context.Context) *aig.AIG { return opt.RewriteOnce(in, o) })
+		case "rf", "rfz":
+			o := opt.RefactorOptions{ZeroCost: atom == "rfz"}
+			cur = opt.Step(ctx, "opt/refactor", in, func(context.Context) *aig.AIG { return opt.RefactorOnce(in, o) })
+		case "rs", "rsz":
+			o := opt.ResubOptions{ZeroCost: atom == "rsz"}
+			cur = opt.Step(ctx, "opt/resub", in, func(context.Context) *aig.AIG { return opt.ResubOnce(in, o) })
 		case "lut4":
-			cur = lutmap.RoundTrip(cur, lutmap.Options{K: 4})
+			cur = opt.Step(ctx, "opt/lutmap", in, func(context.Context) *aig.AIG { return lutmap.RoundTrip(in, lutmap.Options{K: 4}) })
 		case "lut6":
-			cur = lutmap.RoundTrip(cur, lutmap.Options{K: 6})
+			cur = opt.Step(ctx, "opt/lutmap", in, func(context.Context) *aig.AIG { return lutmap.RoundTrip(in, lutmap.Options{K: 6}) })
 		case "compress":
 			fctx, cancel := flowCtx()
 			cur = opt.CompressToConvergence(fctx, cur)
 			cancel()
 		default:
-			fctx, cancel := flowCtx()
-			ng, err := opt.RunFlowContext(fctx, atom, cur, seed)
-			cancel()
+			flow, err := opt.FlowByName(atom)
 			if err != nil {
 				return nil, fmt.Errorf("unknown script atom %q", atom)
 			}
-			cur = ng
+			fctx, cancel := flowCtx()
+			cur = flow.RunCtx(fctx, cur, seed)
+			cancel()
 		}
 		if selfcheck {
 			if err := cur.Check(); err != nil {

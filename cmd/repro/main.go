@@ -15,8 +15,8 @@
 // (JSON), and /debug/pprof live during the run; -events writes one JSONL
 // event per processed spec; either flag also prints a per-stage
 // wall-clock summary to stderr at the end of the run. Telemetry is
-// entirely off (no goroutines, no overhead beyond an atomic load) unless
-// one of these flags is given.
+// entirely off (no goroutines, no overhead beyond a few atomic loads)
+// unless one of these flags is given.
 //
 // Robustness: SIGINT/SIGTERM cancel the run gracefully — the spec in
 // flight is abandoned and tables/CSV are emitted from the completed

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -70,8 +71,8 @@ func main() {
 	if *rod {
 		fmt.Println()
 		for _, flow := range opt.Flows() {
-			oa := flow.Run(a, *seed)
-			ob := flow.Run(b, *seed)
+			oa := flow.RunCtx(context.Background(), a, *seed)
+			ob := flow.RunCtx(context.Background(), b, *seed)
 			fmt.Printf("ROD(%-11s) = %.4f   (%d vs %d gates)\n",
 				flow.Name, simil.ROD(oa.NumAnds(), ob.NumAnds()), oa.NumAnds(), ob.NumAnds())
 		}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 
@@ -32,7 +33,7 @@ func main() {
 		bestStart := 0
 		for _, r := range synth.Recipes() {
 			g := r.Build(s.Outputs)
-			og := opt.DC2(g)
+			og := opt.DC2(context.Background(), g)
 			if idx, err := aig.Equivalent(g, og); err != nil || idx != -1 {
 				panic(fmt.Sprintf("%s/%s: optimization broke equivalence", s.Name, r.Name))
 			}

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"repro"
@@ -19,6 +20,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	const k = 3
 	const flow = "dc2"
 	names := []string{"present_sbox_all", "median7", "mult3x3", "fulladder", "rand04_n8_o2"}
@@ -42,16 +44,16 @@ func main() {
 		}
 		variants := repro.SynthesizeAll(spec.Outputs)
 
-		bestAll, _, err := repro.OptimizeBest(variants, flow, 1)
+		bestAll, _, err := repro.OptimizeBest(ctx, variants, flow, 1)
 		if err != nil {
 			panic(err)
 		}
 		diverse := repro.SelectDiverse(variants, k)
-		bestRRR, _, err := repro.OptimizeBest(diverse, flow, 1)
+		bestRRR, _, err := repro.OptimizeBest(ctx, diverse, flow, 1)
 		if err != nil {
 			panic(err)
 		}
-		bestNaive, _, err := repro.OptimizeBest(variants[:k], flow, 1)
+		bestNaive, _, err := repro.OptimizeBest(ctx, variants[:k], flow, 1)
 		if err != nil {
 			panic(err)
 		}

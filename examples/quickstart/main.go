@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -61,7 +62,7 @@ func main() {
 
 	// --- Optimize with the paper's three flows. -------------------------
 	for _, flow := range opt.Flows() {
-		og := flow.Run(g, 1)
+		og := flow.RunCtx(context.Background(), g, 1)
 		if idx, _ := aig.Equivalent(g, og); idx != -1 {
 			log.Fatalf("%s broke equivalence", flow.Name)
 		}

@@ -519,7 +519,7 @@ func (n *Node) ensureLocal(ctx context.Context, fp string) error {
 			}
 			continue
 		}
-		v, err := n.svc.InternAIGER(payload)
+		v, err := n.svc.InternAIGER(ctx, payload)
 		if err != nil || v.Fingerprint != fp {
 			telemetry.Add("cluster/aig_fetch_failures", 1)
 			continue

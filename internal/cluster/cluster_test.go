@@ -230,11 +230,11 @@ func singleNodeScores(t *testing.T, aigA, aigB []byte, names []string) map[strin
 	t.Helper()
 	svc := service.New(service.Config{Workers: 2})
 	defer svc.Close()
-	va, err := svc.InternAIGER(aigA)
+	va, err := svc.InternAIGER(context.Background(), aigA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vb, err := svc.InternAIGER(aigB)
+	vb, err := svc.InternAIGER(context.Background(), aigB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,6 +316,30 @@ func TestClusterNoDoubleCompute(t *testing.T) {
 	}
 	if n := tc.reg.Counter("cluster/fills").Value(); n != 1 {
 		t.Fatalf("fan-in cost %d peer fills, want exactly 1 (singleflight)", n)
+	}
+}
+
+// TestClusterUntracedPeerExportsNoTraceID: with telemetry on but no
+// trace collector, peer endpoints record registry-only spans and must
+// not echo an (all-zero) trace identity.
+func TestClusterUntracedPeerExportsNoTraceID(t *testing.T) {
+	trace.SetCollector(nil)
+	tc := newTestCluster(t, 1, nil)
+	resp, err := http.Get(tc.urls[tc.ids[0]] + "/v1/cluster/status")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status: HTTP %d", resp.StatusCode)
+	}
+	for _, h := range []string{trace.TraceIDHeader, "traceparent"} {
+		if v := resp.Header.Get(h); v != "" {
+			t.Errorf("untraced peer sent %s: %q", h, v)
+		}
+	}
+	if tc.reg.SpanStats("cluster/peer_request").Count == 0 {
+		t.Error("cluster/peer_request histogram recorded nothing")
 	}
 }
 

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -116,9 +117,9 @@ func (n *Node) peerGuard(h http.HandlerFunc) http.HandlerFunc {
 		}
 		ctx, sp := trace.Start(ctx, "cluster/peer_request")
 		sp.Attr("path", r.URL.Path).Attr("node", n.cfg.NodeID)
-		if sp != nil {
-			w.Header().Set(trace.TraceIDHeader, sp.Context().TraceID.String())
-			w.Header().Set("traceparent", trace.Traceparent(sp.Context()))
+		if sc := sp.Context(); sc.Valid() {
+			w.Header().Set(trace.TraceIDHeader, sc.TraceID.String())
+			w.Header().Set("traceparent", trace.Traceparent(sc))
 		}
 		defer sp.End()
 		h(w, r.WithContext(ctx))
@@ -142,11 +143,11 @@ func peerError(w http.ResponseWriter, code int, format string, args ...any) {
 // not already stored, verifying the payload actually hashes to the
 // fingerprint the requester claims — a torn or corrupted payload must
 // not be interned under the wrong key.
-func (n *Node) internInline(fp string, payload []byte) error {
+func (n *Node) internInline(ctx context.Context, fp string, payload []byte) error {
 	if len(payload) == 0 || n.svc.HasAIG(fp) {
 		return nil
 	}
-	v, err := n.svc.InternAIGER(payload)
+	v, err := n.svc.InternAIGER(ctx, payload)
 	if err != nil {
 		return err
 	}
@@ -184,11 +185,11 @@ func (n *Node) handleFill(w http.ResponseWriter, r *http.Request) {
 		peerError(w, http.StatusBadRequest, "decoding fill request: %v", err)
 		return
 	}
-	if err := n.internInline(req.A, req.AIGERA); err != nil {
+	if err := n.internInline(r.Context(), req.A, req.AIGERA); err != nil {
 		peerError(w, http.StatusBadRequest, "interning %s: %v", req.A, err)
 		return
 	}
-	if err := n.internInline(req.B, req.AIGERB); err != nil {
+	if err := n.internInline(r.Context(), req.B, req.AIGERB); err != nil {
 		peerError(w, http.StatusBadRequest, "interning %s: %v", req.B, err)
 		return
 	}
@@ -227,7 +228,7 @@ func (n *Node) handlePutAIG(w http.ResponseWriter, r *http.Request) {
 		peerError(w, http.StatusBadRequest, "reading payload: %v", err)
 		return
 	}
-	v, err := n.svc.InternAIGER(payload)
+	v, err := n.svc.InternAIGER(r.Context(), payload)
 	if err != nil {
 		peerError(w, http.StatusBadRequest, "%v", err)
 		return

@@ -190,7 +190,7 @@ func TestChaosCheckpointTornShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(Config{
+	res, err := RunContext(context.Background(), Config{
 		Seed: cfg.Seed, MaxInputs: cfg.MaxInputs, MaxSpecs: cfg.MaxSpecs,
 		Flows: cfg.Flows, Checkpoint: ckpt,
 	})
@@ -286,7 +286,7 @@ func TestChaosCheckpointTornShapes(t *testing.T) {
 func TestChaosCheckpointKillDuringAppend(t *testing.T) {
 	cfg := quickConfig()
 
-	ref, err := Run(cfg)
+	ref, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +330,7 @@ func TestChaosCheckpointKillDuringAppend(t *testing.T) {
 	second := cfg
 	second.Checkpoint = ckpt2
 	second.Resume = records
-	resumed, err := Run(second)
+	resumed, err := RunContext(context.Background(), second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +374,7 @@ func TestChaosCheckpointFsyncFailure(t *testing.T) {
 
 	first := cfg
 	first.Checkpoint = ckpt
-	_, err = Run(first)
+	_, err = RunContext(context.Background(), first)
 	if err == nil {
 		t.Fatal("fsync failure did not abort the run")
 	}

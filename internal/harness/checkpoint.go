@@ -31,7 +31,7 @@ const (
 	PointCheckpointSync  = "harness/checkpoint_sync"
 )
 
-// SpecRecord is one checkpointed spec: everything Run derives from a
+// SpecRecord is one checkpointed spec: everything RunContext derives from a
 // completed spec (the spec run, its pair samples, and any quarantined
 // variants), so a resumed run adopts it without recomputation. Variant
 // profiles are not persisted — the pairwise metrics that need them are
@@ -74,7 +74,10 @@ func (c Config) fingerprint() (string, error) {
 	for _, f := range flows {
 		fmt.Fprintf(h, "flow=%s;", f.Name)
 	}
-	fmt.Fprintf(h, "profile=%d/%d/%t/%d;", c.Profile.SpectrumK, c.Profile.WLIterations, c.Profile.SkipOptScores, c.Profile.Seed)
+	// Profiles used to be configurable; the constant is the zero value
+	// of those knobs, so checkpoints written before they were removed
+	// still resume.
+	h.Write([]byte("profile=0/0/false/0;"))
 	fmt.Fprintf(h, "flowTimeout=%s", c.FlowTimeout)
 	return fmt.Sprintf("%016x", h.Sum64()), nil
 }

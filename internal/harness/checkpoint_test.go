@@ -24,7 +24,7 @@ func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
 func TestKillAndResumeByteIdentical(t *testing.T) {
 	cfg := quickConfig()
 
-	ref, err := Run(cfg)
+	ref, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestKillAndResumeByteIdentical(t *testing.T) {
 	second := cfg
 	second.Checkpoint = ckpt2
 	second.Resume = records
-	resumed, err := Run(second)
+	resumed, err := RunContext(context.Background(), second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestCheckpointTornLineRecovery(t *testing.T) {
 	}
 	run := cfg
 	run.Checkpoint = ckpt
-	if _, err := Run(run); err != nil {
+	if _, err := RunContext(context.Background(), run); err != nil {
 		t.Fatal(err)
 	}
 	if err := ckpt.Close(); err != nil {
@@ -207,13 +207,26 @@ func TestCheckpointRejectsForeignConfig(t *testing.T) {
 	}
 }
 
+// TestCheckpointFingerprintStable pins the fingerprint's input bytes: a
+// checkpoint written by an earlier build under the same flags must keep
+// resuming, so changing what the fingerprint digests is a format break.
+func TestCheckpointFingerprintStable(t *testing.T) {
+	fp, err := Config{Seed: 2024, MaxInputs: 6}.fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "174aa05f3489cf59"; fp != want {
+		t.Errorf("fingerprint = %s, want %s", fp, want)
+	}
+}
+
 // TestResumeDivergentSuiteRecomputes covers the prefix rule: once the
 // checkpointed order diverges from the suite (here: records reversed),
 // the divergent tail is recomputed rather than misattributed.
 func TestResumeDivergentSuiteRecomputes(t *testing.T) {
 	cfg := quickConfig()
 	cfg.MaxSpecs = 2
-	ref, err := Run(cfg)
+	ref, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +237,7 @@ func TestResumeDivergentSuiteRecomputes(t *testing.T) {
 	}
 	run := cfg
 	run.Checkpoint = ckpt
-	if _, err := Run(run); err != nil {
+	if _, err := RunContext(context.Background(), run); err != nil {
 		t.Fatal(err)
 	}
 	if err := ckpt.Close(); err != nil {
@@ -241,7 +254,7 @@ func TestResumeDivergentSuiteRecomputes(t *testing.T) {
 	records[0], records[1] = records[1], records[0]
 	resumed := cfg
 	resumed.Resume = records
-	res, err := Run(resumed)
+	res, err := RunContext(context.Background(), resumed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +301,7 @@ func TestFlowTimeoutDegradesGracefully(t *testing.T) {
 	cfg := quickConfig()
 	cfg.MaxSpecs = 1
 	cfg.FlowTimeout = time.Nanosecond
-	res, err := Run(cfg)
+	res, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

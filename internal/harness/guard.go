@@ -59,17 +59,38 @@ func Recover(err *error, what string) {
 	}
 }
 
-// safeBuild runs one synthesis recipe with panic isolation.
-func safeBuild(rec synth.Recipe, spec []tt.TT) (g *aig.AIG, err error) {
+// safeBuild runs one synthesis recipe with panic isolation, under the
+// span "synth/<recipe>", and records the built AIG's size in the
+// "synth/<recipe>/gates" histogram.
+func safeBuild(ctx context.Context, rec synth.Recipe, spec []tt.TT) (g *aig.AIG, err error) {
+	//lint:ignore metricname rec.Name ranges over the fixed recipe registry (sop, esp, fx, bdd, shannon, dsd, anf), so cardinality is bounded
+	_, sp := trace.Start(ctx, "synth/"+rec.Name)
+	defer sp.End()
 	defer Recover(&err, "recipe "+rec.Name)
-	return rec.Build(spec), nil
+	g = rec.Build(spec)
+	if sp != nil {
+		//lint:ignore metricname rec.Name ranges over the fixed recipe registry, so cardinality is bounded
+		telemetry.Observe("synth/"+rec.Name+"/gates", float64(g.NumAnds()))
+	}
+	return g, nil
 }
 
 // SafeProfile computes the similarity profile for the given artifact
-// families with panic isolation.
-func SafeProfile(g *aig.AIG, opts simil.ProfileOptions, needs simil.Artifacts) (p *simil.Profile, err error) {
+// families with panic isolation, under the span "profile/total".
+func SafeProfile(ctx context.Context, g *aig.AIG, opts simil.ProfileOptions, needs simil.Artifacts) (p *simil.Profile, err error) {
+	_, sp := trace.Start(ctx, "profile/total")
+	defer sp.End()
 	defer Recover(&err, "profile")
 	return simil.NewProfileFor(g, opts, needs), nil
+}
+
+// ComputeMetric evaluates one pairwise metric under the span
+// "metric/<name>".
+func ComputeMetric(ctx context.Context, m simil.Metric, p1, p2 *simil.Profile) float64 {
+	//lint:ignore metricname m.Name ranges over the fixed simil.Metrics table, so cardinality is bounded
+	_, sp := trace.Start(ctx, "metric/"+m.Name)
+	defer sp.End()
+	return m.Compute(p1, p2)
 }
 
 // SafeFlow runs one optimization flow with panic isolation. When the
@@ -124,7 +145,7 @@ func (c Config) buildVariant(ctx context.Context, spec workload.Spec, rec synth.
 		vspan.Event("variant_quarantined", trace.A("flow", flowName), trace.A("reason", reason))
 		return nil, &Failure{Spec: spec.Name, Recipe: rec.Name, Flow: flowName, Reason: reason}
 	}
-	g, err := safeBuild(rec, spec.Outputs)
+	g, err := safeBuild(ctx, rec, spec.Outputs)
 	if err != nil {
 		return fail("", err.Error())
 	}
@@ -144,9 +165,8 @@ func (c Config) buildVariant(ctx context.Context, spec workload.Spec, rec synth.
 		Levels:    g.NumLevels(),
 		FlowGates: make(map[string]int, len(flows)),
 	}
-	popts := c.Profile
-	popts.Seed = specSeed(c.Seed, spec.Name, rec.Name)
-	if v.Profile, err = SafeProfile(g, popts, simil.AllArtifacts); err != nil {
+	popts := simil.ProfileOptions{Seed: specSeed(c.Seed, spec.Name, rec.Name)}
+	if v.Profile, err = SafeProfile(ctx, g, popts, simil.AllArtifacts); err != nil {
 		return fail("", err.Error())
 	}
 	for _, flow := range flows {

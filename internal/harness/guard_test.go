@@ -25,7 +25,7 @@ func TestRecipesEquivalentOnQuickSuite(t *testing.T) {
 	}
 	for _, spec := range specs {
 		for _, rec := range synth.Recipes() {
-			g, err := safeBuild(rec, spec.Outputs)
+			g, err := safeBuild(context.Background(), rec, spec.Outputs)
 			if err != nil {
 				t.Errorf("%s/%s: %v", spec.Name, rec.Name, err)
 				continue
@@ -71,7 +71,7 @@ func TestPanickingFlowQuarantined(t *testing.T) {
 	cfg := quickConfig()
 	cfg.Flows = nil
 	cfg.testFlows = []opt.Flow{passthrough("noop"), boom}
-	res, err := Run(cfg)
+	res, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestEquivalenceViolationQuarantined(t *testing.T) {
 	cfg.Flows = nil
 	cfg.MaxSpecs = 1
 	cfg.testFlows = []opt.Flow{corrupt}
-	res, err := Run(cfg)
+	res, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestSelfCheckQuarantinesStructuralCorruption(t *testing.T) {
 	cfg.MaxSpecs = 1
 	cfg.SelfCheck = true
 	cfg.testFlows = []opt.Flow{mangle}
-	res, err := Run(cfg)
+	res, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,6 +25,7 @@ import (
 	"repro/internal/stats"
 	"repro/internal/synth"
 	"repro/internal/telemetry"
+	"repro/internal/telemetry/trace"
 	"repro/internal/workload"
 )
 
@@ -47,8 +48,6 @@ type Config struct {
 	// line is embedded in each spec event, so the two sinks are
 	// different renderings of the same record and cannot diverge.
 	Events *telemetry.EventLogger
-	// Profile tunes metric profiling.
-	Profile simil.ProfileOptions
 	// FlowTimeout bounds each flow invocation's wall clock: on expiry
 	// the flow stops converging and returns its best (still equivalent)
 	// AIG so far, so one pathological convergence loop cannot hang the
@@ -58,7 +57,7 @@ type Config struct {
 	// completed spec, making the run resumable after a kill.
 	Checkpoint *Checkpointer
 	// Resume holds records loaded from a previous run's checkpoint
-	// (see LoadCheckpoint/OpenCheckpoint). Run replays the longest
+	// (see LoadCheckpoint/OpenCheckpoint). RunContext replays the longest
 	// prefix matching the suite order instead of recomputing it, then
 	// continues from the first missing spec.
 	Resume []SpecRecord
@@ -105,26 +104,16 @@ func (c Config) flowSet() ([]opt.Flow, error) {
 	if c.testFlows != nil {
 		return c.testFlows, nil
 	}
-	all := opt.Flows()
 	if c.Flows == nil {
-		return all, nil
+		return opt.Flows(), nil
 	}
-	var out []opt.Flow
-	for _, name := range c.Flows {
-		found := false
-		for _, f := range all {
-			if f.Name == name {
-				out = append(out, f)
-				found = true
-			}
+	out := make([]opt.Flow, len(c.Flows))
+	for i, name := range c.Flows {
+		f, err := opt.FlowByName(name)
+		if err != nil {
+			return nil, fmt.Errorf("harness: %w", err)
 		}
-		if !found {
-			known := make([]string, len(all))
-			for i, f := range all {
-				known[i] = f.Name
-			}
-			return nil, fmt.Errorf("harness: unknown flow %q (have %v)", name, known)
-		}
+		out[i] = f
 	}
 	return out, nil
 }
@@ -188,12 +177,6 @@ func specSeed(base int64, parts ...string) int64 {
 	return base ^ int64(h.Sum64()&0x7FFFFFFFFFFFFFFF)
 }
 
-// Run executes the experiment without cancellation.
-func Run(cfg Config) (*Result, error) {
-	//lint:ignore ctxflow compatibility wrapper whose documented contract is "without cancellation"; cancelable callers use RunContext
-	return RunContext(context.Background(), cfg)
-}
-
 // RunContext executes the experiment under ctx. Cancellation is honored
 // at spec granularity: the spec in flight is abandoned (its flows
 // return early, so its results would not match an uninterrupted run's)
@@ -201,9 +184,6 @@ func Run(cfg Config) (*Result, error) {
 // callers can still emit tables, CSV, and checkpoints for the work done
 // so far.
 func RunContext(ctx context.Context, cfg Config) (*Result, error) {
-	runSpan := telemetry.StartSpan("harness/run")
-	defer runSpan.End()
-
 	specs := workload.FilterByInputs(workload.Suite(cfg.Seed), cfg.maxInputs())
 	if cfg.MaxSpecs > 0 && len(specs) > cfg.MaxSpecs {
 		specs = specs[:cfg.MaxSpecs]
@@ -269,9 +249,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			}
 		}
 
-		specSpan := telemetry.StartSpan("harness/spec")
 		run, pairs, failures := cfg.runSpec(ctx, spec, recipes, flows, metrics)
-		specSpan.End()
 		if ctx.Err() != nil {
 			// Cancelled mid-spec: the flows returned early, so this
 			// spec's numbers would differ from an uninterrupted run's.
@@ -339,6 +317,11 @@ func (c Config) runSpec(ctx context.Context, spec workload.Spec, recipes []synth
 		telemetry.Add("harness/specs_skipped", 1)
 	}
 
+	// One span per spec holds its metric evaluations, so no metric span
+	// becomes the root of a trace of its own.
+	pctx, sp := trace.Start(ctx, "harness/pairs")
+	sp.Attr("spec", spec.Name)
+	defer sp.End()
 	var pairs []PairSample
 	for i := 0; i < len(run.Variants); i++ {
 		for j := i + 1; j < len(run.Variants); j++ {
@@ -353,7 +336,7 @@ func (c Config) runSpec(ctx context.Context, spec workload.Spec, recipes []synth
 				GatesB:  b.Gates,
 			}
 			for _, m := range metrics {
-				sample.Metrics[m.Name] = m.Compute(a.Profile, b.Profile)
+				sample.Metrics[m.Name] = ComputeMetric(pctx, m, a.Profile, b.Profile)
 			}
 			for _, flow := range flows {
 				sample.ROD[flow.Name] = simil.ROD(a.FlowGates[flow.Name], b.FlowGates[flow.Name])

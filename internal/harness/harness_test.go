@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -18,7 +19,7 @@ func quickConfig() Config {
 }
 
 func TestRunEndToEnd(t *testing.T) {
-	res, err := Run(quickConfig())
+	res, err := RunContext(context.Background(), quickConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func TestRunEndToEnd(t *testing.T) {
 }
 
 func TestCorrelationAndTables(t *testing.T) {
-	res, err := Run(quickConfig())
+	res, err := RunContext(context.Background(), quickConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,12 +103,12 @@ func TestFigure2(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	cfg := quickConfig()
 	cfg.Recipes = []string{"sop"}
-	if _, err := Run(cfg); err == nil {
+	if _, err := RunContext(context.Background(), cfg); err == nil {
 		t.Error("single recipe should error")
 	}
 	cfg = quickConfig()
 	cfg.Flows = []string{"nope"}
-	if _, err := Run(cfg); err == nil {
+	if _, err := RunContext(context.Background(), cfg); err == nil {
 		t.Error("unknown flow should error")
 	}
 }
@@ -115,11 +116,11 @@ func TestConfigValidation(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	cfg := quickConfig()
 	cfg.MaxSpecs = 2
-	a, err := Run(cfg)
+	a, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(cfg)
+	b, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +142,7 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestCorrelationByCategory(t *testing.T) {
-	res, err := Run(quickConfig())
+	res, err := RunContext(context.Background(), quickConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -42,7 +43,7 @@ func TestAsciiScatterDegenerate(t *testing.T) {
 }
 
 func TestFigure3Plot(t *testing.T) {
-	res, err := Run(quickConfig())
+	res, err := RunContext(context.Background(), quickConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,8 +13,8 @@ import (
 // semantics: a trailing "/" sums the top-level spans under that prefix,
 // anything else reads one exact span name. The four stages are chosen so
 // their totals partition a harness run's time without double counting —
-// nested spans (opt passes inside flows, profile sub-phases) are
-// deliberately excluded.
+// spans nested inside a stage (the opt/<pass> spans inside each flow)
+// are deliberately excluded.
 type Stage struct {
 	Label    string
 	Selector string

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"reflect"
 	"strings"
@@ -9,16 +10,17 @@ import (
 	"time"
 
 	"repro/internal/telemetry"
+	"repro/internal/telemetry/trace"
 )
 
 // TestTelemetryNeutral asserts the tentpole invariant: with a fixed
 // seed, a fully instrumented run (registry enabled, metrics server
-// irrelevant, event log attached) produces byte-identical experiment
-// results to an uninstrumented run. Telemetry must observe, never
-// perturb.
+// irrelevant, event log attached) and a traced run (collector
+// installed too) produce byte-identical experiment results to an
+// uninstrumented run. Telemetry must observe, never perturb.
 func TestTelemetryNeutral(t *testing.T) {
 	telemetry.Disable()
-	plain, err := Run(quickConfig())
+	plain, err := RunContext(context.Background(), quickConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +30,7 @@ func TestTelemetryNeutral(t *testing.T) {
 	var events bytes.Buffer
 	cfg := quickConfig()
 	cfg.Events = telemetry.NewEventLogger(&events)
-	instrumented, err := Run(cfg)
+	instrumented, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,6 +44,31 @@ func TestTelemetryNeutral(t *testing.T) {
 	if events.Len() == 0 {
 		t.Error("instrumented run logged no events")
 	}
+
+	st := trace.NewStore(trace.StoreConfig{})
+	trace.SetCollector(st)
+	defer trace.SetCollector(nil)
+	traced, err := RunContext(context.Background(), quickConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(plain.Specs, traced.Specs) {
+		t.Error("traced run changed spec results")
+	}
+	if !reflect.DeepEqual(plain.Pairs, traced.Pairs) {
+		t.Error("traced run changed pair samples")
+	}
+	// One trace per variant plus one per spec's pair loop: no metric
+	// or stage span may root a trace of its own.
+	sums := st.List(trace.Filter{})
+	if len(sums) == 0 {
+		t.Error("traced run stored no traces")
+	}
+	for _, s := range sums {
+		if s.Root != "harness/variant" && s.Root != "harness/pairs" {
+			t.Errorf("trace %s is rooted at %q", s.TraceID, s.Root)
+		}
+	}
 }
 
 // TestRunRecordsTelemetry checks that one harness run populates the
@@ -52,7 +79,9 @@ func TestRunRecordsTelemetry(t *testing.T) {
 	reg := telemetry.Enable()
 	defer telemetry.Disable()
 
-	res, err := Run(quickConfig())
+	start := time.Now()
+	res, err := RunContext(context.Background(), quickConfig())
+	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,8 +96,7 @@ func TestRunRecordsTelemetry(t *testing.T) {
 		t.Errorf("rods = %d, want %d", got, wantRods)
 	}
 	// Every stage bucket must have recorded spans, and their sum must
-	// be positive and bounded by the run span.
-	_, runSec := reg.SpanSeconds("harness/run")
+	// be positive and bounded by the run's wall clock.
 	total := 0.0
 	for _, st := range Stages() {
 		n, sec := StageSeconds(reg, st)
@@ -77,10 +105,17 @@ func TestRunRecordsTelemetry(t *testing.T) {
 		}
 		total += sec
 	}
-	if total <= 0 || total > runSec*1.01 {
-		t.Errorf("stage total %.3fs out of range (run %.3fs)", total, runSec)
+	if total <= 0 || total > elapsed.Seconds()*1.01 {
+		t.Errorf("stage total %.3fs out of range (run %.3fs)", total, elapsed.Seconds())
 	}
-	summary := StageSummary(reg, time.Duration(runSec*float64(time.Second)))
+	// Without a collector the passes inside each flow still record
+	// their registry-only spans.
+	for _, pass := range []string{"opt/balance", "opt/rewrite", "opt/refactor", "opt/resub"} {
+		if reg.SpanStats(pass).Count == 0 {
+			t.Errorf("no %s spans recorded", pass)
+		}
+	}
+	summary := StageSummary(reg, elapsed)
 	for _, want := range []string{"synthesis", "profiling", "optimization", "metrics", "stage total:"} {
 		if !strings.Contains(summary, want) {
 			t.Errorf("summary missing %q:\n%s", want, summary)
@@ -97,7 +132,7 @@ func TestProgressAndEventsAgree(t *testing.T) {
 	cfg := quickConfig()
 	cfg.Progress = &progress
 	cfg.Events = telemetry.NewEventLogger(&events)
-	if _, err := Run(cfg); err != nil {
+	if _, err := RunContext(context.Background(), cfg); err != nil {
 		t.Fatal(err)
 	}
 	progressLines := strings.Split(strings.TrimSpace(progress.String()), "\n")
@@ -119,12 +154,12 @@ func TestProgressAndEventsAgree(t *testing.T) {
 func TestUnknownRecipeAndFlowErrors(t *testing.T) {
 	cfg := quickConfig()
 	cfg.Recipes = []string{"sop", "nope"}
-	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), `unknown recipe "nope"`) {
+	if _, err := RunContext(context.Background(), cfg); err == nil || !strings.Contains(err.Error(), `unknown recipe "nope"`) {
 		t.Errorf("unknown recipe error = %v", err)
 	}
 	cfg = quickConfig()
 	cfg.Flows = []string{"dc2", "warp"}
-	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), `unknown flow "warp"`) {
+	if _, err := RunContext(context.Background(), cfg); err == nil || !strings.Contains(err.Error(), `unknown flow "warp"`) {
 		t.Errorf("unknown flow error = %v", err)
 	}
 }

@@ -88,13 +88,10 @@ func DefaultConfig() *Config {
 			"repro/internal/telemetry.Add":                   0,
 			"repro/internal/telemetry.SetGauge":              0,
 			"repro/internal/telemetry.Observe":               0,
-			"repro/internal/telemetry.StartSpan":             0,
 			"(repro/internal/telemetry.Registry).Counter":    0,
 			"(repro/internal/telemetry.Registry).Gauge":      0,
 			"(repro/internal/telemetry.Registry).Histogram":  0,
-			"(repro/internal/telemetry.Registry).StartSpan":  0,
 			"(repro/internal/telemetry.Registry).RecordSpan": 0,
-			"(repro/internal/telemetry.Span).StartSpan":      0,
 			// Trace span and attribute names share the metric namespace:
 			// span names feed RecordSpan histograms and attribute keys
 			// are the grep surface of /v1/debug/traces output.
@@ -103,6 +100,9 @@ func DefaultConfig() *Config {
 			"repro/internal/telemetry/trace.A":            0,
 			"(repro/internal/telemetry/trace.Span).Attr":  0,
 			"(repro/internal/telemetry/trace.Span).Event": 0,
+			// Optimization steps name their span and, suffixed, their
+			// gates_removed histogram.
+			"repro/internal/opt.Step": 1,
 			// Per-peer cluster instruments are assembled from a dynamic
 			// member ID plus a constant suffix; the suffix is the part
 			// that must stay snake_case and greppable.

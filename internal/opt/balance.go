@@ -11,10 +11,6 @@ import (
 // single-fanout edges and re-assembled pairing the two shallowest
 // operands first (ABC's "b"). Structural hashing reshapes shared logic.
 func Balance(g *aig.AIG) *aig.AIG {
-	return instrumentPass("balance", g, func() *aig.AIG { return balance(g) })
-}
-
-func balance(g *aig.AIG) *aig.AIG {
 	refs := g.RefCounts()
 	ng := aig.New(g.NumPIs())
 	copyNames(g, ng)

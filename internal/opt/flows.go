@@ -6,7 +6,6 @@ import (
 	"math/rand"
 
 	"repro/internal/aig"
-	"repro/internal/lutmap"
 	"repro/internal/telemetry"
 )
 
@@ -21,43 +20,40 @@ type Flow struct {
 	RunCtx      func(ctx context.Context, g *aig.AIG, seed int64) *aig.AIG
 }
 
-// Run executes the flow without cancellation.
-func (f Flow) Run(g *aig.AIG, seed int64) *aig.AIG {
-	//lint:ignore ctxflow compatibility wrapper whose documented contract is "without cancellation"; cancelable callers use RunCtx
-	return f.RunCtx(context.Background(), g, seed)
-}
-
 // Flows returns the paper's three high-effort flows in canonical order.
-// Each flow's RunCtx is telemetry-instrumented under "flow/<name>".
+// Each flow's RunCtx runs as the Step "flow/<name>", a child of the
+// span in its ctx, with every pass inside it an "opt/<pass>" child.
 func Flows() []Flow {
 	return []Flow{
 		{"orchestrate", "per-round best of rewrite/refactor/resub to convergence",
-			instrumentFlow("orchestrate", func(ctx context.Context, g *aig.AIG, _ int64) *aig.AIG { return Orchestrate(ctx, g, 24) })},
+			func(ctx context.Context, g *aig.AIG, _ int64) *aig.AIG {
+				return Step(ctx, "flow/orchestrate", g, func(ctx context.Context) *aig.AIG { return Orchestrate(ctx, g, 24) })
+			}},
 		{"dc2", "the classic balance/rewrite/refactor script, iterated to convergence",
-			instrumentFlow("dc2", func(ctx context.Context, g *aig.AIG, _ int64) *aig.AIG { return DC2Converge(ctx, g) })},
+			func(ctx context.Context, g *aig.AIG, _ int64) *aig.AIG {
+				return Step(ctx, "flow/dc2", g, func(ctx context.Context) *aig.AIG { return DC2Converge(ctx, g) })
+			}},
 		{"deepsyn", "randomized flow search with LUT-mapping shake-ups (T=10)",
-			instrumentFlow("deepsyn", func(ctx context.Context, g *aig.AIG, seed int64) *aig.AIG {
-				return DeepSyn(ctx, g, DeepSynOptions{Effort: 10, Seed: seed})
-			})},
+			func(ctx context.Context, g *aig.AIG, seed int64) *aig.AIG {
+				return Step(ctx, "flow/deepsyn", g, func(ctx context.Context) *aig.AIG {
+					return DeepSyn(ctx, g, DeepSynOptions{Effort: 10, Seed: seed})
+				})
+			}},
 	}
 }
 
-// RunFlow executes the named flow without cancellation.
-func RunFlow(name string, g *aig.AIG, seed int64) (*aig.AIG, error) {
-	//lint:ignore ctxflow compatibility wrapper whose documented contract is "without cancellation"; cancelable callers use RunFlowContext
-	return RunFlowContext(context.Background(), name, g, seed)
-}
-
-// RunFlowContext executes the named flow under the context: when ctx is
-// cancelled or times out, the flow returns its best equivalent AIG so
-// far instead of iterating to convergence.
-func RunFlowContext(ctx context.Context, name string, g *aig.AIG, seed int64) (*aig.AIG, error) {
-	for _, f := range Flows() {
+// FlowByName returns the named flow, or an error that names the known
+// flows.
+func FlowByName(name string) (Flow, error) {
+	all := Flows()
+	known := make([]string, len(all))
+	for i, f := range all {
 		if f.Name == name {
-			return f.RunCtx(ctx, g, seed), nil
+			return f, nil
 		}
+		known[i] = f.Name
 	}
-	return nil, fmt.Errorf("opt: unknown flow %q", name)
+	return Flow{}, fmt.Errorf("unknown flow %q (have %v)", name, known)
 }
 
 // Orchestrate reproduces the orchestration idea of Li et al. (TCAD'24) at
@@ -75,14 +71,14 @@ func Orchestrate(ctx context.Context, g *aig.AIG, maxRounds int) *aig.AIG {
 		telemetry.Add("flow/orchestrate/rounds", 1)
 		// Resubstitution gets the first shot and is kept whenever it
 		// makes progress; the structural operators compete otherwise.
-		rs := ResubOnce(cur, ResubOptions{MaxDivisors: 150})
+		rs := resubStep(ctx, cur, ResubOptions{MaxDivisors: 150})
 		if rs.NumAnds() < cur.NumAnds() {
 			cur = rs
 			continue
 		}
 		candidates := []*aig.AIG{
-			RewriteOnce(cur, RewriteOptions{}),
-			RefactorOnce(cur, RefactorOptions{}),
+			rewriteStep(ctx, cur, RewriteOptions{}),
+			refactorStep(ctx, cur, RefactorOptions{}),
 		}
 		best := cur
 		for _, c := range candidates {
@@ -94,13 +90,13 @@ func Orchestrate(ctx context.Context, g *aig.AIG, maxRounds int) *aig.AIG {
 			// Plateau: reshape with balancing and zero-cost rewriting to
 			// expose new cuts; if still stuck, escape the local minimum
 			// with a LUT map/resynthesis round trip before giving up.
-			shaken := ResubOnce(RewriteOnce(Balance(cur), RewriteOptions{ZeroCost: true}), ResubOptions{})
-			shaken = RefactorOnce(shaken, RefactorOptions{})
+			shaken := resubStep(ctx, rewriteStep(ctx, balanceStep(ctx, cur), RewriteOptions{ZeroCost: true}), ResubOptions{})
+			shaken = refactorStep(ctx, shaken, RefactorOptions{})
 			if shaken.NumAnds() < cur.NumAnds() {
 				cur = shaken
 				continue
 			}
-			escaped := DC2(lutmap.RoundTrip(cur, lutmap.Options{K: 6}))
+			escaped := DC2(ctx, lutStep(ctx, cur, 6))
 			if escaped.NumAnds() < cur.NumAnds() {
 				cur = escaped
 				continue
@@ -122,7 +118,7 @@ func DC2Converge(ctx context.Context, g *aig.AIG) *aig.AIG {
 			return cur
 		}
 		telemetry.Add("flow/dc2/iterations", 1)
-		next := DC2(cur)
+		next := DC2(ctx, cur)
 		if next.NumAnds() >= cur.NumAnds() {
 			return cur
 		}
@@ -132,18 +128,19 @@ func DC2Converge(ctx context.Context, g *aig.AIG) *aig.AIG {
 }
 
 // DC2 runs the classic ABC dc2 script: b; rw; rf; b; rw; rwz; b; rfz;
-// rwz; b.
-func DC2(g *aig.AIG) *aig.AIG {
-	cur := Balance(g)
-	cur = RewriteOnce(cur, RewriteOptions{})
-	cur = RefactorOnce(cur, RefactorOptions{})
-	cur = Balance(cur)
-	cur = RewriteOnce(cur, RewriteOptions{})
-	cur = RewriteOnce(cur, RewriteOptions{ZeroCost: true})
-	cur = Balance(cur)
-	cur = RefactorOnce(cur, RefactorOptions{ZeroCost: true})
-	cur = RewriteOnce(cur, RewriteOptions{ZeroCost: true})
-	cur = Balance(cur)
+// rwz; b. Each pass is a traced Step under ctx; the script itself runs
+// to the end regardless of cancellation.
+func DC2(ctx context.Context, g *aig.AIG) *aig.AIG {
+	cur := balanceStep(ctx, g)
+	cur = rewriteStep(ctx, cur, RewriteOptions{})
+	cur = refactorStep(ctx, cur, RefactorOptions{})
+	cur = balanceStep(ctx, cur)
+	cur = rewriteStep(ctx, cur, RewriteOptions{})
+	cur = rewriteStep(ctx, cur, RewriteOptions{ZeroCost: true})
+	cur = balanceStep(ctx, cur)
+	cur = refactorStep(ctx, cur, RefactorOptions{ZeroCost: true})
+	cur = rewriteStep(ctx, cur, RewriteOptions{ZeroCost: true})
+	cur = balanceStep(ctx, cur)
 	return keepSmaller(g, cur, true)
 }
 
@@ -169,17 +166,19 @@ func DeepSyn(ctx context.Context, g *aig.AIG, opts DeepSynOptions) *aig.AIG {
 	r := rand.New(rand.NewSource(opts.Seed))
 	best := g
 	cur := g
-	moves := []func(*aig.AIG) *aig.AIG{
-		func(a *aig.AIG) *aig.AIG { return DC2(a) },
-		func(a *aig.AIG) *aig.AIG { return lutmap.RoundTrip(a, lutmap.Options{K: 4}) },
-		func(a *aig.AIG) *aig.AIG { return lutmap.RoundTrip(a, lutmap.Options{K: 6}) },
-		func(a *aig.AIG) *aig.AIG {
-			return ResubOnce(RewriteOnce(a, RewriteOptions{ZeroCost: true}), ResubOptions{})
+	moves := []func(context.Context, *aig.AIG) *aig.AIG{
+		DC2,
+		func(ctx context.Context, a *aig.AIG) *aig.AIG { return lutStep(ctx, a, 4) },
+		func(ctx context.Context, a *aig.AIG) *aig.AIG { return lutStep(ctx, a, 6) },
+		func(ctx context.Context, a *aig.AIG) *aig.AIG {
+			return resubStep(ctx, rewriteStep(ctx, a, RewriteOptions{ZeroCost: true}), ResubOptions{})
 		},
-		func(a *aig.AIG) *aig.AIG {
-			return RefactorOnce(ResubOnce(a, ResubOptions{ZeroCost: true}), RefactorOptions{})
+		func(ctx context.Context, a *aig.AIG) *aig.AIG {
+			return refactorStep(ctx, resubStep(ctx, a, ResubOptions{ZeroCost: true}), RefactorOptions{})
 		},
-		func(a *aig.AIG) *aig.AIG { return Balance(RewriteOnce(a, RewriteOptions{})) },
+		func(ctx context.Context, a *aig.AIG) *aig.AIG {
+			return balanceStep(ctx, rewriteStep(ctx, a, RewriteOptions{}))
+		},
 	}
 	for i := 0; i < effort; i++ {
 		if ctx.Err() != nil {
@@ -187,7 +186,7 @@ func DeepSyn(ctx context.Context, g *aig.AIG, opts DeepSynOptions) *aig.AIG {
 		}
 		telemetry.Add("flow/deepsyn/moves", 1)
 		move := moves[r.Intn(len(moves))]
-		cur = move(cur)
+		cur = move(ctx, cur)
 		if cur.NumAnds() < best.NumAnds() {
 			best = cur
 		}
@@ -209,9 +208,9 @@ func CompressToConvergence(ctx context.Context, g *aig.AIG) *aig.AIG {
 		if ctx.Err() != nil {
 			return cur
 		}
-		next := DC2(cur)
-		next = ResubOnce(next, ResubOptions{})
-		next = RefactorOnce(next, RefactorOptions{})
+		next := DC2(ctx, cur)
+		next = resubStep(ctx, next, ResubOptions{})
+		next = refactorStep(ctx, next, RefactorOptions{})
 		if next.NumAnds() >= cur.NumAnds() {
 			return cur
 		}

@@ -3,6 +3,7 @@ package opt
 import (
 	"context"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/aig"
@@ -196,7 +197,7 @@ func TestFlowsCorrectAndEffective(t *testing.T) {
 	f := tt.Random(5, r)
 	g := redundantAIG(f)
 	for _, flow := range Flows() {
-		ng := flow.Run(g, 7)
+		ng := flow.RunCtx(context.Background(), g, 7)
 		mustEquiv(t, flow.Name, g, ng)
 		if ng.NumAnds() >= g.NumAnds() {
 			t.Errorf("%s failed to reduce a minterm SOP: %d -> %d", flow.Name, g.NumAnds(), ng.NumAnds())
@@ -207,11 +208,13 @@ func TestFlowsCorrectAndEffective(t *testing.T) {
 func TestRunFlowDispatch(t *testing.T) {
 	g := aig.New(2)
 	g.AddPO(g.And(g.PI(0), g.PI(1)))
-	if _, err := RunFlow("dc2", g, 0); err != nil {
-		t.Error(err)
+	f, err := FlowByName("dc2")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := RunFlow("bogus", g, 0); err == nil {
-		t.Error("unknown flow should error")
+	mustEquiv(t, f.Name, g, f.RunCtx(context.Background(), g, 0))
+	if _, err := FlowByName("bogus"); err == nil || !strings.Contains(err.Error(), `unknown flow "bogus" (have [orchestrate dc2 deepsyn])`) {
+		t.Errorf("unknown flow error = %v", err)
 	}
 }
 
@@ -243,7 +246,7 @@ func TestFlowsOnMultiOutput(t *testing.T) {
 	spec := []tt.TT{tt.Random(6, r), tt.Random(6, r), tt.Random(6, r)}
 	g := synth.SynthSOP(spec)
 	for _, flow := range Flows() {
-		ng := flow.Run(g, 3)
+		ng := flow.RunCtx(context.Background(), g, 3)
 		mustEquiv(t, flow.Name, g, ng)
 	}
 }

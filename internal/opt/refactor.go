@@ -32,10 +32,6 @@ func (o RefactorOptions) maxLeaves() int {
 // cone is replaced when the factored structure is smaller than the
 // bounded MFFC it frees.
 func RefactorOnce(g *aig.AIG, opts RefactorOptions) *aig.AIG {
-	return instrumentPass("refactor", g, func() *aig.AIG { return refactorOnce(g, opts) })
-}
-
-func refactorOnce(g *aig.AIG, opts RefactorOptions) *aig.AIG {
 	refs := g.RefCounts()
 	decisions := make(map[int]decision)
 	maxLeaves := opts.maxLeaves()

@@ -44,10 +44,6 @@ func (o ResubOptions) depth() int {
 // signatures are unavailable and this implementation deliberately avoids
 // unsound approximate matching.
 func ResubOnce(g *aig.AIG, opts ResubOptions) *aig.AIG {
-	return instrumentPass("resub", g, func() *aig.AIG { return resubOnce(g, opts) })
-}
-
-func resubOnce(g *aig.AIG, opts ResubOptions) *aig.AIG {
 	if g.NumPIs() > tt.MaxVars {
 		return g
 	}

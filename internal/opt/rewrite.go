@@ -33,10 +33,6 @@ func (o RewriteOptions) k() int {
 // best positive-gain replacement (saved MFFC minus newly added structure)
 // is committed. Returns the rebuilt graph.
 func RewriteOnce(g *aig.AIG, opts RewriteOptions) *aig.AIG {
-	return instrumentPass("rewrite", g, func() *aig.AIG { return rewriteOnce(g, opts) })
-}
-
-func rewriteOnce(g *aig.AIG, opts RewriteOptions) *aig.AIG {
 	cuts := g.EnumerateCuts(aig.CutParams{K: opts.k(), MaxCuts: opts.MaxCuts})
 	refs := g.RefCounts()
 	decisions := make(map[int]decision)

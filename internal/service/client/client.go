@@ -224,9 +224,7 @@ func retryAfter(resp *http.Response) time.Duration {
 // root identity per conversation for the same stitching server-side.
 func (c *Client) do(ctx context.Context, endpoint, method, path, contentType string, body []byte, idemKey string, out any) (err error) {
 	ctx, sp := trace.Start(ctx, "client/http")
-	if sp == nil {
-		ctx = trace.EnsureRoot(ctx)
-	}
+	ctx = trace.EnsureRoot(ctx)
 	sp.Attr("endpoint", endpoint).Attr("method", method).Attr("path", path)
 	defer sp.End()
 	defer func() { sp.Fail(err) }()

@@ -58,7 +58,7 @@ func (s *Server) SetClusterHooks(router PairRouter, onIntern InternObserver) {
 // the intern observer. It is the receive side of cluster replication
 // and inline fill payloads; interning is content-addressed, so
 // replaying it is idempotent.
-func (s *Server) InternAIGER(payload []byte) (AIGView, error) {
+func (s *Server) InternAIGER(ctx context.Context, payload []byte) (AIGView, error) {
 	g, err := aiger.Read(bytes.NewReader(payload))
 	if err != nil {
 		return AIGView{}, fmt.Errorf("parsing AIGER: %w", err)
@@ -66,7 +66,7 @@ func (s *Server) InternAIGER(payload []byte) (AIGView, error) {
 	if err := g.Check(); err != nil {
 		return AIGView{}, fmt.Errorf("invalid AIG: %w", err)
 	}
-	e, known := s.store.put(g.Cleanup())
+	e, known := s.store.put(ctx, g.Cleanup())
 	return viewOf(e, known), nil
 }
 

@@ -278,9 +278,9 @@ func (s *Server) guard(pattern string, h http.HandlerFunc) http.HandlerFunc {
 		}
 		ctx, sp := trace.Start(ctx, "service/request")
 		sp.Attr("endpoint", ep.path).Attr("method", r.Method)
-		if sp != nil {
-			w.Header().Set(trace.TraceIDHeader, sp.Context().TraceID.String())
-			w.Header().Set("traceparent", trace.Traceparent(sp.Context()))
+		if sc := sp.Context(); sc.Valid() {
+			w.Header().Set(trace.TraceIDHeader, sc.TraceID.String())
+			w.Header().Set("traceparent", trace.Traceparent(sc))
 		}
 		rec := &statusRecorder{ResponseWriter: w}
 		start := time.Now()
@@ -298,10 +298,6 @@ func (s *Server) guard(pattern string, h http.HandlerFunc) http.HandlerFunc {
 		sp.Attr("status", rec.status)
 		if rec.status >= 500 {
 			sp.Fail(fmt.Errorf("http %d", rec.status))
-		}
-		if sp == nil {
-			// Tracing off: keep the pre-existing aggregate span alive.
-			telemetry.Default().RecordSpan("service/request", d)
 		}
 		sp.End()
 		s.red.record(ep, rec.status, d)
@@ -323,8 +319,8 @@ func (s *Server) logAccess(sp *trace.Span, r *http.Request, ep *redEndpoint, rec
 		"bytes":       rec.bytes,
 		"duration_ms": float64(d) / float64(time.Millisecond),
 	}
-	if sp != nil {
-		fields["trace_id"] = sp.Context().TraceID.String()
+	if sc := sp.Context(); sc.Valid() {
+		fields["trace_id"] = sc.TraceID.String()
 	}
 	s.cfg.Events.Log("http_request", fields)
 }
@@ -358,8 +354,8 @@ func (s *Server) handleSubmitAIG(w http.ResponseWriter, r *http.Request) {
 	// cones collide on one key; without Cleanup the stored stats and
 	// profiles would depend on whichever structure arrived first, which
 	// would break the hit-equals-fresh-computation invariant.
-	_, ispan := trace.Start(r.Context(), "service/store_intern")
-	e, known := s.store.put(g.Cleanup())
+	ictx, ispan := trace.Start(r.Context(), "service/store_intern")
+	e, known := s.store.put(ictx, g.Cleanup())
 	ispan.Attr("fingerprint", e.fp).Attr("known", known)
 	ispan.End()
 	if s.onIntern != nil {
@@ -406,8 +402,6 @@ func (s *Server) resolvePair(fpA, fpB string) (ea, eb *storedAIG, err error) {
 // previously submitted AIGs. The computation runs on the bounded worker
 // pool; a saturated pool sheds with 429.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	sp := telemetry.StartSpan("service/metrics")
-	defer sp.End()
 	if !s.metricsAdm.enter() {
 		s.shed(w, r)
 		return
@@ -467,8 +461,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // per-graph preprocessing runs once per graph (n profiles), not once
 // per pair (n·(n−1) would-be profiles).
 func (s *Server) handleMetricsBatch(w http.ResponseWriter, r *http.Request) {
-	sp := telemetry.StartSpan("service/metrics_batch")
-	defer sp.End()
 	if !s.metricsAdm.enter() {
 		s.shed(w, r)
 		return
@@ -530,7 +522,7 @@ func (s *Server) handleMetricsBatch(w http.ResponseWriter, r *http.Request) {
 			if serr = ctx.Err(); serr != nil { // client gone: free the worker
 				return
 			}
-			p, perr := s.profileFor(e, needs)
+			p, perr := s.profileFor(ctx, e, needs)
 			if perr != nil {
 				serr = perr
 				return
@@ -621,8 +613,6 @@ func (s *Server) replyPoolError(w http.ResponseWriter, r *http.Request, err erro
 // handleOptimize schedules an optimization flow as an async job and
 // returns its ID immediately.
 func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
-	sp := telemetry.StartSpan("service/optimize")
-	defer sp.End()
 	if !s.jobsAdm.enter() {
 		s.shed(w, r)
 		return
@@ -636,16 +626,10 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	if req.Flow == "" {
 		req.Flow = "orchestrate"
 	}
-	var flow opt.Flow
-	found := false
-	for _, f := range opt.Flows() {
-		if f.Name == req.Flow {
-			flow, found = f, true
-		}
-	}
-	if !found {
+	flow, err := opt.FlowByName(req.Flow)
+	if err != nil {
 		s.jobsAdm.leave()
-		replyError(w, http.StatusBadRequest, "unknown flow %q (have %v)", req.Flow, flowNames())
+		replyError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	e, ok := s.store.get(req.AIG)
@@ -711,7 +695,7 @@ func (s *Server) runOptimize(ctx context.Context, e *storedAIG, flow opt.Flow, s
 		return nil, eqErr
 	}
 	og = og.Cleanup()
-	oe, _ := s.store.put(og)
+	oe, _ := s.store.put(ctx, og)
 	var b strings.Builder
 	if err := aiger.WriteASCII(&b, og); err != nil {
 		return nil, err
@@ -732,8 +716,6 @@ func (s *Server) runOptimize(ctx context.Context, e *storedAIG, flow opt.Flow, s
 // Relative Optimizability Difference — the service equivalent of one
 // harness.PairSample.
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
-	sp := telemetry.StartSpan("service/report")
-	defer sp.End()
 	if !s.jobsAdm.enter() {
 		s.shed(w, r)
 		return
@@ -812,33 +794,18 @@ func (s *Server) runReport(ctx context.Context, ea, eb *storedAIG, flows []opt.F
 }
 
 func resolveFlows(names []string) ([]opt.Flow, error) {
-	all := opt.Flows()
 	if len(names) == 0 {
-		return all, nil
+		return opt.Flows(), nil
 	}
-	var out []opt.Flow
-	for _, n := range names {
-		found := false
-		for _, f := range all {
-			if f.Name == n {
-				out = append(out, f)
-				found = true
-			}
+	out := make([]opt.Flow, len(names))
+	for i, n := range names {
+		f, err := opt.FlowByName(n)
+		if err != nil {
+			return nil, err
 		}
-		if !found {
-			return nil, fmt.Errorf("unknown flow %q (have %v)", n, flowNames())
-		}
+		out[i] = f
 	}
 	return out, nil
-}
-
-func flowNames() []string {
-	all := opt.Flows()
-	names := make([]string, len(all))
-	for i, f := range all {
-		names[i] = f.Name
-	}
-	return names
 }
 
 func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"sort"
@@ -33,10 +34,8 @@ const maxDiverseK = 64
 // lock on a still-private entry, so no synchronization is needed. On
 // failure the entry still serves (profiles rebuild lazily in
 // profileFor); it just never enters the sketch index.
-func (s *Server) prepareEntry(e *storedAIG) {
-	opts := s.cfg.Profile
-	opts.Seed = profileSeed(e.fp)
-	p, err := harness.SafeProfile(e.g, opts, simil.NeedSketch)
+func (s *Server) prepareEntry(ctx context.Context, e *storedAIG) {
+	p, err := harness.SafeProfile(ctx, e.g, simil.ProfileOptions{Seed: profileSeed(e.fp)}, simil.NeedSketch)
 	if err != nil {
 		telemetry.Add("sketch/prepare_errors", 1)
 		return
@@ -191,8 +190,6 @@ func dissim(m simil.Metric, score float64) float64 {
 // computation), or a full corpus scan when exact is requested or the
 // corpus is small enough that pruning cannot pay for itself.
 func (s *Server) handleNeighbors(w http.ResponseWriter, r *http.Request) {
-	sp := telemetry.StartSpan("service/neighbors")
-	defer sp.End()
 	if !s.metricsAdm.enter() {
 		s.shed(w, r)
 		return
@@ -259,7 +256,7 @@ func (s *Server) handleNeighbors(w http.ResponseWriter, r *http.Request) {
 				}
 			}
 		} else {
-			qp, perr := s.profileFor(e, simil.NeedSketch)
+			qp, perr := s.profileFor(sctx, e, simil.NeedSketch)
 			if perr != nil {
 				serr = perr
 				return
@@ -333,8 +330,6 @@ func (s *Server) handleNeighbors(w http.ResponseWriter, r *http.Request) {
 // seeded profiles), so repeated runs over the same corpus return
 // byte-identical responses.
 func (s *Server) handleDiverse(w http.ResponseWriter, r *http.Request) {
-	sp := telemetry.StartSpan("service/diverse")
-	defer sp.End()
 	if !s.metricsAdm.enter() {
 		s.shed(w, r)
 		return

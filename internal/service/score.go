@@ -27,13 +27,12 @@ func profileSeed(fp string) int64 {
 // mutex is the coalescing point of the batch path: however many
 // concurrent requests need this graph, its NetSimile features, WL
 // labels, spectrum, and single-step reductions are computed once.
-func (s *Server) profileFor(e *storedAIG, needs simil.Artifacts) (*simil.Profile, error) {
+func (s *Server) profileFor(ctx context.Context, e *storedAIG, needs simil.Artifacts) (*simil.Profile, error) {
 	e.profMu.Lock()
 	defer e.profMu.Unlock()
-	opts := s.cfg.Profile
-	opts.Seed = profileSeed(e.fp)
+	opts := simil.ProfileOptions{Seed: profileSeed(e.fp)}
 	if e.profile == nil {
-		p, err := harness.SafeProfile(e.g, opts, needs)
+		p, err := harness.SafeProfile(ctx, e.g, opts, needs)
 		if err != nil {
 			return nil, err
 		}
@@ -42,7 +41,7 @@ func (s *Server) profileFor(e *storedAIG, needs simil.Artifacts) (*simil.Profile
 		return p, nil
 	}
 	if missing := needs &^ e.profile.Has(); missing != 0 {
-		if err := s.safeExtend(e.profile, opts, missing); err != nil {
+		if err := safeExtend(ctx, e.profile, opts, missing); err != nil {
 			return nil, err
 		}
 		telemetry.Add("service/profile_extends", 1)
@@ -50,7 +49,11 @@ func (s *Server) profileFor(e *storedAIG, needs simil.Artifacts) (*simil.Profile
 	return e.profile, nil
 }
 
-func (s *Server) safeExtend(p *simil.Profile, opts simil.ProfileOptions, needs simil.Artifacts) (err error) {
+// safeExtend extends a cached profile with panic isolation, under the
+// same "profile/total" span a fresh build runs under.
+func safeExtend(ctx context.Context, p *simil.Profile, opts simil.ProfileOptions, needs simil.Artifacts) (err error) {
+	_, sp := trace.Start(ctx, "profile/total")
+	defer sp.End()
 	defer harness.Recover(&err, "profile extend")
 	p.Extend(opts, needs)
 	return nil
@@ -101,11 +104,11 @@ func (s *Server) pairScores(ctx context.Context, ea, eb *storedAIG, metrics []si
 	defer sp.End()
 	defer func() { sp.Fail(err) }()
 	needs := simil.Needs(metrics)
-	pa, err := s.profileFor(ea, needs)
+	pa, err := s.profileFor(sctx, ea, needs)
 	if err != nil {
 		return nil, err
 	}
-	pb, err := s.profileFor(eb, needs)
+	pb, err := s.profileFor(sctx, eb, needs)
 	if err != nil {
 		return nil, err
 	}
@@ -121,7 +124,6 @@ func (s *Server) pairScores(ctx context.Context, ea, eb *storedAIG, metrics []si
 		if swapped {
 			p1, p2 = pb, pa
 		}
-		compute := m.Compute
 		led := false
 		v, cerr, shared := s.flights.do(sctx, key, func() (val float64, err error) {
 			led = true
@@ -134,7 +136,7 @@ func (s *Server) pairScores(ctx context.Context, ea, eb *storedAIG, metrics []si
 			if s.testComputeDelay != nil {
 				s.testComputeDelay()
 			}
-			val = compute(p1, p2)
+			val = harness.ComputeMetric(sctx, m, p1, p2)
 			telemetry.Add("service/metric_computes", 1)
 			s.cache.put(key, val)
 			return val, nil

@@ -35,7 +35,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/simil"
 	"repro/internal/sketch"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/trace"
@@ -64,13 +63,6 @@ type Config struct {
 	// defaults to 256 KiB).
 	SpillDir   string
 	SpillBytes int
-	// Profile tunes per-graph artifact construction. The options are
-	// fixed per daemon because they are part of the cache-key contract:
-	// one (metric, fpA, fpB) key must always name one value. The
-	// per-graph Seed is ignored — the daemon derives it from the
-	// structural fingerprint so identical structures always profile
-	// identically.
-	Profile simil.ProfileOptions
 	// Trace, when set, is served on /v1/debug/traces alongside the API.
 	// It should be the same store installed with trace.SetCollector —
 	// the Handler only reads it.

@@ -20,6 +20,7 @@ import (
 	"repro/internal/aiger"
 	"repro/internal/synth"
 	"repro/internal/telemetry"
+	"repro/internal/telemetry/trace"
 	"repro/internal/tt"
 )
 
@@ -108,6 +109,37 @@ func (d *testDaemon) waitJob(t testing.TB, id string) JobView {
 	}
 	t.Fatalf("job %s did not finish", id)
 	return JobView{}
+}
+
+// TestUntracedDaemonExportsNoTraceID: with telemetry on but no trace
+// collector — how aigd runs without -trace — request spans are
+// registry-only. They still feed the service/request histogram, but no
+// trace identity (it would be all zeros) may reach the response headers
+// or the access log.
+func TestUntracedDaemonExportsNoTraceID(t *testing.T) {
+	trace.SetCollector(nil)
+	var events bytes.Buffer
+	d := newTestDaemon(t, Config{Events: telemetry.NewEventLogger(&events)})
+	resp, err := d.ts.Client().Post(d.ts.URL+"/v1/aigs", "text/plain", strings.NewReader(testAIG(t, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	d.ts.Close() // waits for the handler, so the access log is complete
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("submit: status %d", resp.StatusCode)
+	}
+	for _, h := range []string{trace.TraceIDHeader, "traceparent"} {
+		if v := resp.Header.Get(h); v != "" {
+			t.Errorf("untraced daemon sent %s: %q", h, v)
+		}
+	}
+	if log := events.String(); !strings.Contains(log, `"http_request"`) || strings.Contains(log, "trace_id") {
+		t.Errorf("want one access-log line without trace_id, got %q", log)
+	}
+	if n := d.reg.SpanStats("service/request").Count; n != 1 {
+		t.Errorf("service/request histogram count = %d, want 1", n)
+	}
 }
 
 // TestHandlerTable exercises every endpoint's validation and happy path

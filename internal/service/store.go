@@ -2,6 +2,7 @@ package service
 
 import (
 	"container/list"
+	"context"
 	"sort"
 	"sync"
 
@@ -51,7 +52,7 @@ type store struct {
 	// prepare, when set, runs on every newly interned entry before it
 	// is published — outside mu, on a still-private entry — and is
 	// where the server builds the base profile and retrieval signature.
-	prepare func(*storedAIG)
+	prepare func(context.Context, *storedAIG)
 	// index, when set, mirrors store membership: Insert on intern and
 	// Remove on evict both happen under mu, so a fingerprint is in the
 	// index exactly when it is in the LRU — queries can never see an
@@ -65,9 +66,10 @@ func newStore(capacity int) *store {
 
 // put interns g (already validated by the caller) under its
 // fingerprint. It returns the canonical entry and whether the structure
-// was already known.
-func (s *store) put(g *aig.AIG) (*storedAIG, bool) {
-	faultinject.Delay(PointStorePut)
+// was already known. ctx is the caller's, handed to the prepare hook.
+func (s *store) put(ctx context.Context, g *aig.AIG) (*storedAIG, bool) {
+	// Only latency faults matter here (see PointStorePut).
+	_ = faultinject.HitCtx(ctx, PointStorePut)
 	fp := g.Fingerprint()
 	s.mu.Lock()
 	if el, ok := s.byFP[fp]; ok {
@@ -85,7 +87,7 @@ func (s *store) put(g *aig.AIG) (*storedAIG, bool) {
 	// (construction is deterministic, the copies are interchangeable).
 	e := &storedAIG{fp: fp, g: g, stats: g.Stat()}
 	if s.prepare != nil {
-		s.prepare(e)
+		s.prepare(ctx, e)
 	}
 
 	s.mu.Lock()

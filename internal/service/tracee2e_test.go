@@ -105,9 +105,10 @@ func awaitSpans(t *testing.T, st *trace.Store, traceID string, want ...string) t
 // TestTracePropagationEndToEnd proves the tentpole property: one traced
 // optimize call yields ONE trace ID spanning the client conversation,
 // the HTTP handler, the job queue wait, the job execution with its
-// harness flow, and the async spill write — all stitched across two
-// processes' worth of context boundaries (client ctx → HTTP header →
-// handler ctx → detached job ctx).
+// harness flow down to the individual optimization passes, and the
+// async spill write — all stitched across two processes' worth of
+// context boundaries (client ctx → HTTP header → handler ctx →
+// detached job ctx).
 func TestTracePropagationEndToEnd(t *testing.T) {
 	d := newTracedDaemon(t, service.Config{SpillDir: t.TempDir(), SpillBytes: 1})
 
@@ -139,8 +140,25 @@ func TestTracePropagationEndToEnd(t *testing.T) {
 
 	view := awaitSpans(t, d.st, traceID,
 		"client/http", "service/request", "service/job_queue_wait",
-		"service/job", "harness/flow", "service/job_spill")
+		"service/job", "harness/flow", "flow/orchestrate", "opt/resub",
+		"service/job_spill")
 	names := spanNames(view)
+	// The pass hangs off the flow, which hangs off the harness guard
+	// (orchestrate always tries resub first).
+	byID := make(map[string]trace.SpanView, len(view.Spans))
+	for _, sp := range view.Spans {
+		byID[sp.SpanID] = sp
+	}
+	for _, sp := range view.Spans {
+		if sp.Name != "opt/resub" {
+			continue
+		}
+		flow := byID[sp.Parent]
+		if flow.Name != "flow/orchestrate" || byID[flow.Parent].Name != "harness/flow" {
+			t.Fatalf("opt/resub parent chain = %q <- %q, want flow/orchestrate <- harness/flow",
+				flow.Name, byID[flow.Parent].Name)
+		}
+	}
 	// Submit + optimize + ≥1 poll all rode the same root.
 	if names["client/http"] < 3 {
 		t.Fatalf("want ≥3 client/http spans (submit, optimize, polls), got %d", names["client/http"])
@@ -158,7 +176,7 @@ func TestTracePropagationEndToEnd(t *testing.T) {
 	if !ok {
 		t.Fatalf("no flame rendering for %s", traceID)
 	}
-	for _, w := range []string{"service/job_spill", "harness/flow"} {
+	for _, w := range []string{"service/job_spill", "harness/flow", "flow/orchestrate", "opt/resub"} {
 		if !strings.Contains(flame, w) {
 			t.Fatalf("flame output missing %q:\n%s", w, flame)
 		}

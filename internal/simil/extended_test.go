@@ -15,8 +15,8 @@ func extendedPair(t *testing.T, seed int64) (*ExtendedProfile, *ExtendedProfile)
 	spec := []tt.TT{tt.Random(5, r)}
 	g1 := synth.SynthSOP(spec)
 	g2 := synth.SynthBDD(spec)
-	p1 := NewProfile(g1, ProfileOptions{SkipOptScores: true})
-	p2 := NewProfile(g2, ProfileOptions{SkipOptScores: true})
+	p1 := NewProfileFor(g1, ProfileOptions{}, AllArtifacts&^NeedOptScores)
+	p2 := NewProfileFor(g2, ProfileOptions{}, AllArtifacts&^NeedOptScores)
 	return NewExtendedProfile(p1), NewExtendedProfile(p2)
 }
 

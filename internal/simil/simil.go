@@ -15,7 +15,6 @@ import (
 	"repro/internal/opt"
 	"repro/internal/sketch"
 	"repro/internal/stats"
-	"repro/internal/telemetry"
 )
 
 // Artifacts is a bitmask of the per-graph artifact families a Profile
@@ -67,36 +66,19 @@ type Profile struct {
 
 // ProfileOptions tunes profile construction.
 type ProfileOptions struct {
-	// SpectrumK is the number of adjacency eigenvalues kept for the
-	// spectral distance (default 20, as a practical NetComp-style k).
-	SpectrumK int
-	// WLIterations is the number of Weisfeiler-Lehman refinements
-	// (default 3).
-	WLIterations int
-	// SkipOptScores skips the three single-step optimization runs (for
-	// callers that only need the traditional metrics).
-	SkipOptScores bool
 	// Seed feeds the Lanczos starting vector.
 	Seed int64
 }
 
-func (o ProfileOptions) spectrumK() int {
-	if o.SpectrumK <= 0 {
-		return 20
-	}
-	return o.SpectrumK
-}
+// Profile construction constants: the number of adjacency eigenvalues
+// kept for the spectral distance (a practical NetComp-style k) and the
+// number of Weisfeiler-Lehman refinements.
+const (
+	spectrumK    = 20
+	wlIterations = 3
+)
 
-func (o ProfileOptions) wlIterations() int {
-	if o.WLIterations <= 0 {
-		return 3
-	}
-	return o.WLIterations
-}
-
-// NewProfile computes all metric artifacts for one AIG. The whole
-// construction runs under the "profile/total" telemetry span, with each
-// artifact family timed by a nested child span.
+// NewProfile computes all metric artifacts for one AIG.
 func NewProfile(a *aig.AIG, opts ProfileOptions) *Profile {
 	return NewProfileFor(a, opts, AllArtifacts)
 }
@@ -106,15 +88,8 @@ func NewProfile(a *aig.AIG, opts ProfileOptions) *Profile {
 // which metrics a request asks for pass Needs(metrics) to skip the
 // unneeded per-graph work entirely — the single-step optimization runs
 // dominate profile cost, so a request for the traditional metrics only
-// never pays for them. opts.SkipOptScores additionally masks
-// NeedOptScores for compatibility with existing callers.
+// never pays for them.
 func NewProfileFor(a *aig.AIG, opts ProfileOptions, needs Artifacts) *Profile {
-	total := telemetry.StartSpan("profile/total")
-	defer total.End()
-
-	if opts.SkipOptScores {
-		needs &^= NeedOptScores
-	}
 	p := &Profile{A: a, Gates: a.NumAnds(), Levels: a.NumLevels()}
 	p.add(a, opts, needs)
 	return p
@@ -141,7 +116,6 @@ func (p *Profile) add(a *aig.AIG, opts ProfileOptions, needs Artifacts) {
 
 	if needs&NeedOverlap != 0 {
 		// Vertex and edge sets under the consistent node numbering.
-		sp := telemetry.StartSpan("profile/overlap")
 		p.vertices = make(map[int]bool)
 		p.edges = make(map[[2]int]bool)
 		for id := 1; id < a.NumObjs(); id++ {
@@ -150,46 +124,35 @@ func (p *Profile) add(a *aig.AIG, opts ProfileOptions, needs Artifacts) {
 		for _, e := range und.Edges() {
 			p.edges[e] = true
 		}
-		sp.End()
 	}
 
 	if needs&NeedNetSimile != 0 {
 		// NetSimile signature.
-		sp := telemetry.StartSpan("profile/netsimile")
 		feats := und.NetSimileFeatures()
 		for fi := 0; fi < 7; fi++ {
 			agg := stats.Aggregate(feats[fi][1:]) // node 0 (constant) excluded
 			copy(p.features[fi*5:fi*5+5], agg[:])
 		}
-		sp.End()
 	}
 
 	if needs&NeedWL != 0 {
 		// Weisfeiler-Lehman label histogram.
-		sp := telemetry.StartSpan("profile/wl")
-		p.wlHist = wlHistogram(und, opts.wlIterations())
-		sp.End()
+		p.wlHist = wlHistogram(und, wlIterations)
 	}
 
 	if needs&NeedSpectrum != 0 {
 		// Adjacency spectrum.
-		sp := telemetry.StartSpan("profile/spectrum")
-		p.spectrum = und.TopEigenvalues(opts.spectrumK(), opts.Seed+1)
-		sp.End()
+		p.spectrum = und.TopEigenvalues(spectrumK, opts.Seed+1)
 	}
 
 	if needs&NeedOptScores != 0 {
-		sp := telemetry.StartSpan("profile/optscores")
 		p.reductions = OptReductions(a)
-		sp.End()
 	}
 
 	if needs&NeedSketch != 0 {
 		// Both parents are guaranteed present: either computed above or
 		// already in p.has from an earlier staged build.
-		sp := telemetry.StartSpan("profile/sketch")
 		p.sig = sketch.New(p.wlHist, p.features[:])
-		sp.End()
 	}
 	p.has |= needs
 }
@@ -208,9 +171,6 @@ func (p *Profile) Sketch() *sketch.Signature { return p.sig }
 // ProfileOptions the profile was built with: options are part of the
 // artifact definition, and mixing them would silently mix metrics.
 func (p *Profile) Extend(opts ProfileOptions, needs Artifacts) {
-	if opts.SkipOptScores {
-		needs &^= NeedOptScores
-	}
 	p.add(p.A, opts, needs)
 }
 
@@ -446,10 +406,8 @@ func Needs(metrics []Metric) Artifacts {
 
 // Metrics returns all eleven pairwise measures in the paper's order
 // (Table I then Table II, with the three operator scores and RRR).
-// Each metric's Compute is telemetry-instrumented under
-// "metric/<name>".
 func Metrics() []Metric {
-	ms := []Metric{
+	return []Metric{
 		{"VEO", Traditional, true, NeedOverlap, VEO},
 		{"NetSimile", Traditional, false, NeedNetSimile, NetSimile},
 		{"WLKernel", Traditional, true, NeedWL, WLKernel},
@@ -461,17 +419,6 @@ func Metrics() []Metric {
 		{"ResubScore", AIGSpecific, false, NeedOptScores, ResubScore},
 		{"RRRScore", AIGSpecific, false, NeedOptScores, RRRScore},
 	}
-	for i := range ms {
-		name, compute := ms[i].Name, ms[i].Compute
-		ms[i].Compute = func(p1, p2 *Profile) float64 {
-			//lint:ignore metricname name comes from the fixed metric table above, so cardinality is bounded
-			sp := telemetry.StartSpan("metric/" + name)
-			v := compute(p1, p2)
-			sp.End()
-			return v
-		}
-	}
-	return ms
 }
 
 // MetricByName returns the named metric.

@@ -191,12 +191,14 @@ func TestMetricRegistry(t *testing.T) {
 	}
 }
 
+// TestSkipOptScores: a Needs mask without NeedOptScores skips the
+// single-step optimization runs and nothing else.
 func TestSkipOptScores(t *testing.T) {
 	r := rand.New(rand.NewSource(146))
 	g := synth.SynthSOP([]tt.TT{tt.Random(4, r)})
-	p := NewProfile(g, ProfileOptions{SkipOptScores: true})
+	p := NewProfileFor(g, ProfileOptions{}, AllArtifacts&^NeedOptScores)
 	if p.Reductions() != [3]float64{} {
-		t.Error("SkipOptScores should leave reductions zero")
+		t.Error("a profile without NeedOptScores should leave reductions zero")
 	}
 	if len(p.spectrum) == 0 {
 		t.Error("spectrum should still be computed")
@@ -313,18 +315,24 @@ func TestSketchArtifact(t *testing.T) {
 	}
 }
 
-// TestExtendRespectsSkipOptScores: Extend must keep honouring the
-// profile-level opt-score gate.
+// TestExtendRespectsSkipOptScores: Extend computes exactly the families
+// its mask asks for, so a profile built without NeedOptScores gains them
+// only when an Extend mask includes NeedOptScores.
 func TestExtendRespectsSkipOptScores(t *testing.T) {
 	r := rand.New(rand.NewSource(153))
 	g := synth.SynthSOP([]tt.TT{tt.Random(5, r)})
-	opts := ProfileOptions{SkipOptScores: true}
-	p := NewProfileFor(g, opts, AllArtifacts)
+	opts := ProfileOptions{}
+	skip := AllArtifacts &^ NeedOptScores
+	p := NewProfileFor(g, opts, skip)
 	if p.Has()&NeedOptScores != 0 {
-		t.Error("SkipOptScores profile still computed opt scores")
+		t.Error("profile built without NeedOptScores still computed opt scores")
+	}
+	p.Extend(opts, skip)
+	if p.Has()&NeedOptScores != 0 || p.Reductions() != [3]float64{} {
+		t.Error("Extend without NeedOptScores computed opt scores")
 	}
 	p.Extend(opts, NeedOptScores)
-	if p.Has()&NeedOptScores != 0 {
-		t.Error("Extend ignored SkipOptScores")
+	if p.Has()&NeedOptScores == 0 || p.Reductions() != OptReductions(g) {
+		t.Error("Extend with NeedOptScores did not compute the opt scores")
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"repro/internal/aig"
 	"repro/internal/bdd"
 	"repro/internal/sop"
-	"repro/internal/telemetry"
 	"repro/internal/tt"
 )
 
@@ -22,32 +21,16 @@ type Recipe struct {
 	Build       func(spec []tt.TT) *aig.AIG
 }
 
-// Recipes returns the seven synthesis recipes in canonical order. Each
-// recipe's Build is telemetry-instrumented under "synth/<name>".
+// Recipes returns the seven synthesis recipes in canonical order.
 func Recipes() []Recipe {
 	return []Recipe{
-		{"sop", "two-level ISOP, balanced AND-OR trees", instrumentBuild("sop", SynthSOP)},
-		{"esp", "espresso-minimized SOP, chained trees", instrumentBuild("esp", SynthEspresso)},
-		{"fx", "minimized SOP with algebraic factoring", instrumentBuild("fx", SynthFactored)},
-		{"bdd", "sifted ROBDD converted to a MUX tree", instrumentBuild("bdd", SynthBDD)},
-		{"shannon", "free-order Shannon decomposition", instrumentBuild("shannon", SynthShannon)},
-		{"dsd", "disjoint-support decomposition with Shannon fallback", instrumentBuild("dsd", SynthDSD)},
-		{"anf", "Reed-Muller XOR-of-ANDs (ANF) expansion", instrumentBuild("anf", SynthANF)},
-	}
-}
-
-// instrumentBuild times one synthesis recipe under the span
-// "synth/<name>" and records the produced AIG's size in the
-// "synth/<name>/gates" histogram (no-op until telemetry is enabled).
-func instrumentBuild(name string, build func(spec []tt.TT) *aig.AIG) func(spec []tt.TT) *aig.AIG {
-	return func(spec []tt.TT) *aig.AIG {
-		//lint:ignore metricname name comes from the fixed recipe registry (sop, esp, fx, bdd, shannon, dsd, anf), so cardinality is bounded
-		sp := telemetry.StartSpan("synth/" + name)
-		g := build(spec)
-		sp.End()
-		//lint:ignore metricname name comes from the fixed recipe registry, so cardinality is bounded
-		telemetry.Observe("synth/"+name+"/gates", float64(g.NumAnds()))
-		return g
+		{"sop", "two-level ISOP, balanced AND-OR trees", SynthSOP},
+		{"esp", "espresso-minimized SOP, chained trees", SynthEspresso},
+		{"fx", "minimized SOP with algebraic factoring", SynthFactored},
+		{"bdd", "sifted ROBDD converted to a MUX tree", SynthBDD},
+		{"shannon", "free-order Shannon decomposition", SynthShannon},
+		{"dsd", "disjoint-support decomposition with Shannon fallback", SynthDSD},
+		{"anf", "Reed-Muller XOR-of-ANDs (ANF) expansion", SynthANF},
 	}
 }
 

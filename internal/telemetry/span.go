@@ -7,54 +7,11 @@ import (
 	"time"
 )
 
-// Span measures the wall-clock duration of one pipeline operation.
-// Durations are recorded (in seconds) into a per-name log-bucketed
-// histogram, so each span name carries count, cumulative, min, and max
-// duration. A nil span (telemetry disabled) is a no-op.
-type Span struct {
-	r     *Registry
-	name  string
-	start time.Time
-}
-
-// StartSpan opens a span. End records it under name.
-func (r *Registry) StartSpan(name string) *Span {
-	if r == nil {
-		return nil
-	}
-	return &Span{r: r, name: name, start: now()}
-}
-
-// StartSpan opens a nested child span named "<parent>/<child>".
-func (s *Span) StartSpan(child string) *Span {
-	if s == nil {
-		return nil
-	}
-	//lint:ignore metricname nesting contract: child segments are constants checked at their call sites, parents recurse to a checked root
-	return s.r.StartSpan(s.name + "/" + child)
-}
-
-// Name returns the span's full (nesting-qualified) name.
-func (s *Span) Name() string {
-	if s == nil {
-		return ""
-	}
-	return s.name
-}
-
-// End records the span's duration and returns it.
-func (s *Span) End() time.Duration {
-	if s == nil {
-		return 0
-	}
-	d := now().Sub(s.start)
-	s.r.RecordSpan(s.name, d)
-	return d
-}
-
-// RecordSpan directly records a duration under a span name — the same
-// sink Span.End uses. Exposed for callers (and tests) that measure
-// durations themselves.
+// RecordSpan records a duration in seconds into the log-bucketed
+// histogram of a span name, so each span name carries count,
+// cumulative, min, and max duration. Spans opened with trace.Start
+// record here when they end; callers (and tests) that measure
+// durations themselves record directly.
 func (r *Registry) RecordSpan(name string, d time.Duration) {
 	if r == nil {
 		return

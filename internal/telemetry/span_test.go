@@ -6,26 +6,6 @@ import (
 	"time"
 )
 
-func TestSpanNesting(t *testing.T) {
-	r := NewRegistry()
-	parent := r.StartSpan("flow/dc2")
-	child := parent.StartSpan("iter")
-	grand := child.StartSpan("rewrite")
-	if got := grand.Name(); got != "flow/dc2/iter/rewrite" {
-		t.Fatalf("nested name = %q", got)
-	}
-	grand.End()
-	child.End()
-	if d := parent.End(); d < 0 {
-		t.Fatalf("duration = %v", d)
-	}
-	for _, name := range []string{"flow/dc2", "flow/dc2/iter", "flow/dc2/iter/rewrite"} {
-		if s := r.SpanStats(name); s.Count != 1 {
-			t.Errorf("%s count = %d, want 1", name, s.Count)
-		}
-	}
-}
-
 func TestSpanSecondsSelectors(t *testing.T) {
 	r := NewRegistry()
 	r.RecordSpan("synth/sop", 100*time.Millisecond)

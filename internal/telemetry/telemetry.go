@@ -1,15 +1,17 @@
 // Package telemetry is the experiment pipeline's observability core: a
 // zero-dependency, concurrency-safe registry of named counters, gauges,
-// and log-bucketed histograms, plus lightweight span tracking for
-// wall-clock attribution across pipeline stages (synthesis recipes,
-// optimization passes and flows, similarity metrics, harness totals).
+// and log-bucketed histograms, plus per-name span-duration histograms
+// for wall-clock attribution across pipeline stages (synthesis recipes,
+// optimization passes and flows, similarity metrics). Spans are opened
+// with trace.Start, which records into these histograms when the span
+// ends; this package only stores and renders them.
 //
 // The package is built around a nil-safe default registry: every
-// instrumentation call site (StartSpan, Add, Observe, ...) is a cheap
-// no-op — one atomic load, no allocation, no goroutines — until a caller
-// explicitly opts in with Enable. This keeps the hot paths of the
-// experiment behavior-neutral and essentially free when observability is
-// off, which the harness test suite asserts.
+// instrumentation call site (Add, Observe, ...) is a cheap no-op — one
+// atomic load, no allocation, no goroutines — until a caller explicitly
+// opts in with Enable. This keeps the hot paths of the experiment
+// behavior-neutral and essentially free when observability is off,
+// which the harness test suite asserts.
 //
 // On top of the registry sit three consumers:
 //
@@ -60,10 +62,6 @@ func SetGauge(name string, v float64) { Default().Gauge(name).Set(v) }
 // Observe records a value into the named histogram on the default
 // registry.
 func Observe(name string, v float64) { Default().Histogram(name).Observe(v) }
-
-// StartSpan opens a span on the default registry. The returned span (nil
-// when telemetry is off) records its duration under name when ended.
-func StartSpan(name string) *Span { return Default().StartSpan(name) }
 
 // now is swappable for deterministic exposition tests.
 var now = time.Now

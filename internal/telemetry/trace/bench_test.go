@@ -3,6 +3,8 @@ package trace
 import (
 	"context"
 	"testing"
+
+	"repro/internal/telemetry"
 )
 
 //go:noinline
@@ -20,14 +22,32 @@ func BenchmarkBareCall(b *testing.B) {
 }
 
 // BenchmarkTraceDisabled measures the instrumentation cost with no
-// collector installed — the production default. The acceptance bar is
-// "within noise of a bare call": one atomic load, zero allocations.
+// collector installed and telemetry off — the production default. The
+// acceptance bar is "within noise of a bare call": two atomic loads,
+// zero allocations.
 func BenchmarkTraceDisabled(b *testing.B) {
 	SetCollector(nil)
+	telemetry.Disable()
 	ctx := context.Background()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		c, sp := Start(ctx, "bench/disabled")
+		sp.Attr("k", "v")
+		sp.End()
+		_ = c
+	}
+}
+
+// BenchmarkTraceRegistryOnly measures a span with telemetry on and no
+// collector: one allocation and one histogram update per span.
+func BenchmarkTraceRegistryOnly(b *testing.B) {
+	SetCollector(nil)
+	telemetry.Enable()
+	defer telemetry.Disable()
+	ctx := context.Background()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		c, sp := Start(ctx, "bench/registry_only")
 		sp.Attr("k", "v")
 		sp.End()
 		_ = c

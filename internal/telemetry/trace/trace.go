@@ -3,20 +3,29 @@
 // propagation, parent/child span trees, key/value attributes, and a
 // bounded in-memory TraceStore with tail-based retention (see store.go).
 //
-// Where telemetry spans answer "how long does operation X take in
-// aggregate", trace spans answer "what did *this* request spend its
-// time on": every span carries a TraceID shared by everything the
-// request touched — the client call, the handler, the queue wait, the
-// async job it spawned, the spill write the job performed — and a
-// parent SpanID stitching them into one tree, retrievable from
-// /v1/debug/traces/{id} long after the request finished.
+// Where the telemetry registry's span histograms answer "how long does
+// operation X take in aggregate", a trace answers "what did *this*
+// request spend its time on": every span carries a TraceID shared by
+// everything the request touched — the client call, the handler, the
+// queue wait, the async job it spawned, the spill write the job
+// performed — and a parent SpanID stitching them into one tree,
+// retrievable from /v1/debug/traces/{id} long after the request
+// finished.
 //
-// The package follows telemetry's enablement contract: everything is a
-// cheap no-op — one atomic load, no allocation — until a collector is
-// installed with SetCollector. Ended spans are additionally recorded
-// into the telemetry registry's span histograms under their span name,
-// so enabling tracing strictly adds data; nothing the aggregate layer
-// reported before regresses.
+// Start is the only way to open a span, and it has three modes:
+//
+//   - telemetry registry and collector both off: Start returns
+//     (ctx, nil) after two atomic loads, with no allocation;
+//   - registry on, no collector: Start returns a registry-only span
+//     whose End records the duration into the registry's span
+//     histogram under the span name (what StageSummary, SummaryTable
+//     and /metrics read), while ctx comes back unchanged and attributes,
+//     events and Fail are dropped;
+//   - collector installed: the span joins a trace and, when ended, is
+//     recorded both in the store and in the registry histogram.
+//
+// A non-nil span therefore does not mean "traced": code that exports a
+// trace identity checks Span.Context().Valid() instead.
 package trace
 
 import (
@@ -122,7 +131,7 @@ func newSpanID() SpanID {
 // --- collector ---------------------------------------------------------
 
 // collector holds the installed TraceStore. It stays nil — and Start
-// stays a single atomic load returning a nil span — until SetCollector.
+// opens no trace — until SetCollector.
 var collector atomic.Pointer[Store]
 
 // SetCollector installs the store every ended span is recorded into
@@ -206,11 +215,13 @@ type Event struct {
 	Attrs []Attr
 }
 
-// Span is one live operation within a trace. A nil span (tracing
-// disabled) is a no-op on every method, so call sites need no guard.
-// End is idempotent; attributes and events after End are dropped.
+// Span is one live operation within a trace. A nil span (telemetry and
+// tracing both off) is a no-op on every method, so call sites need no
+// guard. A span with a nil store is registry-only: End records its
+// duration and nothing else. End is idempotent; attributes and events
+// after End are dropped.
 type Span struct {
-	store  *Store
+	store  *Store // nil for a registry-only span
 	name   string
 	sc     SpanContext
 	parent SpanID
@@ -239,13 +250,17 @@ const (
 
 // Start opens a span named name as a child of the innermost span
 // context in ctx (a fresh root when there is none) and returns a
-// context carrying it. When no collector is installed it returns
-// (ctx, nil) after a single atomic load — the disabled path stays
-// within noise of a bare call (see BenchmarkTraceDisabled).
+// context carrying it. Without a collector it returns ctx unchanged
+// with a registry-only span, or with a nil span when the telemetry
+// registry is off too — the disabled path stays within noise of a bare
+// call (see BenchmarkTraceDisabled).
 func Start(ctx context.Context, name string) (context.Context, *Span) {
 	st := collector.Load()
 	if st == nil {
-		return ctx, nil
+		if telemetry.Default() == nil {
+			return ctx, nil
+		}
+		return ctx, &Span{name: name, start: time.Now()}
 	}
 	sp := &Span{store: st, name: name, start: time.Now()}
 	switch {
@@ -286,8 +301,8 @@ func (s *Span) Context() SpanContext {
 // Attr attaches one key/value annotation and returns the span for
 // chaining. key must be a compile-time snake_case constant.
 func (s *Span) Attr(key string, value any) *Span {
-	if s == nil {
-		return nil
+	if s == nil || s.store == nil {
+		return s
 	}
 	s.mu.Lock()
 	if !s.ended && len(s.attrs) < maxAttrsPerSpan {
@@ -299,7 +314,7 @@ func (s *Span) Attr(key string, value any) *Span {
 
 // Event records a point-in-time annotation inside the span.
 func (s *Span) Event(name string, attrs ...Attr) {
-	if s == nil {
+	if s == nil || s.store == nil {
 		return
 	}
 	s.mu.Lock()
@@ -317,7 +332,7 @@ func AddEvent(ctx context.Context, name string, attrs ...Attr) {
 
 // Fail marks the span errored. The first non-nil error wins.
 func (s *Span) Fail(err error) *Span {
-	if s == nil || err == nil {
+	if s == nil || s.store == nil || err == nil {
 		return s
 	}
 	s.mu.Lock()
@@ -329,10 +344,10 @@ func (s *Span) Fail(err error) *Span {
 }
 
 // End closes the span: its duration is recorded under its name in the
-// telemetry registry's span histograms (the pre-existing aggregate
-// sink) and the completed span is handed to the trace store. End is
-// idempotent — a second call is a no-op, so error paths may End a span
-// the happy path would have Ended later.
+// telemetry registry's span histograms and, unless the span is
+// registry-only, the completed span is handed to the trace store. End
+// is idempotent — a second call is a no-op, so error paths may End a
+// span the happy path would have Ended later.
 func (s *Span) End() {
 	if s == nil {
 		return
@@ -346,5 +361,7 @@ func (s *Span) End() {
 	d := time.Since(s.start)
 	s.mu.Unlock()
 	telemetry.Default().RecordSpan(s.name, d)
-	s.store.spanEnded(s, d)
+	if s.store != nil {
+		s.store.spanEnded(s, d)
+	}
 }

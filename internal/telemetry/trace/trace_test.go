@@ -24,6 +24,7 @@ func withStore(t *testing.T, cfg StoreConfig) *Store {
 
 func TestStartDisabledIsNoop(t *testing.T) {
 	SetCollector(nil)
+	telemetry.Disable()
 	ctx, sp := Start(context.Background(), "test/op")
 	if sp != nil {
 		t.Fatal("disabled Start must return a nil span")
@@ -38,6 +39,48 @@ func TestStartDisabledIsNoop(t *testing.T) {
 	AddEvent(ctx, "e")
 	if FromContext(ctx).Valid() {
 		t.Fatal("no span context expected")
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		_, sp := Start(ctx, "test/op")
+		sp.End()
+	}); n != 0 {
+		t.Fatalf("disabled Start+End allocates %v times, want 0", n)
+	}
+}
+
+// TestStartRegistryOnly covers the middle mode: telemetry on, no
+// collector. The span feeds the registry histogram and nothing else —
+// no trace identity, no stored trace, ctx unchanged.
+func TestStartRegistryOnly(t *testing.T) {
+	SetCollector(nil)
+	reg := telemetry.Enable()
+	reg.Reset()
+	t.Cleanup(telemetry.Disable)
+
+	ctx, sp := Start(context.Background(), "test/registry_only")
+	if sp == nil {
+		t.Fatal("registry-only Start must return a span that records")
+	}
+	if ctx != context.Background() {
+		t.Fatal("registry-only Start must return ctx unchanged")
+	}
+	if sp.Context().Valid() || FromContext(ctx).Valid() {
+		t.Fatal("registry-only span must carry no trace identity")
+	}
+	sp.Attr("k", 1).Fail(errors.New("x"))
+	sp.Event("e")
+	sp.End()
+	sp.End() // idempotent
+	if s := reg.SpanStats("test/registry_only"); s.Count != 1 {
+		t.Fatalf("span histogram count = %d, want 1", s.Count)
+	}
+	// The span never entered a trace: a traced span started later from
+	// the same ctx roots a trace holding only itself.
+	st := withStore(t, StoreConfig{})
+	_, next := Start(ctx, "test/next")
+	next.End()
+	if v, ok := st.Get(next.Context().TraceID.String()); !ok || v.Root != "test/next" || len(v.Spans) != 1 {
+		t.Fatalf("next span's trace = %+v (found %v), want a root holding only test/next", v, ok)
 	}
 }
 

@@ -16,6 +16,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -131,23 +132,29 @@ func containsInt(xs []int, v int) bool {
 }
 
 // Optimize runs the named flow (orchestrate, dc2, deepsyn) on the AIG.
-func Optimize(g *aig.AIG, flow string, seed int64) (*aig.AIG, error) {
-	return opt.RunFlow(flow, g, seed)
+// When ctx is done the flow returns its best equivalent AIG so far.
+func Optimize(ctx context.Context, g *aig.AIG, flow string, seed int64) (*aig.AIG, error) {
+	f, err := opt.FlowByName(flow)
+	if err != nil {
+		return nil, err
+	}
+	return f.RunCtx(ctx, g, seed), nil
 }
 
 // OptimizeBest optimizes every given variant with the flow and returns
 // the smallest result along with the recipe that produced it.
-func OptimizeBest(vs []Variant, flow string, seed int64) (*aig.AIG, string, error) {
+func OptimizeBest(ctx context.Context, vs []Variant, flow string, seed int64) (*aig.AIG, string, error) {
 	if len(vs) == 0 {
 		return nil, "", fmt.Errorf("repro: no variants to optimize")
+	}
+	f, err := opt.FlowByName(flow)
+	if err != nil {
+		return nil, "", err
 	}
 	var best *aig.AIG
 	bestRecipe := ""
 	for _, v := range vs {
-		og, err := opt.RunFlow(flow, v.AIG, seed)
-		if err != nil {
-			return nil, "", err
-		}
+		og := f.RunCtx(ctx, v.AIG, seed)
 		if best == nil || og.NumAnds() < best.NumAnds() {
 			best, bestRecipe = og, v.Recipe
 		}

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -65,24 +66,24 @@ func TestSelectDiverse(t *testing.T) {
 
 func TestOptimizeAndBest(t *testing.T) {
 	vs := SynthesizeAll(fullAdderSpec())
-	og, err := Optimize(vs[0].AIG, "dc2", 1)
+	og, err := Optimize(context.Background(), vs[0].AIG, "dc2", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if og.NumAnds() > vs[0].AIG.NumAnds() {
 		t.Error("optimization grew the AIG")
 	}
-	best, recipe, err := OptimizeBest(vs, "dc2", 1)
+	best, recipe, err := OptimizeBest(context.Background(), vs, "dc2", 1)
 	if err != nil || best == nil || recipe == "" {
 		t.Fatalf("OptimizeBest: %v", err)
 	}
 	if best.NumAnds() > og.NumAnds() {
 		t.Error("best-of-all worse than single variant")
 	}
-	if _, err := Optimize(vs[0].AIG, "bogus", 1); err == nil {
+	if _, err := Optimize(context.Background(), vs[0].AIG, "bogus", 1); err == nil {
 		t.Error("unknown flow should error")
 	}
-	if _, _, err := OptimizeBest(nil, "dc2", 1); err == nil {
+	if _, _, err := OptimizeBest(context.Background(), nil, "dc2", 1); err == nil {
 		t.Error("empty variants should error")
 	}
 }

@@ -334,6 +334,22 @@ func TestEquivalentDetectsMismatch(t *testing.T) {
 	}
 }
 
+// TestEquivalentRefusesTooManyInputs: beyond tt.MaxVars inputs
+// exhaustive simulation is out of reach, so Equivalent must return an
+// error rather than panic inside SimAll.
+func TestEquivalentRefusesTooManyInputs(t *testing.T) {
+	n := tt.MaxVars + 1
+	g := New(n)
+	out := g.PI(0)
+	for i := 1; i < n; i++ {
+		out = g.And(out, g.PI(i))
+	}
+	g.AddPO(out)
+	if _, err := Equivalent(g, g.Clone()); err == nil {
+		t.Errorf("Equivalent on %d-input AIGs returned no error", n)
+	}
+}
+
 func TestCutTT(t *testing.T) {
 	g := New(4)
 	n1 := g.And(g.PI(0), g.PI(1))

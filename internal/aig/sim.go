@@ -58,10 +58,14 @@ func (g *AIG) OutputTTs() []tt.TT {
 
 // Equivalent reports whether two AIGs with identical PI/PO counts compute
 // the same functions, by exhaustive simulation. It returns the index of
-// the first differing output, or -1 when equivalent.
+// the first differing output, or -1 when equivalent. AIGs with more than
+// tt.MaxVars inputs are beyond exhaustive simulation and yield an error.
 func Equivalent(a, b *AIG) (int, error) {
 	if a.NumPIs() != b.NumPIs() {
 		return -1, fmt.Errorf("aig: PI count mismatch: %d vs %d", a.NumPIs(), b.NumPIs())
+	}
+	if a.NumPIs() > tt.MaxVars {
+		return -1, fmt.Errorf("aig: exhaustive equivalence limited to %d inputs, got %d", tt.MaxVars, a.NumPIs())
 	}
 	if a.NumPOs() != b.NumPOs() {
 		return -1, fmt.Errorf("aig: PO count mismatch: %d vs %d", a.NumPOs(), b.NumPOs())

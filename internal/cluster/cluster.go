@@ -114,10 +114,6 @@ type Config struct {
 	PeerAttemptTimeout time.Duration
 	PeerMaxAttempts    int
 
-	// ReplicationTimeout bounds one async replication fan-out
-	// (default 10s).
-	ReplicationTimeout time.Duration
-
 	// Events, when set, receives peer_down/peer_up JSONL events.
 	Events *telemetry.EventLogger
 	// HTTPClient, when set, carries peer traffic (tests inject
@@ -131,6 +127,10 @@ const (
 	peerBaseBackoff = 25 * time.Millisecond
 	peerMaxBackoff  = 250 * time.Millisecond
 )
+
+// pushTimeout bounds one background push — a replication fan-out or a
+// membership announce — on top of the node lifetime.
+const pushTimeout = 10 * time.Second
 
 func (c Config) withDefaults() Config {
 	if c.Epoch == 0 {
@@ -156,9 +156,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PeerMaxAttempts <= 0 {
 		c.PeerMaxAttempts = 2
-	}
-	if c.ReplicationTimeout <= 0 {
-		c.ReplicationTimeout = 10 * time.Second
 	}
 	return c
 }
@@ -245,10 +242,24 @@ func (n *Node) stampEpoch(h http.Header) {
 	h.Set(client.EpochHeader, strconv.FormatUint(n.table.Epoch(), 10))
 }
 
+// newPeerClient builds the client for one peer URL: a standing member
+// or a handoff target that is not a member yet.
+func (n *Node) newPeerClient(url string) (*client.Client, error) {
+	return client.New(client.Config{
+		BaseURL:        url,
+		HTTPClient:     n.cfg.HTTPClient,
+		MaxAttempts:    n.cfg.PeerMaxAttempts,
+		AttemptTimeout: n.cfg.PeerAttemptTimeout,
+		BaseBackoff:    peerBaseBackoff,
+		MaxBackoff:     peerMaxBackoff,
+		Headers:        n.stampEpoch,
+	})
+}
+
 // Close cancels the node-lifetime context — stopping the prober and
 // aborting any in-flight replication fan-out — and waits for every
 // background goroutine to exit. Shutdown latency is bounded by RPC
-// cancellation, not by ReplicationTimeout.
+// cancellation, not by pushTimeout.
 func (n *Node) Close() {
 	n.stopOnce.Do(n.baseCancel)
 	n.wg.Wait()
@@ -282,7 +293,7 @@ func (n *Node) routePair(ctx context.Context, fpA, fpB string, names []string) (
 	if n.ownsKey(owners) {
 		scores, err := n.svc.ScorePairLocal(ctx, fpA, fpB, names)
 		if err == nil {
-			n.replicateResult(ctx, fpA, fpB, scores, owners)
+			n.replicate(ctx, transfer{a: fpA, b: fpB, scores: scores, targets: n.aliveTargets(owners)})
 		}
 		return scores, err
 	}
@@ -389,35 +400,61 @@ func (n *Node) fillLeader(ctx context.Context, key, fpA, fpB string, names []str
 	return n.svc.ScorePairLocal(ctx, fpA, fpB, names)
 }
 
-// replicateResult pushes a freshly computed result to the pair's other
-// owners, asynchronously — the response never waits on replication,
-// and a down peer is simply skipped (peer fill repairs it on demand).
-func (n *Node) replicateResult(ctx context.Context, fpA, fpB string, scores map[string]float64, owners []string) {
-	targets := n.aliveTargets(owners)
-	if len(targets) == 0 {
+// transfer is one key copy: a stored AIG's canonical AIGER payload,
+// or a pair's result, plus the members it must reach. Replication,
+// reconfigure handoff and drain all move keys as transfers; only their
+// delivery policies differ.
+type transfer struct {
+	aiger   []byte             // an AIG's payload; nil for a pair result
+	a, b    string             // a pair result's fingerprints
+	scores  map[string]float64 // and its scores
+	targets []string
+}
+
+// put delivers t to one peer. Both cluster put endpoints are
+// content-addressed and accept any epoch, so every delivery policy can
+// send any key to any member, a joining one included.
+func (t transfer) put(ctx context.Context, c *client.Client) error {
+	if t.aiger != nil {
+		_, err := c.ClusterPutAIG(ctx, t.aiger)
+		return err
+	}
+	return c.ClusterPutResult(ctx, t.a, t.b, t.scores)
+}
+
+// replicate pushes t to its targets asynchronously — the response
+// never waits on replication, and a down peer is simply skipped (peer
+// fill repairs it on demand). The push detaches from the request's
+// cancellation but keeps its trace identity, so replication spans
+// stitch to the originating request; Close still cancels it.
+func (n *Node) replicate(ctx context.Context, t transfer) {
+	if len(t.targets) == 0 {
 		return
 	}
-	// Detach from the request's cancellation but keep its trace
-	// identity: replication spans stitch to the originating request.
-	// The fan-out stays bounded by the node lifetime — Close cancels it.
 	rctx := context.WithoutCancel(ctx)
 	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
-		rctx, cancel := context.WithTimeout(rctx, n.cfg.ReplicationTimeout)
+		rctx, cancel := context.WithTimeout(rctx, pushTimeout)
 		defer cancel()
 		defer context.AfterFunc(n.baseCtx, cancel)()
-		if err := faultinject.HitCtx(rctx, PointReplicateResult); err != nil {
+		var err error
+		if t.aiger != nil {
+			err = faultinject.HitCtx(rctx, PointReplicateAIG)
+		} else {
+			err = faultinject.HitCtx(rctx, PointReplicateResult)
+		}
+		if err != nil {
 			telemetry.Add("cluster/replication_failures", 1)
 			return
 		}
 		v := n.view()
-		for _, id := range targets {
+		for _, id := range t.targets {
 			c := v.peers[id]
 			if c == nil {
 				continue
 			}
-			if err := c.ClusterPutResult(rctx, fpA, fpB, scores); err != nil {
+			if err := t.put(rctx, c); err != nil {
 				n.peerFail(id)
 				telemetry.Add(v.pm[id].replicationFailures, 1)
 				telemetry.Add("cluster/replication_failures", 1)
@@ -445,36 +482,7 @@ func (n *Node) onIntern(ctx context.Context, v service.AIGView) {
 	if err != nil {
 		return
 	}
-	// Detached from the request, bounded by the node lifetime (Close
-	// cancels it) — same discipline as replicateResult.
-	rctx := context.WithoutCancel(ctx)
-	n.wg.Add(1)
-	go func() {
-		defer n.wg.Done()
-		rctx, cancel := context.WithTimeout(rctx, n.cfg.ReplicationTimeout)
-		defer cancel()
-		defer context.AfterFunc(n.baseCtx, cancel)()
-		if err := faultinject.HitCtx(rctx, PointReplicateAIG); err != nil {
-			telemetry.Add("cluster/replication_failures", 1)
-			return
-		}
-		v := n.view()
-		for _, id := range targets {
-			c := v.peers[id]
-			if c == nil {
-				continue
-			}
-			if _, err := c.ClusterPutAIG(rctx, payload); err != nil {
-				n.peerFail(id)
-				telemetry.Add(v.pm[id].replicationFailures, 1)
-				telemetry.Add("cluster/replication_failures", 1)
-				continue
-			}
-			n.peerOK(id)
-			telemetry.Add(v.pm[id].replications, 1)
-			telemetry.Add("cluster/replications", 1)
-		}
-	}()
+	n.replicate(ctx, transfer{aiger: payload, targets: targets})
 }
 
 // ensureLocal makes a fingerprint resolvable on this node: if the

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/cluster/ring"
@@ -29,22 +30,6 @@ const (
 // complete per second. Deliberately conservative — a hint that is too
 // high makes refused clients hammer a still-busy node.
 const handoffKeysPerSecond = 64
-
-type handoffKind int
-
-const (
-	handoffAIG handoffKind = iota
-	handoffResult
-)
-
-// handoffItem is one key that must reach new owners before a
-// membership change completes.
-type handoffItem struct {
-	kind    handoffKind
-	key     string
-	targets []string
-	put     func(ctx context.Context, c *client.Client) error
-}
 
 // handoffProgress tracks the current (or, once inactive, the last)
 // handoff run. Counters are atomics so Status can read them while the
@@ -116,141 +101,78 @@ func primaryAliveSender(self string, r *ring.Ring, key string, down map[string]b
 	return false
 }
 
-// handoffPlanReconfigure enumerates what this node must stream for a
-// prev→next membership change: for every locally held key it is the
-// primary alive sender of, the owners gained under next
-// (ring.MovedOwners — ~1/N of the key space) plus, for members listed
-// as Joining, every key they own under next regardless of the diff
-// (a rejoining member's ring positions are unchanged but its stores
-// are empty).
-func handoffPlanReconfigure(n *Node, prev, next *ring.Ring, req client.ReconfigureRequest) []handoffItem {
-	down := n.downSet()
-	joining := make(map[string]bool, len(req.Joining))
-	for _, id := range req.Joining {
-		joining[id] = true
+// reconfigureTargets is the target rule of a prev→next membership
+// change: a key this node is the primary alive sender of goes to the
+// owners it gains under next (ring.MovedOwners — ~1/N of the key
+// space) plus every joining member that owns it under next, regardless
+// of the diff (a rejoining member's ring positions are unchanged but
+// its stores are empty).
+func reconfigureTargets(prev, next *ring.Ring, self string, down map[string]bool, joining []string) func(key string) []string {
+	isJoining := make(map[string]bool, len(joining))
+	for _, id := range joining {
+		isJoining[id] = true
 	}
-	targetsFor := func(key string) []string {
-		moved := ring.MovedOwners(prev, next, key)
-		seen := make(map[string]bool, len(moved))
-		var out []string
-		for _, id := range moved {
-			if id != n.cfg.NodeID && !seen[id] {
-				seen[id] = true
-				out = append(out, id)
-			}
+	return func(key string) []string {
+		if !primaryAliveSender(self, prev, key, down) {
+			return nil
 		}
-		if len(joining) > 0 {
-			for _, id := range next.Owners(key) {
-				if joining[id] && id != n.cfg.NodeID && !seen[id] {
-					seen[id] = true
-					out = append(out, id)
-				}
+		// Self owns key under prev, so MovedOwners never lists it.
+		out := ring.MovedOwners(prev, next, key)
+		for _, id := range next.Owners(key) {
+			if isJoining[id] && id != self && !slices.Contains(out, id) {
+				out = append(out, id)
 			}
 		}
 		return out
 	}
-	var items []handoffItem
-	for _, fp := range n.svc.StoredFingerprints() {
-		if !primaryAliveSender(n.cfg.NodeID, prev, fp, down) {
-			continue
+}
+
+// drainTargets is the target rule of a departing node: a key it owns
+// under cur goes to the member that inherits its ownership slot once
+// it is excluded from the ring walk — the alive owners without self,
+// minus the normal owner set.
+func drainTargets(cur *ring.Ring, self string, down map[string]bool) func(key string) []string {
+	gone := map[string]bool{self: true}
+	for id := range down {
+		gone[id] = true
+	}
+	return func(key string) []string {
+		owners := cur.Owners(key)
+		if !slices.Contains(owners, self) {
+			return nil
 		}
-		targets := targetsFor(fp)
-		if len(targets) == 0 {
+		var out []string
+		for _, id := range cur.OwnersAlive(key, gone) {
+			if !slices.Contains(owners, id) {
+				out = append(out, id)
+			}
+		}
+		return out
+	}
+}
+
+// handoffPlan enumerates what this node must stream for a membership
+// operation: one transfer for every locally held key — stored AIG or
+// cached pair result — that targets assigns members to.
+func (n *Node) handoffPlan(targets func(key string) []string) []transfer {
+	var plan []transfer
+	for _, fp := range n.svc.StoredFingerprints() {
+		to := targets(fp)
+		if len(to) == 0 {
 			continue
 		}
 		payload, err := n.svc.AIGERFor(fp)
 		if err != nil {
 			continue // evicted since enumeration; nothing to stream
 		}
-		items = append(items, handoffItem{
-			kind: handoffAIG, key: fp, targets: targets,
-			put: func(ctx context.Context, c *client.Client) error {
-				_, err := c.ClusterPutAIG(ctx, payload)
-				return err
-			},
-		})
+		plan = append(plan, transfer{aiger: payload, targets: to})
 	}
 	for _, pr := range n.svc.CachedPairResults() {
-		key := ring.PairKey(pr.A, pr.B)
-		if !primaryAliveSender(n.cfg.NodeID, prev, key, down) {
-			continue
+		if to := targets(ring.PairKey(pr.A, pr.B)); len(to) > 0 {
+			plan = append(plan, transfer{a: pr.A, b: pr.B, scores: pr.Scores, targets: to})
 		}
-		targets := targetsFor(key)
-		if len(targets) == 0 {
-			continue
-		}
-		pr := pr
-		items = append(items, handoffItem{
-			kind: handoffResult, key: key, targets: targets,
-			put: func(ctx context.Context, c *client.Client) error {
-				return c.ClusterPutResult(ctx, pr.A, pr.B, pr.Scores)
-			},
-		})
 	}
-	return items
-}
-
-// handoffPlanDrain enumerates a departing node's transfers: every
-// locally held key it owns goes to the member that inherits the
-// ownership slot once this node is excluded from the ring walk — the
-// owners-alive-without-self set minus the normal owner set.
-func handoffPlanDrain(n *Node, cur *ring.Ring) []handoffItem {
-	down := n.downSet()
-	down[n.cfg.NodeID] = true
-	targetsFor := func(key string) []string {
-		owners := cur.Owners(key)
-		owned := false
-		was := make(map[string]bool, len(owners))
-		for _, id := range owners {
-			was[id] = true
-			if id == n.cfg.NodeID {
-				owned = true
-			}
-		}
-		if !owned {
-			return nil
-		}
-		var out []string
-		for _, id := range cur.OwnersAlive(key, down) {
-			if !was[id] {
-				out = append(out, id)
-			}
-		}
-		return out
-	}
-	var items []handoffItem
-	for _, fp := range n.svc.StoredFingerprints() {
-		targets := targetsFor(fp)
-		if len(targets) == 0 {
-			continue
-		}
-		payload, err := n.svc.AIGERFor(fp)
-		if err != nil {
-			continue
-		}
-		items = append(items, handoffItem{
-			kind: handoffAIG, key: fp, targets: targets,
-			put: func(ctx context.Context, c *client.Client) error {
-				_, err := c.ClusterPutAIG(ctx, payload)
-				return err
-			},
-		})
-	}
-	for _, pr := range n.svc.CachedPairResults() {
-		key := ring.PairKey(pr.A, pr.B)
-		targets := targetsFor(key)
-		if len(targets) == 0 {
-			continue
-		}
-		pr := pr
-		items = append(items, handoffItem{
-			kind: handoffResult, key: key, targets: targets,
-			put: func(ctx context.Context, c *client.Client) error {
-				return c.ClusterPutResult(ctx, pr.A, pr.B, pr.Scores)
-			},
-		})
-	}
-	return items
+	return plan
 }
 
 // runHandoff streams a plan. urls must resolve every target (it may
@@ -260,40 +182,38 @@ func handoffPlanDrain(n *Node, cur *ring.Ring) []handoffItem {
 // that never got the keys. In best-effort mode (drain) failures are
 // counted and skipped: the successor recomputes bit-identically on
 // demand, the copy is an optimization.
-func (n *Node) runHandoff(ctx context.Context, items []handoffItem, urls map[string]string, abortOnError bool) error {
-	n.handoff.begin(len(items))
+//
+// Outcomes never feed peer health (peerOK/peerFail): a rejoining member
+// keeps its ID and URL, so it is a standing peer its peers evicted
+// while it joins. A put re-admitting it to routing would let an
+// equal-epoch fill activate it before its backfill finished; only a
+// probe, which succeeds once its healthz stops answering 503, may.
+func (n *Node) runHandoff(ctx context.Context, plan []transfer, urls map[string]string, abortOnError bool) error {
+	n.handoff.begin(len(plan))
 	defer n.handoff.active.Store(false)
 	extra := make(map[string]*client.Client)
-	for _, it := range items {
+	for _, t := range plan {
 		if err := ctx.Err(); err != nil {
 			n.handoff.failed.Add(1)
 			return err
 		}
-		var ferr error
-		if it.kind == handoffAIG {
-			ferr = faultinject.HitCtx(ctx, PointHandoffAIG)
+		var err error
+		if t.aiger != nil {
+			err = faultinject.HitCtx(ctx, PointHandoffAIG)
 		} else {
-			ferr = faultinject.HitCtx(ctx, PointHandoffResult)
+			err = faultinject.HitCtx(ctx, PointHandoffResult)
 		}
-		itemErr := ferr
-		if itemErr == nil {
-			for _, id := range it.targets {
-				c, err := n.handoffClient(extra, urls, id)
-				if err != nil {
-					itemErr = err
-					break
-				}
-				if err := it.put(ctx, c); err != nil {
-					itemErr = err
-					break
-				}
+		for i := 0; err == nil && i < len(t.targets); i++ {
+			var c *client.Client
+			if c, err = n.handoffClient(extra, urls, t.targets[i]); err == nil {
+				err = t.put(ctx, c)
 			}
 		}
-		if itemErr != nil {
+		if err != nil {
 			n.handoff.failed.Add(1)
 			telemetry.Add("cluster/handoff_failures", 1)
 			if abortOnError {
-				return itemErr
+				return err
 			}
 			continue
 		}
@@ -304,9 +224,9 @@ func (n *Node) runHandoff(ctx context.Context, items []handoffItem, urls map[str
 }
 
 // handoffClient resolves a transfer target: the standing peer client
-// when the target is already in the view, otherwise an ephemeral
-// client built from the proposed membership (a joining node is a
-// target before it is a member).
+// when the target is already in the view, otherwise one client per
+// run built from the proposed membership (a joining node is a target
+// before it is a member).
 func (n *Node) handoffClient(extra map[string]*client.Client, urls map[string]string, id string) (*client.Client, error) {
 	if c := n.view().peers[id]; c != nil {
 		return c, nil
@@ -314,15 +234,7 @@ func (n *Node) handoffClient(extra map[string]*client.Client, urls map[string]st
 	if c := extra[id]; c != nil {
 		return c, nil
 	}
-	c, err := client.New(client.Config{
-		BaseURL:        urls[id],
-		HTTPClient:     n.cfg.HTTPClient,
-		MaxAttempts:    n.cfg.PeerMaxAttempts,
-		AttemptTimeout: n.cfg.PeerAttemptTimeout,
-		BaseBackoff:    peerBaseBackoff,
-		MaxBackoff:     peerMaxBackoff,
-		Headers:        n.stampEpoch,
-	})
+	c, err := n.newPeerClient(urls[id])
 	if err != nil {
 		return nil, err
 	}

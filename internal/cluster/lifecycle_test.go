@@ -46,18 +46,17 @@ func TestCloseUnblocksHungProbe(t *testing.T) {
 }
 
 // TestCloseAbortsReplication: an in-flight replication fan-out into a
-// hung peer must not delay Close by ReplicationTimeout. The fan-out's
+// hung peer must not delay Close by the 10s push timeout. The fan-out's
 // context is bounded by the node lifetime (context.AfterFunc on the
 // base context), so Close cancels the RPC and the wg drains promptly.
 //
 // Regression: Close used to wg.Wait on replication goroutines whose
-// only bound was the full ReplicationTimeout.
+// only bound was the full replication timeout.
 func TestCloseAbortsReplication(t *testing.T) {
 	tc := newTestCluster(t, 3, func(c *Config) {
 		c.ProbeInterval = time.Hour // no probes: keep every peer "alive"
 		c.FailureThreshold = 1000   // and un-evictable by inline failures
 		c.PeerAttemptTimeout = 30 * time.Second
-		c.ReplicationTimeout = 30 * time.Second
 	})
 
 	// Every peer of n1 goes dark, then an intern triggers replication

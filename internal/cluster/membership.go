@@ -99,15 +99,7 @@ func (n *Node) buildView(urls map[string]string, prev *memberView) (*memberView,
 			v.failures[id] = prev.failures[id]
 			continue
 		}
-		c, err := client.New(client.Config{
-			BaseURL:        urls[id],
-			HTTPClient:     n.cfg.HTTPClient,
-			MaxAttempts:    n.cfg.PeerMaxAttempts,
-			AttemptTimeout: n.cfg.PeerAttemptTimeout,
-			BaseBackoff:    peerBaseBackoff,
-			MaxBackoff:     peerMaxBackoff,
-			Headers:        n.stampEpoch,
-		})
+		c, err := n.newPeerClient(urls[id])
 		if err != nil {
 			return nil, fmt.Errorf("cluster: peer %s: %w", id, err)
 		}
@@ -218,7 +210,7 @@ func (n *Node) resolveEpochConflict(ctx context.Context, se *client.StaleEpochEr
 	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
-		ctx, cancel := context.WithTimeout(n.baseCtx, n.cfg.ReplicationTimeout)
+		ctx, cancel := context.WithTimeout(n.baseCtx, pushTimeout)
 		defer cancel()
 		if err := c.ClusterAnnounce(ctx, req); err == nil {
 			telemetry.Add("cluster/epoch_repairs", 1)
@@ -238,7 +230,7 @@ func (n *Node) announceAll(req client.AnnounceRequest) {
 		n.wg.Add(1)
 		go func(c *client.Client) {
 			defer n.wg.Done()
-			ctx, cancel := context.WithTimeout(n.baseCtx, n.cfg.ReplicationTimeout)
+			ctx, cancel := context.WithTimeout(n.baseCtx, pushTimeout)
 			defer cancel()
 			if err := c.ClusterAnnounce(ctx, req); err != nil {
 				telemetry.Add("cluster/announce_failures", 1)
@@ -297,7 +289,8 @@ func (n *Node) runReconfigure(req client.ReconfigureRequest) {
 		telemetry.Add("cluster/reconfigure_failures", 1)
 		return
 	}
-	if err := n.runHandoff(ctx, handoffPlanReconfigure(n, prev, next, req), req.Peers, true); err != nil {
+	plan := n.handoffPlan(reconfigureTargets(prev, next, n.cfg.NodeID, n.downSet(), req.Joining))
+	if err := n.runHandoff(ctx, plan, req.Peers, true); err != nil {
 		telemetry.Add("cluster/reconfigure_failures", 1)
 		n.logMembershipEvent("reconfigure_aborted", req.Epoch, len(req.Peers))
 		return
@@ -338,8 +331,8 @@ func (n *Node) StartDrain() error {
 		defer n.reconfiguring.Store(false)
 		ctx, cancel := context.WithCancel(n.baseCtx)
 		defer cancel()
-		cur := n.table.Ring()
-		if err := n.runHandoff(ctx, handoffPlanDrain(n, cur), n.view().urls, false); err != nil {
+		plan := n.handoffPlan(drainTargets(n.table.Ring(), n.cfg.NodeID, n.downSet()))
+		if err := n.runHandoff(ctx, plan, n.view().urls, false); err != nil {
 			telemetry.Add("cluster/drain_handoff_failures", 1)
 		}
 		n.logMembershipEvent("drain_handoff_done", n.table.Epoch(), len(n.view().urls))

@@ -311,16 +311,6 @@ func hitSlowCtx(ctx context.Context, name string) error {
 	return injectedError(name, f.Mode)
 }
 
-// Delay consults the named point at a site that cannot fail: only
-// latency faults take effect; error modes armed here fire (and count)
-// but inject nothing. The disabled path is a single atomic load.
-func Delay(name string) {
-	if !enabled.Load() {
-		return
-	}
-	_ = hitSlow(name)
-}
-
 // WrapWriter interposes the named point on every Write through w.
 // While the registry is disabled each Write costs one atomic load and
 // delegates untouched. A firing point injects its mode: error modes

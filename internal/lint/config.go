@@ -112,17 +112,14 @@ func DefaultConfig() *Config {
 		FaultPointFuncs: map[string]int{
 			"repro/internal/faultinject.Hit":        0,
 			"repro/internal/faultinject.HitCtx":     1,
-			"repro/internal/faultinject.Delay":      0,
 			"repro/internal/faultinject.WrapWriter": 0,
 		},
 		FaultPointPattern: `^[a-z][a-z0-9_]*(/[a-z][a-z0-9_]*)*$`,
 		WithoutCancelAllow: []string{
-			// Replication and intern fan-out outlive the triggering
-			// request on purpose (a canceled client must not abort a
-			// half-replicated write); both are bounded by the node
-			// lifetime via baseCtx instead.
-			"(repro/internal/cluster.Node).replicateResult",
-			"(repro/internal/cluster.Node).onIntern",
+			// Replication outlives the triggering request on purpose (a
+			// canceled client must not abort a half-replicated write);
+			// it is bounded by the node lifetime via baseCtx instead.
+			"(repro/internal/cluster.Node).replicate",
 		},
 		GoLifecycleRoots: []string{
 			// The serving surface: daemon/CLI entry points, the service

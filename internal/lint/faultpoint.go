@@ -15,7 +15,7 @@ import (
 // deterministically, a misspelled pattern silently never fires, and
 // two instrumentation sites sharing one name make a schedule ambiguous
 // — arming "the checkpoint write" would secretly also tear some other
-// subsystem. So every name passed to faultinject.Hit/Delay/WrapWriter
+// subsystem. So every name passed to faultinject.Hit/HitCtx/WrapWriter
 // must be a compile-time string constant in snake_case '/'-separated
 // segments, and each name must designate exactly one instrumentation
 // site across the whole program. Pass-through helpers inside

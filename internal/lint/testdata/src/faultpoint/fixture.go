@@ -19,12 +19,11 @@ const (
 	pointDup  = "fixture/dup_point"
 )
 
-// Clean instruments three distinct points, one site each — clean.
+// Clean instruments two distinct points, one site each — clean.
 func Clean(w io.Writer) error {
 	if err := faultinject.Hit(pointGood); err != nil {
 		return err
 	}
-	faultinject.Delay("fixture/latency_point")
 	_, err := faultinject.WrapWriter("fixture/write_point", w).Write(nil)
 	return err
 }
@@ -60,8 +59,8 @@ func DupA() error {
 	return faultinject.Hit(pointDup)
 }
 
-func DupB() {
-	faultinject.Delay(pointDup)
+func DupB(w io.Writer) io.Writer {
+	return faultinject.WrapWriter(pointDup, w)
 }
 
 // Suppressed carries a sanctioned ignore — counted, not reported.

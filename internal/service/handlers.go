@@ -18,6 +18,7 @@ import (
 	"repro/internal/sketch"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/trace"
+	"repro/internal/tt"
 )
 
 // maxAIGERBody bounds a submitted AIGER payload (16 MiB is orders of
@@ -638,6 +639,11 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		replyError(w, http.StatusNotFound, "unknown fingerprint %q (submit it via POST /v1/aigs first)", req.AIG)
 		return
 	}
+	if err := checkable(e); err != nil {
+		s.jobsAdm.leave()
+		replyError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
 	// The admission slot is released by the job engine when the pool
 	// task exits — on every path, including cancellation while still
 	// queued (where the run closure never executes). A deduplicated
@@ -673,26 +679,47 @@ func (s *Server) accept(w http.ResponseWriter, r *http.Request, j *job) {
 	reply(w, http.StatusAccepted, jobAccepted{ID: v.ID, Status: v.Status, Poll: "/v1/jobs/" + v.ID})
 }
 
-// runOptimize executes one flow with the same guarantees the harness
-// gives a variant: panic isolation (in the job engine) and a
-// functional-equivalence check — a flow that changes the function is a
-// failed job, never a silently wrong answer. The optimized structure is
-// interned into the store for immediate follow-up scoring.
-func (s *Server) runOptimize(ctx context.Context, e *storedAIG, flow opt.Flow, seed int64) (any, error) {
-	og, err := harness.SafeFlow(ctx, flow, e.g, seed)
+// checkable refuses AIGs a flow job could not verify: checkedFlow's
+// equivalence check simulates exhaustively, which covers at most
+// tt.MaxVars inputs.
+func checkable(es ...*storedAIG) error {
+	for _, e := range es {
+		if n := e.g.NumPIs(); n > tt.MaxVars {
+			return fmt.Errorf("AIG %s has %d inputs; optimize and report verify every flow by exhaustive simulation, limited to %d inputs", e.fp, n, tt.MaxVars)
+		}
+	}
+	return nil
+}
+
+// checkedFlow runs one flow with the same guarantees the harness gives
+// a variant: panic isolation and a functional-equivalence check — a
+// flow that changes the function is a failed job, never a silently
+// wrong answer.
+func checkedFlow(ctx context.Context, flow opt.Flow, g *aig.AIG, seed int64) (*aig.AIG, error) {
+	og, err := harness.SafeFlow(ctx, flow, g, seed)
 	if err != nil {
 		return nil, err
 	}
 	if ctx.Err() != nil {
 		return nil, ctx.Err()
 	}
-	if idx, eqErr := aig.Equivalent(e.g, og); eqErr != nil || idx >= 0 {
+	if idx, eqErr := aig.Equivalent(g, og); eqErr != nil || idx >= 0 {
 		telemetry.Add("harness/equiv_failures", 1)
 		if eqErr == nil {
 			eqErr = fmt.Errorf("optimized AIG differs from input on output %d", idx)
 		}
 		trace.AddEvent(ctx, "equiv_quarantine", trace.A("flow", flow.Name), trace.A("output", idx))
 		return nil, eqErr
+	}
+	return og, nil
+}
+
+// runOptimize executes one checked flow and interns the optimized
+// structure into the store for immediate follow-up scoring.
+func (s *Server) runOptimize(ctx context.Context, e *storedAIG, flow opt.Flow, seed int64) (any, error) {
+	og, err := checkedFlow(ctx, flow, e.g, seed)
+	if err != nil {
+		return nil, err
 	}
 	og = og.Cleanup()
 	oe, _ := s.store.put(ctx, og)
@@ -744,6 +771,11 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		replyError(w, http.StatusNotFound, "%v", err)
 		return
 	}
+	if err := checkable(ea, eb); err != nil {
+		s.jobsAdm.leave()
+		replyError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
 	j, dup, err := s.jobs.submit(s.baseCtx, r.Context(), s.pool, "report", idempotencyKey(r), func(ctx context.Context) (any, error) {
 		return s.runReport(ctx, ea, eb, flows, metrics, req.Seed)
 	}, s.jobsAdm.leave)
@@ -777,16 +809,13 @@ func (s *Server) runReport(ctx context.Context, ea, eb *storedAIG, flows []opt.F
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
-		oa, err := harness.SafeFlow(ctx, flow, ea.g, seed)
+		oa, err := checkedFlow(ctx, flow, ea.g, seed)
 		if err != nil {
 			return nil, err
 		}
-		ob, err := harness.SafeFlow(ctx, flow, eb.g, seed)
+		ob, err := checkedFlow(ctx, flow, eb.g, seed)
 		if err != nil {
 			return nil, err
-		}
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
 		}
 		sample.ROD[flow.Name] = simil.ROD(oa.NumAnds(), ob.NumAnds())
 	}

@@ -142,12 +142,32 @@ func TestUntracedDaemonExportsNoTraceID(t *testing.T) {
 	}
 }
 
+// wideAIG returns the AIGER encoding of an AIG with one more input than
+// exhaustive simulation covers.
+func wideAIG(t testing.TB) string {
+	t.Helper()
+	g := aig.New(tt.MaxVars + 1)
+	out := g.PI(0)
+	for i := 1; i < g.NumPIs(); i++ {
+		out = g.And(out, g.PI(i))
+	}
+	g.AddPO(out)
+	var b bytes.Buffer
+	if err := aiger.WriteASCII(&b, g); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
 // TestHandlerTable exercises every endpoint's validation and happy path
 // through the real HTTP stack.
 func TestHandlerTable(t *testing.T) {
 	d := newTestDaemon(t, Config{})
 	fpA := d.submit(t, testAIG(t, 1)).Fingerprint
 	fpB := d.submit(t, testAIG(t, 2)).Fingerprint
+	// Flow jobs verify by exhaustive simulation, so they refuse a wide
+	// AIG up front; scoring it needs no such check.
+	fpW := d.submit(t, wideAIG(t)).Fingerprint
 
 	cases := []struct {
 		name         string
@@ -169,6 +189,9 @@ func TestHandlerTable(t *testing.T) {
 		{"optimize unknown flow", "POST", "/v1/optimize", fmt.Sprintf(`{"aig":%q,"flow":"nope"}`, fpA), http.StatusBadRequest},
 		{"optimize unknown fp", "POST", "/v1/optimize", `{"aig":"eeee"}`, http.StatusNotFound},
 		{"report unknown fp", "POST", "/v1/report", fmt.Sprintf(`{"a":"eeee","b":%q}`, fpB), http.StatusNotFound},
+		{"optimize too many inputs", "POST", "/v1/optimize", fmt.Sprintf(`{"aig":%q,"flow":"dc2"}`, fpW), http.StatusBadRequest},
+		{"report too many inputs", "POST", "/v1/report", fmt.Sprintf(`{"a":%q,"b":%q,"flows":["dc2"]}`, fpA, fpW), http.StatusBadRequest},
+		{"metrics many inputs", "POST", "/v1/metrics", fmt.Sprintf(`{"a":%q,"b":%q}`, fpA, fpW), http.StatusOK},
 		{"job unknown", "GET", "/v1/jobs/j999999", "", http.StatusNotFound},
 		{"cancel unknown", "DELETE", "/v1/jobs/j999999", "", http.StatusNotFound},
 		{"healthz", "GET", "/healthz", "", http.StatusOK},

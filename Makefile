@@ -31,15 +31,18 @@ AIGD_ADDR ?= :8347
 serve:
 	go run ./cmd/aigd -addr $(AIGD_ADDR)
 
-# fuzz hammers the AIGER parser with coverage-guided random inputs;
-# the target asserts parse-or-error (never panic) plus write/read
-# round-trip equivalence. Override the budget with FUZZTIME=1m.
+# fuzz hammers the AIGER parser, the aigd request decoders, the sketch
+# codec and the optimization passes with coverage-guided random inputs:
+# parse-or-error (never panic), round trips, and every pass and flow
+# returning a valid AIG equivalent to its input. Override the budget
+# with FUZZTIME=1m.
 FUZZTIME ?= 10s
 
 fuzz:
 	go test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime $(FUZZTIME) ./internal/aiger
 	go test -run '^$$' -fuzz '^FuzzHandlers$$' -fuzztime $(FUZZTIME) ./internal/service
 	go test -run '^$$' -fuzz '^FuzzCodec$$' -fuzztime $(FUZZTIME) ./internal/sketch
+	go test -run '^$$' -fuzz '^FuzzOptimize$$' -fuzztime $(FUZZTIME) ./internal/opt
 
 # chaos runs the deterministic fault-injection suite under the race
 # detector: the faultinject registry's own tests, the client and
@@ -54,10 +57,10 @@ chaos:
 
 # bench runs every benchmark once; the pipeline benchmarks report a
 # telemetry-derived per-stage breakdown (synthesis/profiling/
-# optimization/metrics seconds per op) alongside ns/op, and the same
-# breakdown is written to BENCH_pipeline.json for machine consumption.
+# optimization/metrics seconds per op) alongside ns/op. Repeated,
+# host-recorded pipeline measurements come from perfbench/run.py.
 # The recall contract test runs alongside so its deterministic
 # recall-vs-cost numbers are snapshotted into BENCH_sketch.json.
 bench:
-	BENCH_JSON=BENCH_pipeline.json BENCH_SKETCH_JSON=BENCH_sketch.json \
+	BENCH_SKETCH_JSON=BENCH_sketch.json \
 		go test -run '^TestSketchRecallContract$$' -bench . -benchtime 1x .

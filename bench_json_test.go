@@ -4,47 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"sort"
 	"sync"
 	"testing"
 )
-
-// benchStageSink accumulates the telemetry-derived per-stage seconds
-// that reportStageTimings attaches to pipeline benchmarks. When the
-// BENCH_JSON environment variable names a file, TestMain writes the
-// collected breakdown there after the run — `make bench` uses this to
-// produce BENCH_pipeline.json.
-var benchStageSink = struct {
-	sync.Mutex
-	stages map[string]map[string]float64 // benchmark -> stage label -> s/op
-}{}
-
-func recordStageSeconds(bench, stage string, secPerOp float64) {
-	benchStageSink.Lock()
-	defer benchStageSink.Unlock()
-	if benchStageSink.stages == nil {
-		benchStageSink.stages = map[string]map[string]float64{}
-	}
-	if benchStageSink.stages[bench] == nil {
-		benchStageSink.stages[bench] = map[string]float64{}
-	}
-	benchStageSink.stages[bench][stage] = secPerOp
-}
-
-// benchPipelineReport is the BENCH_pipeline.json schema. It carries no
-// timestamps or host details: two runs differ only in the measured
-// seconds, so diffs show performance movement and nothing else.
-type benchPipelineReport struct {
-	Schema     string               `json:"schema"`
-	Benchmarks []benchPipelineEntry `json:"benchmarks"`
-}
-
-type benchPipelineEntry struct {
-	Name string `json:"name"`
-	// StageSeconds maps harness stage labels (synthesis, profiling,
-	// optimization, metrics) to wall-clock seconds per benchmark op.
-	StageSeconds map[string]float64 `json:"stage_seconds"`
-}
 
 // sketchRecallReport is the BENCH_sketch.json schema: the measured
 // recall-vs-cost numbers of sketch-pruned k-NN against the exact pair
@@ -89,36 +51,8 @@ func writeSketchJSON(path string) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-func writeBenchJSON(path string) error {
-	benchStageSink.Lock()
-	defer benchStageSink.Unlock()
-	report := benchPipelineReport{Schema: "bench-pipeline/v1"}
-	names := make([]string, 0, len(benchStageSink.stages))
-	for name := range benchStageSink.stages {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		report.Benchmarks = append(report.Benchmarks, benchPipelineEntry{
-			Name:         name,
-			StageSeconds: benchStageSink.stages[name],
-		})
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
 func TestMain(m *testing.M) {
 	code := m.Run()
-	if path := os.Getenv("BENCH_JSON"); path != "" && code == 0 {
-		if err := writeBenchJSON(path); err != nil {
-			fmt.Fprintln(os.Stderr, "writing", path+":", err)
-			code = 1
-		}
-	}
 	if path := os.Getenv("BENCH_SKETCH_JSON"); path != "" && code == 0 {
 		if err := writeSketchJSON(path); err != nil {
 			fmt.Fprintln(os.Stderr, "writing", path+":", err)

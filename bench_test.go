@@ -24,14 +24,12 @@ import (
 
 // reportStageTimings attaches telemetry-derived per-stage wall-clock
 // metrics (synthesis-s/op, profiling-s/op, ...) to a pipeline benchmark,
-// so BENCH_*.json entries carry a stage breakdown alongside ns/op. The
-// same numbers feed the BENCH_JSON sink (see bench_json_test.go).
+// so its output carries a stage breakdown alongside ns/op.
 func reportStageTimings(b *testing.B, reg *telemetry.Registry) {
 	b.Helper()
 	for _, st := range harness.Stages() {
 		_, sec := harness.StageSeconds(reg, st)
 		b.ReportMetric(sec/float64(b.N), st.Label+"-s/op")
-		recordStageSeconds(b.Name(), st.Label, sec/float64(b.N))
 	}
 }
 

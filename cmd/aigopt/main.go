@@ -6,9 +6,9 @@
 //	aigopt -script dc2 in.aag out.aag
 //	aigopt -script "b;rw;rf;rs;rwz" in.aig out.aig
 //
-// Script atoms: b (balance), rw/rwz (rewrite / zero-cost), rf/rfz
-// (refactor), rs/rsz (resub), lut4/lut6 (LUT round trip), or a flow name
-// (orchestrate, dc2, deepsyn, compress).
+// Script atoms: a pass of opt.Passes — b (balance), rw/rwz (rewrite /
+// zero-cost), rf/rfz (refactor), rs/rsz (resub), lut4/lut6 (LUT round
+// trip) — or a flow name (orchestrate, dc2, deepsyn, compress).
 //
 // SIGINT/SIGTERM stop the script gracefully: the flow in progress
 // returns its best equivalent AIG so far, remaining atoms are skipped,
@@ -28,7 +28,6 @@ import (
 
 	"repro/internal/aig"
 	"repro/internal/aiger"
-	"repro/internal/lutmap"
 	"repro/internal/opt"
 	"repro/internal/telemetry"
 )
@@ -161,28 +160,13 @@ func runScript(ctx context.Context, g *aig.AIG, script string, seed int64, flowT
 		}
 		// Each single-pass atom is one opt/<pass> step, so the pass
 		// summary has one row per pass (rw and rwz share opt/rewrite).
-		in := cur
-		switch atom {
-		case "b":
-			cur = opt.Step(ctx, "opt/balance", in, func(context.Context) *aig.AIG { return opt.Balance(in) })
-		case "rw", "rwz":
-			o := opt.RewriteOptions{ZeroCost: atom == "rwz"}
-			cur = opt.Step(ctx, "opt/rewrite", in, func(context.Context) *aig.AIG { return opt.RewriteOnce(in, o) })
-		case "rf", "rfz":
-			o := opt.RefactorOptions{ZeroCost: atom == "rfz"}
-			cur = opt.Step(ctx, "opt/refactor", in, func(context.Context) *aig.AIG { return opt.RefactorOnce(in, o) })
-		case "rs", "rsz":
-			o := opt.ResubOptions{ZeroCost: atom == "rsz"}
-			cur = opt.Step(ctx, "opt/resub", in, func(context.Context) *aig.AIG { return opt.ResubOnce(in, o) })
-		case "lut4":
-			cur = opt.Step(ctx, "opt/lutmap", in, func(context.Context) *aig.AIG { return lutmap.RoundTrip(in, lutmap.Options{K: 4}) })
-		case "lut6":
-			cur = opt.Step(ctx, "opt/lutmap", in, func(context.Context) *aig.AIG { return lutmap.RoundTrip(in, lutmap.Options{K: 6}) })
-		case "compress":
+		if p, err := opt.PassByAtom(atom); err == nil {
+			cur = p.Run(ctx, cur)
+		} else if atom == "compress" {
 			fctx, cancel := flowCtx()
 			cur = opt.CompressToConvergence(fctx, cur)
 			cancel()
-		default:
+		} else {
 			flow, err := opt.FlowByName(atom)
 			if err != nil {
 				return nil, fmt.Errorf("unknown script atom %q", atom)

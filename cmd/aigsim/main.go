@@ -5,6 +5,12 @@
 //	aigsim file.aag                  print the truth table (<= 6 inputs)
 //	aigsim -input 1011 file.aag      evaluate one assignment (PI0 first)
 //	aigsim -equiv a.aag b.aag        equivalence check
+//
+// Up to 16 inputs -equiv simulates every input pattern and exits 0
+// ("equivalent") or 1 ("NOT EQUIVALENT"). Above 16 inputs it can only
+// refute: it simulates 16,384 random patterns and exits 1 on a
+// difference, or 3 with an INCONCLUSIVE verdict naming the pattern
+// count. Other errors exit 1, usage errors 2.
 package main
 
 import (
@@ -15,6 +21,15 @@ import (
 
 	"repro/internal/aig"
 	"repro/internal/aiger"
+	"repro/internal/tt"
+)
+
+// randomRounds is the number of 64-pattern simulation rounds -equiv runs
+// above tt.MaxVars inputs; exitInconclusive is its status when none
+// differs.
+const (
+	randomRounds     = 256
+	exitInconclusive = 3
 )
 
 func main() {
@@ -35,20 +50,12 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		var idx int
-		if a.NumPIs() <= 16 {
-			idx, err = aig.Equivalent(a, b)
-		} else {
-			idx, err = aig.RandomSimCheck(a, b, 256, rand.New(rand.NewSource(1)))
-		}
+		verdict, code, err := checkEquiv(a, b)
 		if err != nil {
 			fatal(err)
 		}
-		if idx != -1 {
-			fmt.Printf("NOT EQUIVALENT: output %d differs\n", idx)
-			os.Exit(1)
-		}
-		fmt.Println("equivalent")
+		fmt.Println(verdict)
+		os.Exit(code)
 
 	case *input != "":
 		if flag.NArg() != 1 {
@@ -99,6 +106,29 @@ func main() {
 			fmt.Printf("%s = 0x%s\n", name, o.Hex())
 		}
 	}
+}
+
+// checkEquiv compares a and b and returns the verdict line and the exit
+// status. Only exhaustive simulation proves equivalence; above
+// tt.MaxVars inputs agreement on random patterns is inconclusive.
+func checkEquiv(a, b *aig.AIG) (string, int, error) {
+	var idx int
+	var err error
+	if a.NumPIs() <= tt.MaxVars {
+		idx, err = aig.Equivalent(a, b)
+	} else {
+		idx, err = aig.RandomSimCheck(a, b, randomRounds, rand.New(rand.NewSource(1)))
+	}
+	switch {
+	case err != nil:
+		return "", 1, err
+	case idx != -1:
+		return fmt.Sprintf("NOT EQUIVALENT: output %d differs", idx), 1, nil
+	case a.NumPIs() > tt.MaxVars:
+		return fmt.Sprintf("INCONCLUSIVE: no output differs on %d random patterns, but %d inputs exceed the exhaustive limit of %d",
+			randomRounds*64, a.NumPIs(), tt.MaxVars), exitInconclusive, nil
+	}
+	return "equivalent", 0, nil
 }
 
 func b2i(v bool) int {

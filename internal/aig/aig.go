@@ -13,6 +13,7 @@ package aig
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // Lit is an edge literal: 2*node + complement, as in AIGER.
@@ -290,89 +291,56 @@ func (g *AIG) RefCounts() []int {
 // MFFCSize returns the size of the maximum fanout-free cone of AND node
 // id: the number of AND nodes (including id) that become dead if id is
 // removed. refs must come from RefCounts and is restored before return.
+// Unlike MFFC it does not allocate.
 func (g *AIG) MFFCSize(id int, refs []int) int {
 	if !g.IsAnd(id) {
 		return 0
 	}
-	n := g.deref(id, refs)
-	g.reref(id, refs)
+	n := g.deref(id, refs, nil, nil)
+	g.reref(id, refs, nil)
 	return n
 }
 
-// MFFCSizeBounded is MFFCSize with a protected boundary: dereferencing
-// never descends into boundary nodes, which models cut leaves that a
-// replacement structure will still use. refs is restored before return.
-func (g *AIG) MFFCSizeBounded(id int, refs []int, boundary map[int]bool) int {
-	if !g.IsAnd(id) {
-		return 0
-	}
-	n := g.derefB(id, refs, boundary)
-	g.rerefB(id, refs, boundary)
-	return n
-}
-
-// MFFCNodesBounded returns the AND nodes inside the bounded MFFC of id
-// (including id itself). refs is restored before return.
-func (g *AIG) MFFCNodesBounded(id int, refs []int, boundary map[int]bool) []int {
+// MFFC returns the AND nodes of the maximum fanout-free cone of id, id
+// first, bounded by boundary: the walk never descends into a boundary
+// node, which models cut leaves a replacement structure will still use.
+// These are the nodes that die when id is replaced by logic over the
+// boundary; a nil boundary gives the plain MFFC. refs must come from
+// RefCounts and is restored before return.
+func (g *AIG) MFFC(id int, refs []int, boundary []int) []int {
 	if !g.IsAnd(id) {
 		return nil
 	}
 	var nodes []int
-	var collect func(id int)
-	collect = func(id int) {
-		nodes = append(nodes, id)
-		for _, f := range []Lit{g.fanin0[id], g.fanin1[id]} {
-			fid := f.Node()
-			refs[fid]--
-			if refs[fid] == 0 && g.IsAnd(fid) && !boundary[fid] {
-				collect(fid)
-			}
-		}
-	}
-	collect(id)
-	g.rerefB(id, refs, boundary)
+	g.deref(id, refs, boundary, &nodes)
+	g.reref(id, refs, boundary)
 	return nodes
 }
 
-func (g *AIG) derefB(id int, refs []int, boundary map[int]bool) int {
+// deref releases the fanin references of id, recursing into every AND
+// node outside boundary whose count drops to zero, and returns how many
+// AND nodes died, id included. A non-nil nodes collects them.
+func (g *AIG) deref(id int, refs []int, boundary []int, nodes *[]int) int {
+	if nodes != nil {
+		*nodes = append(*nodes, id)
+	}
 	n := 1
-	for _, f := range []Lit{g.fanin0[id], g.fanin1[id]} {
+	for _, f := range [2]Lit{g.fanin0[id], g.fanin1[id]} {
 		fid := f.Node()
 		refs[fid]--
-		if refs[fid] == 0 && g.IsAnd(fid) && !boundary[fid] {
-			n += g.derefB(fid, refs, boundary)
+		if refs[fid] == 0 && g.IsAnd(fid) && !slices.Contains(boundary, fid) {
+			n += g.deref(fid, refs, boundary, nodes)
 		}
 	}
 	return n
 }
 
-func (g *AIG) rerefB(id int, refs []int, boundary map[int]bool) {
-	for _, f := range []Lit{g.fanin0[id], g.fanin1[id]} {
+// reref undoes deref.
+func (g *AIG) reref(id int, refs []int, boundary []int) {
+	for _, f := range [2]Lit{g.fanin0[id], g.fanin1[id]} {
 		fid := f.Node()
-		if refs[fid] == 0 && g.IsAnd(fid) && !boundary[fid] {
-			g.rerefB(fid, refs, boundary)
-		}
-		refs[fid]++
-	}
-}
-
-func (g *AIG) deref(id int, refs []int) int {
-	n := 1
-	for _, f := range []Lit{g.fanin0[id], g.fanin1[id]} {
-		fid := f.Node()
-		refs[fid]--
-		if refs[fid] == 0 && g.IsAnd(fid) {
-			n += g.deref(fid, refs)
-		}
-	}
-	return n
-}
-
-func (g *AIG) reref(id int, refs []int) {
-	for _, f := range []Lit{g.fanin0[id], g.fanin1[id]} {
-		fid := f.Node()
-		if refs[fid] == 0 && g.IsAnd(fid) {
-			g.reref(fid, refs)
+		if refs[fid] == 0 && g.IsAnd(fid) && !slices.Contains(boundary, fid) {
+			g.reref(fid, refs, boundary)
 		}
 		refs[fid]++
 	}

@@ -2,6 +2,7 @@ package aig
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/tt"
@@ -188,6 +189,30 @@ func TestRefCountsAndMFFC(t *testing.T) {
 	refs = g.RefCounts()
 	if got := g.MFFCSize(abc.Node(), refs); got != 1 {
 		t.Errorf("MFFC(abc) with shared ab = %d, want 1", got)
+	}
+}
+
+func TestMFFCBounded(t *testing.T) {
+	g := New(3)
+	a, b, c := g.PI(0), g.PI(1), g.PI(2)
+	ab := g.And(a, b)
+	bc := g.And(b, c)
+	top := g.And(ab, bc)
+	g.AddPO(top)
+	refs := g.RefCounts()
+	before := append([]int(nil), refs...)
+	if got, want := g.MFFC(top.Node(), refs, nil), []int{top.Node(), ab.Node(), bc.Node()}; !slices.Equal(got, want) {
+		t.Errorf("MFFC(top) = %v, want %v", got, want)
+	}
+	// A boundary node stays alive: the cut {ab, c, b} keeps ab.
+	if got, want := g.MFFC(top.Node(), refs, []int{ab.Node(), b.Node(), c.Node()}), []int{top.Node(), bc.Node()}; !slices.Equal(got, want) {
+		t.Errorf("MFFC(top) bounded at ab = %v, want %v", got, want)
+	}
+	if g.MFFC(a.Node(), refs, nil) != nil {
+		t.Error("MFFC of a PI must be empty")
+	}
+	if !slices.Equal(refs, before) {
+		t.Fatal("MFFC corrupted ref counts")
 	}
 }
 

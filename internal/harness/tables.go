@@ -108,27 +108,21 @@ type TrajectoryPoint struct {
 }
 
 // Trajectory records per-pass gate counts of an orchestrate-style walk —
-// the concrete rendering of the paper's Figure 2 illustration.
-func Trajectory(g *aig.AIG) []TrajectoryPoint {
+// the concrete rendering of the paper's Figure 2 illustration. Its
+// steps come from opt's pass table and run untraced: Figure 2 is an
+// emission root that must stay deterministic.
+func Trajectory(g *aig.AIG) ([]TrajectoryPoint, error) {
 	out := []TrajectoryPoint{{"start", g.NumAnds()}}
 	cur := g
-	steps := []struct {
-		name string
-		run  func(*aig.AIG) *aig.AIG
-	}{
-		{"resub", func(a *aig.AIG) *aig.AIG { return opt.ResubOnce(a, opt.ResubOptions{}) }},
-		{"rewrite", func(a *aig.AIG) *aig.AIG { return opt.RewriteOnce(a, opt.RewriteOptions{}) }},
-		{"refactor", func(a *aig.AIG) *aig.AIG { return opt.RefactorOnce(a, opt.RefactorOptions{}) }},
-		{"balance", opt.Balance},
-		{"resub", func(a *aig.AIG) *aig.AIG { return opt.ResubOnce(a, opt.ResubOptions{}) }},
-		{"rewrite", func(a *aig.AIG) *aig.AIG { return opt.RewriteOnce(a, opt.RewriteOptions{}) }},
-		{"refactor", func(a *aig.AIG) *aig.AIG { return opt.RefactorOnce(a, opt.RefactorOptions{}) }},
+	for _, atom := range []string{"rs", "rw", "rf", "b", "rs", "rw", "rf"} {
+		p, err := opt.PassByAtom(atom)
+		if err != nil {
+			return nil, err
+		}
+		cur = p.Apply(cur)
+		out = append(out, TrajectoryPoint{strings.TrimPrefix(p.Span, "opt/"), cur.NumAnds()})
 	}
-	for _, s := range steps {
-		cur = s.run(cur)
-		out = append(out, TrajectoryPoint{s.name, cur.NumAnds()})
-	}
-	return out
+	return out, nil
 }
 
 // Figure2 renders the optimization trajectories of two synthesis
@@ -148,8 +142,14 @@ func Figure2(specName string, seed int64) (string, error) {
 	}
 	g1 := synth.SynthSOP(spec.Outputs)
 	g2 := synth.SynthBDD(spec.Outputs)
-	t1 := Trajectory(g1)
-	t2 := Trajectory(g2)
+	t1, err := Trajectory(g1)
+	if err != nil {
+		return "", err
+	}
+	t2, err := Trajectory(g2)
+	if err != nil {
+		return "", err
+	}
 	var b strings.Builder
 	b.WriteString(fmt.Sprintf("Figure 2: optimization trajectories for %s\n", spec.Name))
 	b.WriteString(fmt.Sprintf("%-10s %12s %12s\n", "step", "A1 (sop)", "A2 (bdd)"))

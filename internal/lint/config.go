@@ -74,8 +74,7 @@ func DefaultConfig() *Config {
 			// Table/figure renderers behind the paper's artifacts.
 			`^\(repro/internal/harness\.Result\)\.(TableI|TableII|Figure3|Figure3Plot|FigureScatter|CategoryTable|CategorySummary|FailureSummary)$`,
 			`^repro/internal/harness\.(Figure2|StageSummary)$`,
-			// Telemetry exposition and the stage rollup read by
-			// BENCH_pipeline.json.
+			// Telemetry exposition and the stage rollup.
 			`^\(repro/internal/telemetry\.Registry\)\.(WritePrometheus|WriteJSON|SummaryTable|SpanSeconds)$`,
 			// AIGER serialization: optimized-AIG outputs must be stable.
 			`^repro/internal/aiger\.(WriteASCII|WriteBinary|WriteFile)$`,
@@ -83,6 +82,11 @@ func DefaultConfig() *Config {
 			// diffed across runs (the rolling-restart CI smoke does
 			// exactly that), so it must be byte-stable.
 			`^repro/cmd/aigw\.(printHealth|printStatus)$`,
+			// The optimization passes. Flows and scripts reach them
+			// through the opt pass table's function values, which the
+			// static call graph does not follow, so each is a root.
+			`^repro/internal/opt\.(Balance|RewriteOnce|RefactorOnce|ResubOnce)$`,
+			`^repro/internal/lutmap\.RoundTrip$`,
 		},
 		MetricNameFuncs: map[string]int{
 			"repro/internal/telemetry.Add":                   0,
@@ -101,8 +105,10 @@ func DefaultConfig() *Config {
 			"(repro/internal/telemetry/trace.Span).Attr":  0,
 			"(repro/internal/telemetry/trace.Span).Event": 0,
 			// Optimization steps name their span and, suffixed, their
-			// gates_removed histogram.
-			"repro/internal/opt.Step": 1,
+			// gates_removed histogram; newPass names the span of each
+			// pass in opt's table, which runs as a Step.
+			"repro/internal/opt.Step":    1,
+			"repro/internal/opt.newPass": 1,
 			// Per-peer cluster instruments are assembled from a dynamic
 			// member ID plus a constant suffix; the suffix is the part
 			// that must stay snake_case and greppable.

@@ -18,11 +18,10 @@ import (
 type Options struct {
 	// K is the LUT input count (2..6; default 4).
 	K int
-	// MaxCuts bounds priority cuts per node (default 8).
-	MaxCuts int
-	// Rounds of area-flow refinement (default 2).
-	Rounds int
 }
+
+// rounds is the number of area-flow refinement rounds.
+const rounds = 2
 
 func (o Options) k() int {
 	switch {
@@ -32,13 +31,6 @@ func (o Options) k() int {
 		return 6
 	}
 	return o.K
-}
-
-func (o Options) rounds() int {
-	if o.Rounds <= 0 {
-		return 2
-	}
-	return o.Rounds
 }
 
 // LUT is one mapped look-up table: a root node covering logic down to its
@@ -64,14 +56,14 @@ func (m Mapping) NumLUTs() int { return len(m.LUTs) }
 // a cover is extracted from the outputs.
 func Map(g *aig.AIG, opts Options) Mapping {
 	k := opts.k()
-	cuts := g.EnumerateCuts(aig.CutParams{K: k, MaxCuts: opts.MaxCuts})
+	cuts := g.EnumerateCuts(aig.CutParams{K: k})
 	refs := g.RefCounts()
 
 	n := g.NumObjs()
 	bestCut := make([]int, n) // index into cuts[id]
 	areaFlow := make([]float64, n)
 
-	for round := 0; round < opts.rounds(); round++ {
+	for round := 0; round < rounds; round++ {
 		for id := 0; id < n; id++ {
 			if !g.IsAnd(id) {
 				areaFlow[id] = 0

@@ -2,7 +2,6 @@ package opt
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 
 	"repro/internal/aig"
@@ -45,15 +44,7 @@ func Flows() []Flow {
 // FlowByName returns the named flow, or an error that names the known
 // flows.
 func FlowByName(name string) (Flow, error) {
-	all := Flows()
-	known := make([]string, len(all))
-	for i, f := range all {
-		if f.Name == name {
-			return f, nil
-		}
-		known[i] = f.Name
-	}
-	return Flow{}, fmt.Errorf("unknown flow %q (have %v)", name, known)
+	return lookup(Flows(), func(f Flow) string { return f.Name }, name, "flow")
 }
 
 // Orchestrate reproduces the orchestration idea of Li et al. (TCAD'24) at
@@ -71,18 +62,17 @@ func Orchestrate(ctx context.Context, g *aig.AIG, maxRounds int) *aig.AIG {
 		telemetry.Add("flow/orchestrate/rounds", 1)
 		// Resubstitution gets the first shot and is kept whenever it
 		// makes progress; the structural operators compete otherwise.
-		rs := resubStep(ctx, cur, ResubOptions{MaxDivisors: 150})
+		// It searches 150 divisors per node, wider than the rs atom's 80.
+		rs := Step(ctx, "opt/resub", cur, func(context.Context) *aig.AIG {
+			return ResubOnce(cur, ResubOptions{MaxDivisors: 150})
+		})
 		if rs.NumAnds() < cur.NumAnds() {
 			cur = rs
 			continue
 		}
-		candidates := []*aig.AIG{
-			rewriteStep(ctx, cur, RewriteOptions{}),
-			refactorStep(ctx, cur, RefactorOptions{}),
-		}
 		best := cur
-		for _, c := range candidates {
-			if c.NumAnds() < best.NumAnds() {
+		for _, p := range []Pass{passRW, passRF} {
+			if c := p.Run(ctx, cur); c.NumAnds() < best.NumAnds() {
 				best = c
 			}
 		}
@@ -90,14 +80,11 @@ func Orchestrate(ctx context.Context, g *aig.AIG, maxRounds int) *aig.AIG {
 			// Plateau: reshape with balancing and zero-cost rewriting to
 			// expose new cuts; if still stuck, escape the local minimum
 			// with a LUT map/resynthesis round trip before giving up.
-			shaken := resubStep(ctx, rewriteStep(ctx, balanceStep(ctx, cur), RewriteOptions{ZeroCost: true}), ResubOptions{})
-			shaken = refactorStep(ctx, shaken, RefactorOptions{})
-			if shaken.NumAnds() < cur.NumAnds() {
+			if shaken := runPasses(ctx, cur, passB, passRWZ, passRS, passRF); shaken.NumAnds() < cur.NumAnds() {
 				cur = shaken
 				continue
 			}
-			escaped := DC2(ctx, lutStep(ctx, cur, 6))
-			if escaped.NumAnds() < cur.NumAnds() {
+			if escaped := DC2(ctx, passLUT6.Run(ctx, cur)); escaped.NumAnds() < cur.NumAnds() {
 				cur = escaped
 				continue
 			}
@@ -131,16 +118,7 @@ func DC2Converge(ctx context.Context, g *aig.AIG) *aig.AIG {
 // rwz; b. Each pass is a traced Step under ctx; the script itself runs
 // to the end regardless of cancellation.
 func DC2(ctx context.Context, g *aig.AIG) *aig.AIG {
-	cur := balanceStep(ctx, g)
-	cur = rewriteStep(ctx, cur, RewriteOptions{})
-	cur = refactorStep(ctx, cur, RefactorOptions{})
-	cur = balanceStep(ctx, cur)
-	cur = rewriteStep(ctx, cur, RewriteOptions{})
-	cur = rewriteStep(ctx, cur, RewriteOptions{ZeroCost: true})
-	cur = balanceStep(ctx, cur)
-	cur = refactorStep(ctx, cur, RefactorOptions{ZeroCost: true})
-	cur = rewriteStep(ctx, cur, RewriteOptions{ZeroCost: true})
-	cur = balanceStep(ctx, cur)
+	cur := runPasses(ctx, g, passB, passRW, passRF, passB, passRW, passRWZ, passB, passRFZ, passRWZ, passB)
 	return keepSmaller(g, cur, true)
 }
 
@@ -166,19 +144,14 @@ func DeepSyn(ctx context.Context, g *aig.AIG, opts DeepSynOptions) *aig.AIG {
 	r := rand.New(rand.NewSource(opts.Seed))
 	best := g
 	cur := g
+	// The seeded r.Intn picks a move by index, so the order is fixed.
 	moves := []func(context.Context, *aig.AIG) *aig.AIG{
 		DC2,
-		func(ctx context.Context, a *aig.AIG) *aig.AIG { return lutStep(ctx, a, 4) },
-		func(ctx context.Context, a *aig.AIG) *aig.AIG { return lutStep(ctx, a, 6) },
-		func(ctx context.Context, a *aig.AIG) *aig.AIG {
-			return resubStep(ctx, rewriteStep(ctx, a, RewriteOptions{ZeroCost: true}), ResubOptions{})
-		},
-		func(ctx context.Context, a *aig.AIG) *aig.AIG {
-			return refactorStep(ctx, resubStep(ctx, a, ResubOptions{ZeroCost: true}), RefactorOptions{})
-		},
-		func(ctx context.Context, a *aig.AIG) *aig.AIG {
-			return balanceStep(ctx, rewriteStep(ctx, a, RewriteOptions{}))
-		},
+		passLUT4.Run,
+		passLUT6.Run,
+		func(ctx context.Context, a *aig.AIG) *aig.AIG { return runPasses(ctx, a, passRWZ, passRS) },
+		func(ctx context.Context, a *aig.AIG) *aig.AIG { return runPasses(ctx, a, passRSZ, passRF) },
+		func(ctx context.Context, a *aig.AIG) *aig.AIG { return runPasses(ctx, a, passRW, passB) },
 	}
 	for i := 0; i < effort; i++ {
 		if ctx.Err() != nil {
@@ -208,9 +181,7 @@ func CompressToConvergence(ctx context.Context, g *aig.AIG) *aig.AIG {
 		if ctx.Err() != nil {
 			return cur
 		}
-		next := DC2(ctx, cur)
-		next = resubStep(ctx, next, ResubOptions{})
-		next = refactorStep(ctx, next, RefactorOptions{})
+		next := runPasses(ctx, DC2(ctx, cur), passRS, passRF)
 		if next.NumAnds() >= cur.NumAnds() {
 			return cur
 		}

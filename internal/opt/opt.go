@@ -14,8 +14,11 @@
 package opt
 
 import (
+	"slices"
+
 	"repro/internal/aig"
 	"repro/internal/synth"
+	"repro/internal/tt"
 )
 
 // decision records a chosen replacement for an AND node of the old graph:
@@ -94,24 +97,66 @@ func copyNames(from, to *aig.AIG) {
 	}
 }
 
-// oldLeafLits wraps old-graph node ids as plain literals for cost
-// estimation against the old graph.
-func oldLeafLits(leaves []int) []aig.Lit {
-	lits := make([]aig.Lit, len(leaves))
-	for i, id := range leaves {
-		lits[i] = aig.MakeLit(id, false)
+// replacement scores replacing AND node id by logic over the cut
+// leaves, where mffc is the cone the replacement frees (aig.MFFC bounded
+// by leaves). The cut function, compacted to its support, becomes a
+// constant, a literal of one leaf, or structure(f) over the remaining
+// leaves. The gain is len(mffc) minus the fresh AND nodes the
+// replacement adds; nodes of the MFFC do not count as shareable.
+func replacement(g *aig.AIG, id int, leaves, mffc []int, structure func(tt.TT) *aig.AIG) (decision, int) {
+	leaves, f := compactCut(leaves, g.CutTT(id, leaves))
+	switch {
+	case f.IsConst0():
+		return constDecision(false), len(mffc)
+	case f.IsConst1():
+		return constDecision(true), len(mffc)
+	case len(leaves) == 1:
+		return litDecision(leaves[0], f.Equal(tt.Var(0, 1).Not())), len(mffc)
 	}
-	return lits
+	mini := structure(f)
+	leafLits := make([]aig.Lit, len(leaves))
+	for i, leaf := range leaves {
+		leafLits[i] = aig.MakeLit(leaf, false)
+	}
+	blocked := make(map[int]bool, len(mffc))
+	for _, n := range mffc {
+		blocked[n] = true
+	}
+	cost := synth.InstantiateCostBlocked(g, mini, leafLits, blocked)
+	return decision{mini: mini, leaves: leaves}, len(mffc) - cost
 }
 
-// boundarySet builds the protected-leaf set used in bounded MFFC
-// computations.
-func boundarySet(leaves []int) map[int]bool {
-	b := make(map[int]bool, len(leaves))
-	for _, l := range leaves {
-		b[l] = true
+// compactCut removes cut leaves the function does not depend on and
+// shrinks the truth table accordingly.
+func compactCut(leaves []int, f tt.TT) ([]int, tt.TT) {
+	support := f.Support()
+	if len(support) == len(leaves) {
+		return leaves, f
 	}
-	return b
+	kept := make([]int, len(support))
+	perm := make([]int, 0, f.NumVars())
+	for i, v := range support {
+		kept[i] = leaves[v]
+		perm = append(perm, v)
+	}
+	// Route support variable v to position i, dead variables to the tail.
+	for v := 0; v < f.NumVars(); v++ {
+		if !slices.Contains(support, v) {
+			perm = append(perm, v)
+		}
+	}
+	g := f.Permute(perm)
+	if len(support) == 0 {
+		return nil, g.Shrink(0)
+	}
+	return kept, g.Shrink(len(support))
+}
+
+// constDecision replaces a node by a constant.
+func constDecision(v bool) decision {
+	mini := aig.New(0)
+	mini.AddPO(aig.LitFalse.NotCond(v))
+	return decision{mini: mini, leaves: nil}
 }
 
 // keepSmaller returns the candidate when it improves on (or, when

@@ -42,23 +42,6 @@ func mustEquiv(t *testing.T, name string, a, b *aig.AIG) {
 	}
 }
 
-type passFn struct {
-	name string
-	run  func(*aig.AIG) *aig.AIG
-}
-
-func allPasses() []passFn {
-	return []passFn{
-		{"rewrite", func(g *aig.AIG) *aig.AIG { return RewriteOnce(g, RewriteOptions{}) }},
-		{"rewrite-z", func(g *aig.AIG) *aig.AIG { return RewriteOnce(g, RewriteOptions{ZeroCost: true}) }},
-		{"refactor", func(g *aig.AIG) *aig.AIG { return RefactorOnce(g, RefactorOptions{}) }},
-		{"refactor-z", func(g *aig.AIG) *aig.AIG { return RefactorOnce(g, RefactorOptions{ZeroCost: true}) }},
-		{"resub", func(g *aig.AIG) *aig.AIG { return ResubOnce(g, ResubOptions{}) }},
-		{"resub-z", func(g *aig.AIG) *aig.AIG { return ResubOnce(g, ResubOptions{ZeroCost: true}) }},
-		{"balance", Balance},
-	}
-}
-
 func TestPassesPreserveEquivalenceRandom(t *testing.T) {
 	r := rand.New(rand.NewSource(91))
 	for trial := 0; trial < 6; trial++ {
@@ -66,11 +49,11 @@ func TestPassesPreserveEquivalenceRandom(t *testing.T) {
 		spec := []tt.TT{tt.Random(n, r), tt.Random(n, r)}
 		for _, rec := range synth.Recipes() {
 			g := rec.Build(spec)
-			for _, p := range allPasses() {
-				ng := p.run(g)
-				mustEquiv(t, rec.Name+"/"+p.name, g, ng)
+			for _, p := range Passes() {
+				ng := p.Apply(g)
+				mustEquiv(t, rec.Name+"/"+p.Atom, g, ng)
 				if err := ng.Check(); err != nil {
-					t.Fatalf("%s/%s: %v", rec.Name, p.name, err)
+					t.Fatalf("%s/%s: %v", rec.Name, p.Atom, err)
 				}
 			}
 		}
@@ -82,13 +65,13 @@ func TestPassesNeverGrow(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		n := 4 + trial%4
 		g := redundantAIG(tt.Random(n, r))
-		for _, p := range allPasses() {
-			if p.name == "balance" {
-				continue // balance optimizes depth, not size
+		for _, p := range Passes() {
+			if p.Span == "opt/balance" || p.Span == "opt/lutmap" {
+				continue // balance optimizes depth, a LUT round trip reshapes freely
 			}
-			ng := p.run(g)
+			ng := p.Apply(g)
 			if ng.NumAnds() > g.NumAnds() {
-				t.Errorf("trial %d: %s grew %d -> %d", trial, p.name, g.NumAnds(), ng.NumAnds())
+				t.Errorf("trial %d: %s grew %d -> %d", trial, p.Atom, g.NumAnds(), ng.NumAnds())
 			}
 		}
 	}
@@ -98,7 +81,7 @@ func TestRewriteShrinksRedundant(t *testing.T) {
 	r := rand.New(rand.NewSource(93))
 	f := tt.Random(5, r)
 	g := redundantAIG(f)
-	ng := Rewrite(g, RewriteOptions{})
+	ng := RewriteOnce(g, RewriteOptions{})
 	mustEquiv(t, "rewrite", g, ng)
 	if ng.NumAnds() >= g.NumAnds() {
 		t.Errorf("rewrite failed to shrink minterm SOP: %d -> %d", g.NumAnds(), ng.NumAnds())
@@ -109,7 +92,7 @@ func TestRefactorShrinksRedundant(t *testing.T) {
 	r := rand.New(rand.NewSource(94))
 	f := tt.Random(6, r)
 	g := redundantAIG(f)
-	ng := Refactor(g, RefactorOptions{})
+	ng := RefactorOnce(g, RefactorOptions{})
 	mustEquiv(t, "refactor", g, ng)
 	if ng.NumAnds() >= g.NumAnds() {
 		t.Errorf("refactor failed to shrink: %d -> %d", g.NumAnds(), ng.NumAnds())
@@ -142,7 +125,7 @@ func TestResubOneGate(t *testing.T) {
 	n := 3
 	f := tt.Var(0, n).And(tt.Var(1, n)).And(tt.Var(2, n))
 	g := redundantAIG(f)
-	ng := Resub(g, ResubOptions{})
+	ng := ResubOnce(g, ResubOptions{})
 	mustEquiv(t, "resub", g, ng)
 	if ng.NumAnds() > 2 {
 		t.Errorf("AND3 should collapse to 2 nodes, got %d", ng.NumAnds())
@@ -218,6 +201,18 @@ func TestRunFlowDispatch(t *testing.T) {
 	}
 }
 
+func TestPassByAtom(t *testing.T) {
+	for _, want := range Passes() {
+		p, err := PassByAtom(want.Atom)
+		if err != nil || p.Atom != want.Atom || p.Span != want.Span {
+			t.Errorf("PassByAtom(%q) = %+v, %v", want.Atom, p, err)
+		}
+	}
+	if _, err := PassByAtom("dc2"); err == nil || !strings.Contains(err.Error(), `unknown pass "dc2" (have [b rw rwz rf rfz rs rsz lut4 lut6])`) {
+		t.Errorf("unknown pass error = %v", err)
+	}
+}
+
 func TestDeepSynDeterministicPerSeed(t *testing.T) {
 	r := rand.New(rand.NewSource(97))
 	g := redundantAIG(tt.Random(5, r))
@@ -268,9 +263,8 @@ func TestConstantOutputsCollapse(t *testing.T) {
 	x := g.Or(g.And(a, b), g.And(a, b.Not()))
 	y := g.Or(x, a.Not()) // == a | !a == 1? No: x == a, so y == a | !a == 1.
 	g.AddPO(y)
-	for _, p := range allPasses() {
-		ng := p.run(g)
-		mustEquiv(t, p.name, g, ng)
+	for _, p := range Passes() {
+		mustEquiv(t, p.Atom, g, p.Apply(g))
 	}
 	ng := CompressToConvergence(context.Background(), g)
 	if ng.NumAnds() != 0 {

@@ -85,6 +85,7 @@ func ResubOnce(g *aig.AIG, opts ResubOptions) *aig.AIG {
 		}
 
 		divs := collectDivisors(id, supp, maxDiv)
+		andList, orList := candidateLists(target, divs, tabs)
 
 		// --- 1-resub: one fresh gate over two divisors (XOR costs 3
 		// AND nodes in an AIG and is gated accordingly).
@@ -93,32 +94,19 @@ func ResubOnce(g *aig.AIG, opts ResubOptions) *aig.AIG {
 			minGain = 0
 		}
 		if mffc-1 >= minGain {
-			if dec, cost, ok := findOneResub(target, divs, tabs); ok && mffc-cost >= minGain {
+			if dec, cost, ok := findOneResub(target, divs, andList, orList, tabs); ok && mffc-cost >= minGain {
 				decisions[id] = dec
 				continue
 			}
 		}
 		// --- 2-resub: AND3 / OR3 shapes (two fresh gates).
 		if depth >= 2 && mffc-2 >= minGain {
-			if dec, ok := findTripleResub(target, divs, tabs); ok {
+			if dec, ok := findTripleResub(target, andList, orList, tabs); ok {
 				decisions[id] = dec
 			}
 		}
 	}
 	return keepSmaller(g, rebuild(g, decisions), true)
-}
-
-// Resub iterates resubstitution passes to convergence.
-func Resub(g *aig.AIG, opts ResubOptions) *aig.AIG {
-	cur := g
-	for i := 0; i < 8; i++ {
-		next := ResubOnce(cur, opts)
-		if next.NumAnds() >= cur.NumAnds() {
-			return keepSmaller(cur, next, opts.ZeroCost)
-		}
-		cur = next
-	}
-	return cur
 }
 
 func ttHash(t tt.TT) uint64 {
@@ -192,29 +180,10 @@ func collectDivisors(id int, supp []uint32, max int) []int {
 }
 
 // findOneResub searches for target == op(d1, d2) over AND/OR (with
-// polarities) and XOR, returning the decision and its cost in fresh AND
-// nodes (1 for AND/OR, 3 for XOR).
-func findOneResub(target tt.TT, divs []int, tabs []tt.TT) (decision, int, bool) {
-	notTarget := target.Not()
-	// AND candidates: divisor literals whose function covers the target.
-	var andList []divisor
-	// OR candidates: divisor literals covered by the target.
-	var orList []divisor
-	for _, d := range divs {
-		t := tabs[d]
-		if target.AndNot(t).IsConst0() {
-			andList = append(andList, divisor{d, false})
-		}
-		if notTarget.AndNot(t.Not()).IsConst0() { // target ⊆ ~t
-			andList = append(andList, divisor{d, true})
-		}
-		if t.AndNot(target).IsConst0() {
-			orList = append(orList, divisor{d, false})
-		}
-		if t.Not().AndNot(target).IsConst0() {
-			orList = append(orList, divisor{d, true})
-		}
-	}
+// polarities, from the candidate lists) and XOR (over divs), returning
+// the decision and its cost in fresh AND nodes (1 for AND/OR, 3 for
+// XOR).
+func findOneResub(target tt.TT, divs []int, andList, orList []divisor, tabs []tt.TT) (decision, int, bool) {
 	if dec, ok := matchPairs(target, andList, tabs, true); ok {
 		return dec, 1, true
 	}
@@ -238,6 +207,32 @@ func findOneResub(target tt.TT, divs []int, tabs []tt.TT) (decision, int, bool) 
 		}
 	}
 	return decision{}, 0, false
+}
+
+// candidateLists filters the divisor literals for AND and OR shapes:
+// andList holds the literals an AND of divisors implementing target may
+// use, orList those an OR may use.
+func candidateLists(target tt.TT, divs []int, tabs []tt.TT) (andList, orList []divisor) {
+	notTarget := target.Not()
+	for _, d := range divs {
+		t := tabs[d]
+		if target.AndNot(t).IsConst0() { // target ⊆ t
+			andList = append(andList, divisor{d, false})
+		}
+		// This admits ~t when t ⊆ target, where an AND operand needs
+		// target ⊆ ~t. Matches are verified, so it costs only search
+		// quality; the recorded results depend on it as written.
+		if notTarget.AndNot(t.Not()).IsConst0() {
+			andList = append(andList, divisor{d, true})
+		}
+		if t.AndNot(target).IsConst0() { // t ⊆ target
+			orList = append(orList, divisor{d, false})
+		}
+		if t.Not().AndNot(target).IsConst0() { // ~t ⊆ target
+			orList = append(orList, divisor{d, true})
+		}
+	}
+	return andList, orList
 }
 
 // matchPairs finds d1 op d2 == target within a pre-filtered literal list.
@@ -270,25 +265,8 @@ func matchPairs(target tt.TT, list []divisor, tabs []tt.TT, isAnd bool) (decisio
 	return decision{}, false
 }
 
-// findTripleResub searches AND3 / OR3 shapes over the filtered lists.
-func findTripleResub(target tt.TT, divs []int, tabs []tt.TT) (decision, bool) {
-	notTarget := target.Not()
-	var andList, orList []divisor
-	for _, d := range divs {
-		t := tabs[d]
-		if target.AndNot(t).IsConst0() {
-			andList = append(andList, divisor{d, false})
-		}
-		if notTarget.AndNot(t.Not()).IsConst0() {
-			andList = append(andList, divisor{d, true})
-		}
-		if t.AndNot(target).IsConst0() {
-			orList = append(orList, divisor{d, false})
-		}
-		if t.Not().AndNot(target).IsConst0() {
-			orList = append(orList, divisor{d, true})
-		}
-	}
+// findTripleResub searches AND3 / OR3 shapes over the candidate lists.
+func findTripleResub(target tt.TT, andList, orList []divisor, tabs []tt.TT) (decision, bool) {
 	const capTriples = 24
 	if len(andList) > capTriples {
 		andList = andList[:capTriples]

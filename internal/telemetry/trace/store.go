@@ -22,16 +22,11 @@ type StoreConfig struct {
 	// SampleRate is the probability a completed, unremarkable trace
 	// (no error, not slowest-N) survives eviction pressure. Default 0.1.
 	SampleRate float64
-	// SampleSeed seeds the sampling coin so chaos/replay runs retain
-	// the same traces. Default 1.
-	SampleSeed int64
 	// MaxSpans caps spans recorded per trace; excess spans still feed
 	// the aggregate histograms but are dropped from the tree (counted
-	// in trace/spans_dropped). Default 1024.
+	// in trace/spans_dropped). Default 1024. Events per span are capped
+	// by maxEventsPerSpan.
 	MaxSpans int
-	// MaxEvents is reserved for symmetry with MaxSpans; per-span event
-	// growth is bounded by maxEventsPerSpan.
-	MaxEvents int
 }
 
 func (c StoreConfig) withDefaults() StoreConfig {
@@ -47,14 +42,8 @@ func (c StoreConfig) withDefaults() StoreConfig {
 	if c.SampleRate > 1 {
 		c.SampleRate = 1
 	}
-	if c.SampleSeed == 0 {
-		c.SampleSeed = 1
-	}
 	if c.MaxSpans <= 0 {
 		c.MaxSpans = 1024
-	}
-	if c.MaxEvents <= 0 {
-		c.MaxEvents = maxEventsPerSpan
 	}
 	return c
 }
@@ -121,7 +110,8 @@ func NewStore(cfg StoreConfig) *Store {
 	return &Store{
 		cfg:  cfg,
 		byID: make(map[TraceID]*traceRec),
-		rng:  rand.New(rand.NewSource(cfg.SampleSeed)),
+		// A fixed seed, so chaos and replay runs retain the same traces.
+		rng: rand.New(rand.NewSource(1)),
 	}
 }
 

@@ -6,7 +6,9 @@
 # — and the race detector over the concurrency-safe telemetry
 # layer and everything it instruments, including the fault-tolerance
 # suite (checkpoint/resume byte-identity, panic quarantine, equivalence
-# guards) in internal/harness.
+# guards) in internal/harness. The packages whose caches and workers
+# build a spec's variants concurrently run again at one worker and at
+# four (-cpu 1,4), so both the serial and the parallel path are raced.
 
 .PHONY: tier1 tier2 lint bench fuzz chaos serve
 
@@ -15,6 +17,7 @@ tier1:
 
 tier2:
 	go vet ./... && go run ./cmd/aiglint ./... && go test -race ./...
+	go test -race -cpu 1,4 ./internal/harness ./internal/synth ./internal/tt
 
 # lint runs only the domain analyzers, verbosely (finding counts,
 # suppression counts, and per-analyzer timings — the ten analyzers run

@@ -22,9 +22,10 @@ import (
 // the full-scale version.
 // ---------------------------------------------------------------------
 
-// reportStageTimings attaches telemetry-derived per-stage wall-clock
+// reportStageTimings attaches telemetry-derived per-stage busy-time
 // metrics (synthesis-s/op, profiling-s/op, ...) to a pipeline benchmark,
-// so its output carries a stage breakdown alongside ns/op.
+// so its output carries a stage breakdown alongside ns/op. Variants build
+// on several workers, so the stages can add up to more than ns/op.
 func reportStageTimings(b *testing.B, reg *telemetry.Registry) {
 	b.Helper()
 	for _, st := range harness.Stages() {

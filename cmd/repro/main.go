@@ -14,7 +14,7 @@
 // Observability: -metrics-addr serves /metrics (Prometheus), /debug/vars
 // (JSON), and /debug/pprof live during the run; -events writes one JSONL
 // event per processed spec; either flag also prints a per-stage
-// wall-clock summary to stderr at the end of the run. Telemetry is
+// busy-time summary to stderr at the end of the run. Telemetry is
 // entirely off (no goroutines, no overhead beyond a few atomic loads)
 // unless one of these flags is given.
 //

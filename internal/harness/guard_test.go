@@ -58,17 +58,21 @@ func TestPanickingFlowQuarantined(t *testing.T) {
 	reg := telemetry.Enable()
 	defer telemetry.Disable()
 
-	calls := 0
+	// The victim is picked by the seed SafeFlow passes, not by call
+	// order, since a spec's variants build concurrently.
+	cfg := quickConfig()
+	firstSpec := workload.FilterByInputs(workload.Suite(cfg.Seed), cfg.maxInputs())[0].Name
+	victimRecipe := synth.Recipes()[2].Name
+	victimSeed := specSeed(cfg.Seed, firstSpec, victimRecipe, "boom")
 	boom := opt.Flow{
 		Name: "boom",
-		RunCtx: func(_ context.Context, g *aig.AIG, _ int64) *aig.AIG {
-			if calls++; calls == 3 {
+		RunCtx: func(_ context.Context, g *aig.AIG, seed int64) *aig.AIG {
+			if seed == victimSeed {
 				panic("injected fault")
 			}
 			return g
 		},
 	}
-	cfg := quickConfig()
 	cfg.Flows = nil
 	cfg.testFlows = []opt.Flow{passthrough("noop"), boom}
 	res, err := RunContext(context.Background(), cfg)
@@ -81,7 +85,9 @@ func TestPanickingFlowQuarantined(t *testing.T) {
 	}
 	f := res.Failures[0]
 	victimSpec := res.Specs[0].Name
-	victimRecipe := synth.Recipes()[2].Name // boom's third call = first spec, third recipe
+	if victimSpec != firstSpec {
+		t.Fatalf("first spec run is %s, want %s", victimSpec, firstSpec)
+	}
 	if f.Spec != victimSpec || f.Recipe != victimRecipe || f.Flow != "boom" {
 		t.Errorf("failure located at %s/%s/%s, want %s/%s/boom", f.Spec, f.Recipe, f.Flow, victimSpec, victimRecipe)
 	}

@@ -17,7 +17,9 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"runtime"
 	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/opt"
@@ -293,6 +295,12 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	return res, nil
 }
 
+// variantWorkers is how many variants of a spec build at once: one per
+// core the Go scheduler may use, and never more than there are recipes.
+func variantWorkers(recipes int) int {
+	return min(runtime.GOMAXPROCS(0), recipes)
+}
+
 // runSpec computes one spec's variants (with per-variant panic
 // isolation and equivalence guards) and its pairwise samples.
 func (c Config) runSpec(ctx context.Context, spec workload.Spec, recipes []synth.Recipe, flows []opt.Flow, metrics []simil.Metric) (SpecRun, []PairSample, []Failure) {
@@ -302,14 +310,34 @@ func (c Config) runSpec(ctx context.Context, spec workload.Spec, recipes []synth
 		Inputs:   spec.NumInputs(),
 		Outputs:  len(spec.Outputs),
 	}
+	// Variants build on a fixed set of workers, each result into its
+	// recipe's slot; variants and failures are then taken in recipe
+	// order, so the outcome does not depend on the worker count.
+	variants := make([]*Variant, len(recipes))
+	fails := make([]*Failure, len(recipes))
+	todo := make(chan int, len(recipes))
+	for i := range recipes {
+		todo <- i
+	}
+	close(todo)
+	var wg sync.WaitGroup
+	for w := variantWorkers(len(recipes)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range todo {
+				variants[i], fails[i] = c.buildVariant(ctx, spec, recipes[i], flows)
+			}
+		}()
+	}
+	wg.Wait()
 	var failures []Failure
-	for _, rec := range recipes {
-		v, fail := c.buildVariant(ctx, spec, rec, flows)
-		if fail != nil {
-			failures = append(failures, *fail)
+	for i := range recipes {
+		if fails[i] != nil {
+			failures = append(failures, *fails[i])
 			continue
 		}
-		run.Variants = append(run.Variants, *v)
+		run.Variants = append(run.Variants, *variants[i])
 	}
 	if len(run.Variants) < 2 {
 		// Fewer than two healthy variants: nothing to compare, the

@@ -1,8 +1,13 @@
 package harness
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"fmt"
 	"math"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -163,5 +168,65 @@ func TestCorrelationByCategory(t *testing.T) {
 	tbl := res.CategoryTable("RRRScore", "orchestrate")
 	if !strings.Contains(tbl, "RRRScore") || !strings.Contains(tbl, "r =") {
 		t.Errorf("malformed category table:\n%s", tbl)
+	}
+}
+
+// TestVariantsMatchAcrossWorkerCounts runs the same experiment with one
+// variant worker and with several: specs, failures and the Table I/II
+// CSV must be identical, because every variant lands in its recipe's
+// slot whatever order the workers finish in.
+func TestVariantsMatchAcrossWorkerCounts(t *testing.T) {
+	run := func(procs int) (*Result, []byte) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		res, err := RunContext(context.Background(), quickConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var csv bytes.Buffer
+		if err := WriteCSV(&csv, res); err != nil {
+			t.Fatal(err)
+		}
+		return res, csv.Bytes()
+	}
+	serial, serialCSV := run(1)
+	parallel, parallelCSV := run(4)
+	if !reflect.DeepEqual(serial.Specs, parallel.Specs) {
+		t.Error("specs differ between 1 and 4 workers")
+	}
+	if !reflect.DeepEqual(serial.Failures, parallel.Failures) {
+		t.Errorf("failures differ between 1 and 4 workers: %v vs %v", serial.Failures, parallel.Failures)
+	}
+	if !bytes.Equal(serialCSV, parallelCSV) {
+		t.Error("CSV differs between 1 and 4 workers")
+	}
+}
+
+// TestPinnedCSVDigest pins the experiment's output on a fixed config:
+// the optimized AND count summed over every variant and flow, and the
+// SHA-256 of the Table I/II CSV. A change that claims to keep outputs
+// bit-identical must keep both.
+func TestPinnedCSVDigest(t *testing.T) {
+	res, err := RunContext(context.Background(), Config{Seed: 2024, MaxInputs: 6, MaxSpecs: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	andsAfter := 0
+	for _, s := range res.Specs {
+		for _, v := range s.Variants {
+			for _, n := range v.FlowGates {
+				andsAfter += n
+			}
+		}
+	}
+	var csv bytes.Buffer
+	if err := WriteCSV(&csv, res); err != nil {
+		t.Fatal(err)
+	}
+	if andsAfter != 5266 {
+		t.Errorf("ands_after = %d, want 5266", andsAfter)
+	}
+	const want = "105b6a014df6bb3f34bbd9fd5bfb7967dedfa1d5ac10270977b1aec7734258da"
+	if got := fmt.Sprintf("%x", sha256.Sum256(csv.Bytes())); got != want {
+		t.Errorf("CSV sha256 = %s, want %s", got, want)
 	}
 }

@@ -8,13 +8,13 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Stage is one non-overlapping wall-clock accounting bucket of the
+// Stage is one non-overlapping busy-time accounting bucket of the
 // experiment pipeline. Selector follows telemetry.Registry.SpanSeconds
 // semantics: a trailing "/" sums the top-level spans under that prefix,
 // anything else reads one exact span name. The four stages are chosen so
-// their totals partition a harness run's time without double counting —
-// spans nested inside a stage (the opt/<pass> spans inside each flow)
-// are deliberately excluded.
+// their totals partition a harness run's busy time without double
+// counting — spans nested inside a stage (the opt/<pass> spans inside
+// each flow) are deliberately excluded.
 type Stage struct {
 	Label    string
 	Selector string
@@ -35,29 +35,38 @@ func StageSeconds(reg *telemetry.Registry, s Stage) (int64, float64) {
 	return reg.SpanSeconds(s.Selector)
 }
 
-// StageSummary renders the per-stage wall-clock rollup against the
-// run's elapsed time, followed by the full span table. The stage totals
-// should account for nearly all of a harness run (the residual is
-// bookkeeping: workload generation, pairing, correlation).
+// StageSummary renders the per-stage rollup against the run's elapsed
+// time, followed by the full span table. Stage seconds are busy time:
+// the variants of a spec build on several workers at once, so the busy
+// total can exceed the elapsed time. Each stage is therefore shown as a
+// share of the busy total, and the footer sets the busy total against
+// the elapsed time, their ratio being the average number of variants in
+// flight. The residual outside the stages is bookkeeping: workload
+// generation, pairing, correlation.
 func StageSummary(reg *telemetry.Registry, elapsed time.Duration) string {
 	if reg == nil {
 		return ""
 	}
+	stages := Stages()
+	counts := make([]int64, len(stages))
+	secs := make([]float64, len(stages))
+	busy := 0.0
+	for i, st := range stages {
+		counts[i], secs[i] = StageSeconds(reg, st)
+		busy += secs[i]
+	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-14s %8s %10s %8s\n", "stage", "count", "total", "% of run")
-	covered := 0.0
-	for _, st := range Stages() {
-		n, sec := StageSeconds(reg, st)
-		covered += sec
+	fmt.Fprintf(&b, "%-14s %8s %10s %9s\n", "stage", "count", "busy", "% of busy")
+	for i, st := range stages {
 		pct := 0.0
-		if elapsed > 0 {
-			pct = 100 * sec / elapsed.Seconds()
+		if busy > 0 {
+			pct = 100 * secs[i] / busy
 		}
-		fmt.Fprintf(&b, "%-14s %8d %9.2fs %7.1f%%\n", st.Label, n, sec, pct)
+		fmt.Fprintf(&b, "%-14s %8d %9.2fs %8.1f%%\n", st.Label, counts[i], secs[i], pct)
 	}
 	if elapsed > 0 {
-		fmt.Fprintf(&b, "stage total: %.2fs of %.2fs elapsed (%.1f%%)\n",
-			covered, elapsed.Seconds(), 100*covered/elapsed.Seconds())
+		fmt.Fprintf(&b, "stage total: %.2fs busy in %.2fs elapsed (%.2f variants in flight on average)\n",
+			busy, elapsed.Seconds(), busy/elapsed.Seconds())
 	}
 	b.WriteString("\n")
 	b.WriteString(reg.SummaryTable())

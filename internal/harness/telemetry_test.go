@@ -5,10 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/synth"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/trace"
 )
@@ -96,7 +98,8 @@ func TestRunRecordsTelemetry(t *testing.T) {
 		t.Errorf("rods = %d, want %d", got, wantRods)
 	}
 	// Every stage bucket must have recorded spans, and their sum must
-	// be positive and bounded by the run's wall clock.
+	// be positive and bounded by the busy time the variant workers can
+	// have spent in the run's wall clock: no stage is counted twice.
 	total := 0.0
 	for _, st := range Stages() {
 		n, sec := StageSeconds(reg, st)
@@ -105,8 +108,9 @@ func TestRunRecordsTelemetry(t *testing.T) {
 		}
 		total += sec
 	}
-	if total <= 0 || total > elapsed.Seconds()*1.01 {
-		t.Errorf("stage total %.3fs out of range (run %.3fs)", total, elapsed.Seconds())
+	workers := variantWorkers(len(synth.Recipes()))
+	if total <= 0 || total > float64(workers)*elapsed.Seconds()*1.01 {
+		t.Errorf("stage total %.3fs out of range (run %.3fs on %d workers)", total, elapsed.Seconds(), workers)
 	}
 	// Without a collector the passes inside each flow still record
 	// their registry-only spans.
@@ -116,9 +120,17 @@ func TestRunRecordsTelemetry(t *testing.T) {
 		}
 	}
 	summary := StageSummary(reg, elapsed)
-	for _, want := range []string{"synthesis", "profiling", "optimization", "metrics", "stage total:"} {
+	for _, want := range []string{"synthesis", "profiling", "optimization", "metrics", "stage total:", "variants in flight"} {
 		if !strings.Contains(summary, want) {
 			t.Errorf("summary missing %q:\n%s", want, summary)
+		}
+	}
+	// However many workers ran, no printed share exceeds 100%.
+	rollup, _, _ := strings.Cut(summary, "\n\n")
+	for _, field := range strings.Fields(rollup) {
+		pct, ok := strings.CutSuffix(field, "%")
+		if v, err := strconv.ParseFloat(pct, 64); ok && err == nil && v > 100 {
+			t.Errorf("summary prints a share of %s:\n%s", field, rollup)
 		}
 	}
 }

@@ -7,7 +7,6 @@ package lutmap
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/aig"
 	"repro/internal/synth"
@@ -122,13 +121,6 @@ func Map(g *aig.AIG, opts Options) Mapping {
 	return mapping
 }
 
-// resynCache memoizes LUT-function structures across Resynthesize calls
-// (keyed by support-compacted hex).
-var resynCache = struct {
-	mu sync.Mutex
-	m  map[string]*aig.AIG
-}{m: make(map[string]*aig.AIG)}
-
 // Resynthesize converts a LUT mapping back into an AIG, synthesizing each
 // LUT function with the multi-paradigm resynthesis engine (NPN library
 // for functions up to 4 inputs, memoized best-structure search above).
@@ -170,24 +162,7 @@ func buildLUT(ng *aig.AIG, f tt.TT, leaves []aig.Lit) aig.Lit {
 	if f.IsConst1() {
 		return aig.LitTrue
 	}
-	var mini *aig.AIG
-	if f.NumVars() <= 4 {
-		mini = synth.LibraryStructure(f)
-	} else {
-		key := f.Hex()
-		resynCache.mu.Lock()
-		cached, ok := resynCache.m[key]
-		resynCache.mu.Unlock()
-		if ok {
-			mini = cached
-		} else {
-			mini = synth.BestStructure(f)
-			resynCache.mu.Lock()
-			resynCache.m[key] = mini
-			resynCache.mu.Unlock()
-		}
-	}
-	return synth.Instantiate(ng, mini, leaves)
+	return synth.Instantiate(ng, synth.LUTStructure(f), leaves)
 }
 
 // RoundTrip maps and immediately resynthesizes, the one-call shake-up.

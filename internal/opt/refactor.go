@@ -3,7 +3,6 @@ package opt
 import (
 	"repro/internal/aig"
 	"repro/internal/synth"
-	"repro/internal/tt"
 )
 
 // RefactorOptions tunes the refactoring pass.
@@ -37,22 +36,10 @@ func RefactorOnce(g *aig.AIG, opts RefactorOptions) *aig.AIG {
 		if len(mffc) < 2 && !opts.ZeroCost {
 			continue // nothing worth restructuring
 		}
-		dec, gain := replacement(g, id, leaves, mffc, factoredStructure)
+		dec, gain := replacement(g, id, leaves, mffc, synth.FactoredStructure)
 		if gain > 0 || (opts.ZeroCost && gain == 0) {
 			decisions[id] = dec
 		}
 	}
 	return keepSmaller(g, rebuild(g, decisions), true)
-}
-
-// factoredStructure builds a single-output AIG for f from the smaller of
-// the factored forms of f and its complement.
-func factoredStructure(f tt.TT) *aig.AIG {
-	pos := synth.SynthFactored([]tt.TT{f})
-	neg := synth.SynthFactored([]tt.TT{f.Not()})
-	if neg.NumAnds() < pos.NumAnds() {
-		neg.SetPO(0, neg.PO(0).Not())
-		return neg
-	}
-	return pos
 }

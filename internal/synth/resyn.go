@@ -1,8 +1,6 @@
 package synth
 
 import (
-	"sync"
-
 	"repro/internal/aig"
 	"repro/internal/tt"
 )
@@ -32,76 +30,93 @@ func BestStructure(f tt.TT) *aig.AIG {
 	return best
 }
 
-// npnLibrary caches the best known structure per NPN-canonical function,
-// keyed by variable count and canonical hex. Access is synchronized so
-// optimization passes can share it.
-type npnLibrary struct {
-	mu sync.Mutex
-	m  map[string]*aig.AIG
-}
-
-var library = npnLibrary{m: make(map[string]*aig.AIG)}
-
-// exactCache short-circuits LibraryStructure for functions seen before:
-// the wrapped structure is deterministic per function, and rewriting
-// queries the same cut functions constantly. Keyed by (nvars, words[0]) —
-// LibraryStructure is limited to <= 6 inputs, one word.
-var exactCache = struct {
-	mu sync.Mutex
-	m  map[[2]uint64]*aig.AIG
-}{m: make(map[[2]uint64]*aig.AIG)}
+// The structure caches. Each limit is fixed where its cache is declared;
+// the measurements behind them come from the seed-2024 pipeline (53
+// specs of at most 6 inputs, 7 recipes, 3 flows).
+var (
+	// exactStructures short-circuits LibraryStructure for functions seen
+	// before: the wrapped structure is a function of the table alone, and
+	// rewriting queries the same cut functions constantly. Its working
+	// set is 3,111 functions; capped at 1,024 it cost 13% of pipeline
+	// throughput, so 4,096 holds it whole.
+	exactStructures = memo[[2]uint64]{limit: 4096}
+	// npnClasses holds the best known structure of each NPN-canonical
+	// function: 124 classes in the pipeline.
+	npnClasses = memo[[2]uint64]{limit: 4096}
+	// factoredStructures holds refactor's structure per compacted cut
+	// function. The pipeline asks 87,837 times for 7,759 functions, but
+	// reuse is local in time: at 1,024 entries it still hits 88.8% of
+	// calls (91.2% unbounded), while an unbounded memo raised pipeline
+	// peak RSS from about 36 to 55 MB.
+	factoredStructures = memo[string]{limit: 1024}
+	// lutStructures holds LUT resynthesis structures of more than 4
+	// inputs: 685 functions in the pipeline.
+	lutStructures = memo[string]{limit: 4096}
+)
 
 // LibraryStructure returns a small implementation of f (up to 6 inputs)
 // via the NPN-canonical library: the canonical class is synthesized once
 // and reused for every class member through the recorded transform.
 // The returned AIG implements f itself (transform already applied to the
 // output polarity and input order), over f.NumVars() inputs; input i of
-// the result corresponds to variable i of f.
+// the result corresponds to variable i of f. It is shared: callers must
+// only read it.
 func LibraryStructure(f tt.TT) *aig.AIG {
-	ck := [2]uint64{uint64(f.NumVars()), f.Words()[0]}
-	exactCache.mu.Lock()
-	if g, ok := exactCache.m[ck]; ok {
-		exactCache.mu.Unlock()
-		return g
-	}
-	exactCache.mu.Unlock()
-	canon, xf := tt.NPNCanon(f)
-	key := canon.Hex()
-	library.mu.Lock()
-	mini, ok := library.m[key]
-	library.mu.Unlock()
-	if !ok {
-		mini = BestStructure(canon)
-		library.mu.Lock()
-		library.m[key] = mini
-		library.mu.Unlock()
-	}
-	// Wrap the canonical structure with the inverse transform: feed input
-	// i of the wrapper (variable i of f) into the canonical input it maps
-	// to, and flip polarities as recorded.
-	n := f.NumVars()
-	g := aig.New(n)
-	leaves := make([]aig.Lit, n)
-	// Canonical variable i corresponds to original variable xf.Perm[i],
-	// complemented when xf.Flips has that original variable set.
-	for i := 0; i < n; i++ {
-		orig := xf.Perm[i]
-		leaves[i] = g.PI(orig).NotCond(xf.Flips>>uint(orig)&1 == 1)
-	}
-	out := Instantiate(g, mini, leaves)
-	g.AddPO(out.NotCond(xf.OutFlip))
-	wrapped := g.Cleanup()
-	exactCache.mu.Lock()
-	exactCache.m[ck] = wrapped
-	exactCache.mu.Unlock()
-	return wrapped
+	return exactStructures.get(wordKey(f), func() *aig.AIG {
+		canon, xf := tt.NPNCanon(f)
+		mini := npnClasses.get(wordKey(canon), func() *aig.AIG { return BestStructure(canon) })
+		// Wrap the canonical structure with the inverse transform: feed
+		// input i of the wrapper (variable i of f) into the canonical
+		// input it maps to, and flip polarities as recorded.
+		n := f.NumVars()
+		g := aig.New(n)
+		leaves := make([]aig.Lit, n)
+		// Canonical variable i corresponds to original variable
+		// xf.Perm[i], complemented when xf.Flips has that original
+		// variable set.
+		for i := 0; i < n; i++ {
+			orig := xf.Perm[i]
+			leaves[i] = g.PI(orig).NotCond(xf.Flips>>uint(orig)&1 == 1)
+		}
+		out := Instantiate(g, mini, leaves)
+		g.AddPO(out.NotCond(xf.OutFlip))
+		return g.Cleanup()
+	})
 }
 
 // LibrarySize reports how many canonical classes the library holds.
 func LibrarySize() int {
-	library.mu.Lock()
-	defer library.mu.Unlock()
-	return len(library.m)
+	return npnClasses.len()
+}
+
+// FactoredStructure returns a single-output AIG for f built from the
+// smaller of the factored forms of f and its complement: the structure
+// refactoring tries for a cut. It is memoized on the exact table and
+// shared: callers must only read it.
+func FactoredStructure(f tt.TT) *aig.AIG {
+	return factoredStructures.get(tableKey(f), func() *aig.AIG { return factoredStructure(f) })
+}
+
+// factoredStructure is FactoredStructure without the memo.
+func factoredStructure(f tt.TT) *aig.AIG {
+	pos := SynthFactored([]tt.TT{f})
+	neg := SynthFactored([]tt.TT{f.Not()})
+	if neg.NumAnds() < pos.NumAnds() {
+		neg.SetPO(0, neg.PO(0).Not())
+		return neg
+	}
+	return pos
+}
+
+// LUTStructure returns the structure LUT resynthesis instantiates for f:
+// the NPN library's at 4 inputs or fewer, else the best of the
+// multi-paradigm recipes, memoized. It is shared: callers must only read
+// it.
+func LUTStructure(f tt.TT) *aig.AIG {
+	if f.NumVars() <= 4 {
+		return LibraryStructure(f)
+	}
+	return lutStructures.get(tableKey(f), func() *aig.AIG { return BestStructure(f) })
 }
 
 // Instantiate copies the single-output mini AIG into dst, substituting

@@ -1,6 +1,9 @@
 package tt
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // NPNTransform records how a function was mapped to its NPN-canonical
 // representative: first inputs are complemented according to Flips, then
@@ -70,15 +73,21 @@ func permutations(n int) [][]int {
 	return out
 }
 
-var permCache = map[int][][]int{}
+// perms holds the permutations of 0..n-1 for every n NPNCanon accepts.
+// They are built on first use, not at package init, so programs that
+// never canonicalize do not pay for them at start-up.
+var perms struct {
+	once  sync.Once
+	table [7][][]int
+}
 
 func allPerms(n int) [][]int {
-	if p, ok := permCache[n]; ok {
-		return p
-	}
-	p := permutations(n)
-	permCache[n] = p
-	return p
+	perms.once.Do(func() {
+		for k := range perms.table {
+			perms.table[k] = permutations(k)
+		}
+	})
+	return perms.table[n]
 }
 
 // NPNCanon computes the NPN-canonical representative of t by exhaustive

@@ -2,6 +2,7 @@ package tt
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -25,6 +26,44 @@ func TestNPNTransformInverse(t *testing.T) {
 			}
 			if !x.Apply(x.Inverse().Apply(f)).Equal(f) {
 				t.Fatalf("n=%d trial=%d: apply(inverse) is not identity", n, trial)
+			}
+		}
+	}
+}
+
+// TestNPNCanonConcurrent canonicalizes from several goroutines at once,
+// the way parallel passes do, so the first use of the permutation
+// tables must be synchronized (run with -race). Every goroutine must
+// agree with a serial canonicalization.
+func TestNPNCanonConcurrent(t *testing.T) {
+	r := rand.New(rand.NewSource(23))
+	var fs []TT
+	for n := 1; n <= 5; n++ {
+		for i := 0; i < 4; i++ {
+			fs = append(fs, Random(n, r))
+		}
+	}
+	const goroutines = 8
+	got := make([][]TT, goroutines)
+	var wg sync.WaitGroup
+	for w := 0; w < goroutines; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			out := make([]TT, len(fs))
+			for i := range fs {
+				j := (i + 3*w) % len(fs) // each goroutine starts elsewhere
+				out[j], _ = NPNCanon(fs[j])
+			}
+			got[w] = out
+		}(w)
+	}
+	wg.Wait()
+	for i, f := range fs {
+		want, _ := NPNCanon(f)
+		for w := range got {
+			if !got[w][i].Equal(want) {
+				t.Errorf("goroutine %d: canon of %s is %s, want %s", w, f.Hex(), got[w][i].Hex(), want.Hex())
 			}
 		}
 	}

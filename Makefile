@@ -35,10 +35,12 @@ serve:
 	go run ./cmd/aigd -addr $(AIGD_ADDR)
 
 # fuzz hammers the AIGER parser, the aigd request decoders, the sketch
-# codec and the optimization passes with coverage-guided random inputs:
-# parse-or-error (never panic), round trips, and every pass and flow
-# returning a valid AIG equivalent to its input. Override the budget
-# with FUZZTIME=1m.
+# codec, the optimization passes and XAG/MIG cone rewriting with
+# coverage-guided random inputs: parse-or-error (never panic), round
+# trips, every pass and flow returning a valid AIG equivalent to its
+# input, and AIG imports into XAGs and MIGs staying valid and
+# equivalent through a rewriting pass. Override the budget with
+# FUZZTIME=1m.
 FUZZTIME ?= 10s
 
 fuzz:
@@ -46,6 +48,7 @@ fuzz:
 	go test -run '^$$' -fuzz '^FuzzHandlers$$' -fuzztime $(FUZZTIME) ./internal/service
 	go test -run '^$$' -fuzz '^FuzzCodec$$' -fuzztime $(FUZZTIME) ./internal/sketch
 	go test -run '^$$' -fuzz '^FuzzOptimize$$' -fuzztime $(FUZZTIME) ./internal/opt
+	go test -run '^$$' -fuzz '^FuzzRewrite$$' -fuzztime $(FUZZTIME) ./internal/gatenet
 
 # chaos runs the deterministic fault-injection suite under the race
 # detector: the faultinject registry's own tests, the client and

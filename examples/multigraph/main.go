@@ -9,6 +9,8 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 
 	"repro/internal/mig"
 	"repro/internal/tt"
@@ -16,7 +18,11 @@ import (
 	"repro/internal/xag"
 )
 
-func main() {
+func main() { run(os.Stdout) }
+
+// run prints the XAG and MIG variants of each function, their profiles
+// and their pairwise scores to w.
+func run(w io.Writer) {
 	// A function with both XOR character and majority character:
 	// full-adder sum (xor3) and carry (maj3), over 3 inputs — plus a
 	// bigger mixed function for the scores.
@@ -29,43 +35,43 @@ func main() {
 
 	for _, name := range order {
 		spec := specs[name]
-		fmt.Printf("=== %s ===\n", name)
+		fmt.Fprintf(w, "=== %s ===\n", name)
 
-		fmt.Println("XAG variants:")
+		fmt.Fprintln(w, "XAG variants:")
 		var xps []xag.Profile
 		for _, rec := range xag.Recipes() {
 			g := rec.Build(spec)
 			p := xag.NewProfile(g)
 			xps = append(xps, p)
-			fmt.Printf("  %-10s %v   rewrite-reduction=%.3f\n", rec.Name, g.Stat(), p.Reduction)
+			fmt.Fprintf(w, "  %-10s %v   rewrite-reduction=%.3f\n", rec.Name, g.Stat(), p.Reduction)
 		}
-		fmt.Println("  pairwise XAG scores (RGC / RMC / RewriteScore):")
+		fmt.Fprintln(w, "  pairwise XAG scores (RGC / RMC / RewriteScore):")
 		recipes := xag.Recipes()
 		for i := 0; i < len(xps); i++ {
 			for j := i + 1; j < len(xps); j++ {
-				fmt.Printf("    %-10s vs %-10s %.3f / %.3f / %.3f\n",
+				fmt.Fprintf(w, "    %-10s vs %-10s %.3f / %.3f / %.3f\n",
 					recipes[i].Name, recipes[j].Name,
 					xag.RGC(xps[i], xps[j]), xag.RMC(xps[i], xps[j]), xag.RewriteScore(xps[i], xps[j]))
 			}
 		}
 
-		fmt.Println("MIG variants:")
+		fmt.Fprintln(w, "MIG variants:")
 		var mps []mig.Profile
 		for _, rec := range mig.Recipes() {
 			g := rec.Build(spec)
 			p := mig.NewProfile(g)
 			mps = append(mps, p)
-			fmt.Printf("  %-10s %v   rewrite-reduction=%.3f\n", rec.Name, g.Stat(), p.Reduction)
+			fmt.Fprintf(w, "  %-10s %v   rewrite-reduction=%.3f\n", rec.Name, g.Stat(), p.Reduction)
 		}
-		fmt.Println("  pairwise MIG scores (RGC / RewriteScore):")
+		fmt.Fprintln(w, "  pairwise MIG scores (RGC / RewriteScore):")
 		mrecipes := mig.Recipes()
 		for i := 0; i < len(mps); i++ {
 			for j := i + 1; j < len(mps); j++ {
-				fmt.Printf("    %-10s vs %-10s %.3f / %.3f\n",
+				fmt.Fprintf(w, "    %-10s vs %-10s %.3f / %.3f\n",
 					mrecipes[i].Name, mrecipes[j].Name,
 					mig.RGC(mps[i], mps[j]), mig.RewriteScore(mps[i], mps[j]))
 			}
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 }

@@ -63,8 +63,6 @@ func DefaultConfig() *Config {
 			// variable/complement encoding, which is identical to the
 			// in-memory one.
 			"repro/internal/aig.Lit": {"repro/internal/aig", "repro/internal/aiger"},
-			"repro/internal/mig.Lit": {"repro/internal/mig"},
-			"repro/internal/xag.Lit": {"repro/internal/xag"},
 		},
 		DeterminismRoots: []string{
 			// CSV + checkpoint emission: the byte-identity surface of

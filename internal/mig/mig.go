@@ -3,198 +3,43 @@
 // three-input majority gate with complement edges; AND and OR are
 // majorities with a constant input, so MIGs strictly generalize AIGs
 // while enabling majority-algebra optimizations that AIGs cannot
-// express. The package provides the data structure, AIG conversions,
-// three synthesis recipes, a cone-rewriting optimizer, and the diversity
-// scores of the paper's framework.
+// express.
+//
+// The network itself (storage, simulation, checks, cuts, the rewriting
+// pass, profiles) is the shared gatenet.Net; this package adds the
+// gates built from majorities, AIG import, the MIG recipes and the
+// factored-versus-majority-Shannon cone resynthesis.
 package mig
 
 import (
 	"fmt"
-	"sort"
 
-	"repro/internal/tt"
+	"repro/internal/aig"
+	"repro/internal/gatenet"
 )
 
-// Lit is an edge literal: 2*node + complement.
-type Lit uint32
-
-// Constant literals.
-const (
-	LitFalse Lit = 0
-	LitTrue  Lit = 1
-)
-
-// MakeLit builds a literal.
-func MakeLit(node int, compl bool) Lit {
-	l := Lit(node) << 1
-	if compl {
-		l |= 1
-	}
-	return l
-}
-
-// Node returns the node id.
-func (l Lit) Node() int { return int(l >> 1) }
-
-// IsCompl reports the complement flag.
-func (l Lit) IsCompl() bool { return l&1 == 1 }
-
-// Not complements the literal.
-func (l Lit) Not() Lit { return l ^ 1 }
-
-// NotCond complements when c holds.
-func (l Lit) NotCond(c bool) Lit {
-	if c {
-		return l ^ 1
-	}
-	return l
-}
-
-// MIG is a structurally hashed majority-inverter graph. Node 0 is the
-// constant, 1..numPIs the inputs, higher ids MAJ3 nodes in topological
-// order. Nodes are normalized: fanins sorted, at most one complemented
-// fanin (majority is self-dual, so excess complements flip the output).
-type MIG struct {
-	numPIs int
-	fanins [][3]Lit
-	level  []int32
-	strash map[[3]Lit]int
-	pos    []Lit
-}
+// MIG is a structurally hashed majority-inverter graph: a gatenet.Net
+// holding only majority gates. Nodes are normalized: fanins sorted, at
+// most one complemented fanin (majority is self-dual, so excess
+// complements flip the output).
+type MIG struct{ *gatenet.Net }
 
 // New creates a MIG with the given number of inputs.
-func New(numPIs int) *MIG {
-	g := &MIG{
-		numPIs: numPIs,
-		fanins: make([][3]Lit, numPIs+1),
-		level:  make([]int32, numPIs+1),
-		strash: make(map[[3]Lit]int),
-	}
-	return g
-}
-
-// NumPIs returns the input count.
-func (g *MIG) NumPIs() int { return g.numPIs }
-
-// NumPOs returns the output count.
-func (g *MIG) NumPOs() int { return len(g.pos) }
-
-// NumObjs returns constant + inputs + gates.
-func (g *MIG) NumObjs() int { return len(g.fanins) }
-
-// NumGates returns the majority-gate count.
-func (g *MIG) NumGates() int { return len(g.fanins) - g.numPIs - 1 }
-
-// PI returns input literal i.
-func (g *MIG) PI(i int) Lit {
-	if i < 0 || i >= g.numPIs {
-		panic(fmt.Sprintf("mig: PI %d out of range", i))
-	}
-	return MakeLit(i+1, false)
-}
-
-// PO returns output literal i.
-func (g *MIG) PO(i int) Lit { return g.pos[i] }
-
-// AddPO appends an output.
-func (g *MIG) AddPO(l Lit) int {
-	g.pos = append(g.pos, l)
-	return len(g.pos) - 1
-}
-
-// IsGate reports whether id is a majority gate.
-func (g *MIG) IsGate(id int) bool { return id > g.numPIs }
-
-// IsPI reports whether id is an input.
-func (g *MIG) IsPI(id int) bool { return id >= 1 && id <= g.numPIs }
-
-// Fanins returns the three fanins of gate id.
-func (g *MIG) Fanins(id int) [3]Lit {
-	if !g.IsGate(id) {
-		panic(fmt.Sprintf("mig: node %d is not a gate", id))
-	}
-	return g.fanins[id]
-}
-
-// Level returns the logic level of id.
-func (g *MIG) Level(id int) int { return int(g.level[id]) }
-
-// NumLevels returns the output depth.
-func (g *MIG) NumLevels() int {
-	d := int32(0)
-	for _, l := range g.pos {
-		if lv := g.level[l.Node()]; lv > d {
-			d = lv
-		}
-	}
-	return int(d)
-}
+func New(numPIs int) *MIG { return &MIG{gatenet.New(numPIs)} }
 
 // Maj returns the majority of three literals, applying the majority
 // axioms (Ω.M: duplicate and complementary absorption), normalizing the
 // complement parity, and structurally hashing.
-func (g *MIG) Maj(a, b, c Lit) Lit {
-	// Duplicate absorption: M(x, x, y) = x.
-	switch {
-	case a == b || a == c:
-		return a
-	case b == c:
-		return b
-	}
-	// Complement absorption: M(x, !x, y) = y.
-	switch {
-	case a == b.Not():
-		return c
-	case a == c.Not():
-		return b
-	case b == c.Not():
-		return a
-	}
-	// Normalize complement parity: at most one complemented fanin.
-	f := [3]Lit{a, b, c}
-	compl := 0
-	for _, l := range f {
-		if l.IsCompl() {
-			compl++
-		}
-	}
-	out := false
-	if compl >= 2 {
-		for i := range f {
-			f[i] = f[i].Not()
-		}
-		out = true
-	}
-	sort.Slice(f[:], func(i, j int) bool { return f[i] < f[j] })
-	if id, ok := g.strash[f]; ok {
-		return MakeLit(id, false).NotCond(out)
-	}
-	for _, l := range f {
-		if l.Node() >= g.NumObjs() {
-			panic("mig: Maj fanin references nonexistent node")
-		}
-	}
-	id := len(g.fanins)
-	g.fanins = append(g.fanins, f)
-	lv := g.level[f[0].Node()]
-	for _, l := range f[1:] {
-		if l2 := g.level[l.Node()]; l2 > lv {
-			lv = l2
-		}
-	}
-	g.level = append(g.level, lv+1)
-	g.strash[f] = id
-	return MakeLit(id, false).NotCond(out)
-}
+func (g *MIG) Maj(a, b, c aig.Lit) aig.Lit { return gatenet.Maj(g.Net, a, b, c) }
 
 // And returns AND(a, b) = M(a, b, 0).
-func (g *MIG) And(a, b Lit) Lit { return g.Maj(a, b, LitFalse) }
+func (g *MIG) And(a, b aig.Lit) aig.Lit { return g.Maj(a, b, aig.LitFalse) }
 
 // Or returns OR(a, b) = M(a, b, 1).
-func (g *MIG) Or(a, b Lit) Lit { return g.Maj(a, b, LitTrue) }
+func (g *MIG) Or(a, b aig.Lit) aig.Lit { return g.Maj(a, b, aig.LitTrue) }
 
 // Mux returns sel ? t : e.
-func (g *MIG) Mux(sel, t, e Lit) Lit {
+func (g *MIG) Mux(sel, t, e aig.Lit) aig.Lit {
 	if t == e {
 		return t
 	}
@@ -202,104 +47,10 @@ func (g *MIG) Mux(sel, t, e Lit) Lit {
 }
 
 // Xor returns XOR(a, b).
-func (g *MIG) Xor(a, b Lit) Lit { return g.Mux(a, b.Not(), b) }
-
-// SimAll computes every node's truth table.
-func (g *MIG) SimAll() []tt.TT {
-	n := g.numPIs
-	if n > tt.MaxVars {
-		panic(fmt.Sprintf("mig: SimAll limited to %d inputs", tt.MaxVars))
-	}
-	tabs := make([]tt.TT, g.NumObjs())
-	tabs[0] = tt.New(n)
-	for i := 1; i <= n; i++ {
-		tabs[i] = tt.Var(i-1, n)
-	}
-	for id := n + 1; id < g.NumObjs(); id++ {
-		var t [3]tt.TT
-		for k, f := range g.fanins[id] {
-			t[k] = tabs[f.Node()]
-			if f.IsCompl() {
-				t[k] = t[k].Not()
-			}
-		}
-		tabs[id] = t[0].And(t[1]).Or(t[0].And(t[2])).Or(t[1].And(t[2]))
-	}
-	return tabs
-}
-
-// OutputTTs returns every output's truth table.
-func (g *MIG) OutputTTs() []tt.TT {
-	tabs := g.SimAll()
-	out := make([]tt.TT, len(g.pos))
-	for i, po := range g.pos {
-		t := tabs[po.Node()]
-		if po.IsCompl() {
-			t = t.Not()
-		}
-		out[i] = t
-	}
-	return out
-}
+func (g *MIG) Xor(a, b aig.Lit) aig.Lit { return g.Mux(a, b.Not(), b) }
 
 // Cleanup returns a copy containing only output-reachable gates.
-func (g *MIG) Cleanup() *MIG {
-	ng := New(g.numPIs)
-	m := make([]Lit, g.NumObjs())
-	for i := range m {
-		m[i] = Lit(0xFFFFFFFF)
-	}
-	m[0] = LitFalse
-	for i := 1; i <= g.numPIs; i++ {
-		m[i] = MakeLit(i, false)
-	}
-	var build func(id int) Lit
-	build = func(id int) Lit {
-		if m[id] != Lit(0xFFFFFFFF) {
-			return m[id]
-		}
-		f := g.fanins[id]
-		l := ng.Maj(
-			build(f[0].Node()).NotCond(f[0].IsCompl()),
-			build(f[1].Node()).NotCond(f[1].IsCompl()),
-			build(f[2].Node()).NotCond(f[2].IsCompl()),
-		)
-		m[id] = l
-		return l
-	}
-	for _, po := range g.pos {
-		ng.AddPO(build(po.Node()).NotCond(po.IsCompl()))
-	}
-	return ng
-}
-
-// Check validates structural invariants.
-func (g *MIG) Check() error {
-	for id := g.numPIs + 1; id < g.NumObjs(); id++ {
-		f := g.fanins[id]
-		compl := 0
-		for k, l := range f {
-			if l.Node() >= id {
-				return fmt.Errorf("mig: node %d has forward fanin", id)
-			}
-			if k > 0 && f[k-1] > l {
-				return fmt.Errorf("mig: node %d fanins unsorted", id)
-			}
-			if l.IsCompl() {
-				compl++
-			}
-		}
-		if compl > 1 {
-			return fmt.Errorf("mig: node %d has %d complemented fanins", id, compl)
-		}
-	}
-	for i, po := range g.pos {
-		if po.Node() >= g.NumObjs() {
-			return fmt.Errorf("mig: PO %d dangling", i)
-		}
-	}
-	return nil
-}
+func (g *MIG) Cleanup() *MIG { return &MIG{g.Net.Cleanup()} }
 
 // Stats summarizes the graph.
 type Stats struct {
@@ -308,9 +59,27 @@ type Stats struct {
 
 // Stat returns summary statistics.
 func (g *MIG) Stat() Stats {
-	return Stats{PIs: g.numPIs, POs: g.NumPOs(), Gates: g.NumGates(), Levels: g.NumLevels()}
+	return Stats{PIs: g.NumPIs(), POs: g.NumPOs(), Gates: g.NumGates(), Levels: g.NumLevels()}
 }
 
 func (s Stats) String() string {
 	return fmt.Sprintf("i/o = %d/%d  maj = %d  lev = %d", s.PIs, s.POs, s.Gates, s.Levels)
+}
+
+// FromAIG converts an AIG into a MIG (AND(a,b) = M(a,b,0)).
+func FromAIG(a *aig.AIG) *MIG {
+	g := New(a.NumPIs())
+	m := make([]aig.Lit, a.NumObjs())
+	for i := 1; i <= a.NumPIs(); i++ {
+		m[i] = aig.MakeLit(i, false)
+	}
+	lit := func(l aig.Lit) aig.Lit { return m[l.Node()].NotCond(l.IsCompl()) }
+	for id := a.NumPIs() + 1; id < a.NumObjs(); id++ {
+		f0, f1 := a.Fanins(id)
+		m[id] = g.And(lit(f0), lit(f1))
+	}
+	for i := 0; i < a.NumPOs(); i++ {
+		g.AddPO(lit(a.PO(i)))
+	}
+	return g.Cleanup()
 }

@@ -202,3 +202,33 @@ func TestStatString(t *testing.T) {
 		t.Error("empty stat string")
 	}
 }
+
+// TestRewriteAbove16Inputs rewrites a 17-input graph: cuts hold at most
+// 8 leaves, so the pass must shrink it exactly as it shrinks the same
+// logic over 16 inputs. Exhaustive simulation stops at 16 inputs, so the
+// result is checked against its source by random simulation.
+func TestRewriteAbove16Inputs(t *testing.T) {
+	shrunk := func(n int) Stats {
+		g := New(n)
+		a, b, c := g.PI(0), g.PI(1), g.PI(2)
+		m := g.Or(g.Or(g.And(a, b), g.And(a, c)), g.And(b, c)) // MAJ as AND/OR
+		g.AddPO(g.And(m, g.PI(n-1)))
+		ng := RewriteOnce(g)
+		if err := ng.Check(); err != nil {
+			t.Fatal(err)
+		}
+		r := rand.New(rand.NewSource(int64(n)))
+		if idx, err := aig.RandomSimCheck(g.ToAIG(), ng.ToAIG(), 64, r); err != nil || idx != -1 {
+			t.Fatalf("%d inputs: rewrite changed output %d (%v)", n, idx, err)
+		}
+		if p := NewProfile(g); p.Reduction <= 0 {
+			t.Errorf("%d inputs: profile reduction %v, want > 0", n, p.Reduction)
+		}
+		s := ng.Stat()
+		s.PIs = 0
+		return s
+	}
+	if got, want := shrunk(17), shrunk(16); got != want || want.Gates >= 6 {
+		t.Errorf("17 inputs rewrite to %v, 16 inputs to %v", got, want)
+	}
+}

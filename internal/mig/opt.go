@@ -1,360 +1,55 @@
 package mig
 
 import (
-	"math"
-
+	"repro/internal/aig"
+	"repro/internal/gatenet"
 	"repro/internal/sop"
 	"repro/internal/tt"
 )
 
-// RewriteOnce performs one majority cone-rewriting pass: each gate's
-// reconvergence-driven cone (up to 8 leaves) is collapsed to its truth
-// table and resynthesized as the cheapest of (a) a single majority gate
-// over three leaves, (b) a factored AND/OR form, or (c) a Shannon MUX
-// form with recursive majority detection. Positive-gain replacements are
-// committed through a demand-driven rebuild; the pass never grows the
-// graph.
-func RewriteOnce(g *MIG) *MIG {
-	if g.NumPIs() > tt.MaxVars {
-		return g
-	}
-	refs := g.refCounts()
-	type choice struct {
-		f      tt.TT
-		leaves []int
-	}
-	decisions := make(map[int]choice)
-
-	for id := g.numPIs + 1; id < g.NumObjs(); id++ {
-		if refs[id] == 0 {
-			continue
-		}
-		leaves := g.reconvCut(id, 8)
-		if len(leaves) < 2 {
-			continue
-		}
-		saved := g.mffcBounded(id, refs, leaves)
-		if saved < 2 {
-			continue
-		}
-		f := g.cutTT(id, leaves)
-		cost := resynCost(f)
-		if saved > cost {
-			decisions[id] = choice{f: f, leaves: leaves}
-		}
-	}
-	if len(decisions) == 0 {
-		return g
-	}
-
-	ng := New(g.numPIs)
-	m := make([]Lit, g.NumObjs())
-	for i := range m {
-		m[i] = Lit(0xFFFFFFFF)
-	}
-	m[0] = LitFalse
-	for i := 1; i <= g.numPIs; i++ {
-		m[i] = MakeLit(i, false)
-	}
-	var build func(id int) Lit
-	build = func(id int) Lit {
-		if m[id] != Lit(0xFFFFFFFF) {
-			return m[id]
-		}
-		if dec, ok := decisions[id]; ok {
-			leafLits := make([]Lit, len(dec.leaves))
-			for i, leaf := range dec.leaves {
-				leafLits[i] = build(leaf)
-			}
-			l := resynthesize(ng, dec.f, leafLits)
-			m[id] = l
-			return l
-		}
-		f := g.fanins[id]
-		l := ng.Maj(
-			build(f[0].Node()).NotCond(f[0].IsCompl()),
-			build(f[1].Node()).NotCond(f[1].IsCompl()),
-			build(f[2].Node()).NotCond(f[2].IsCompl()),
-		)
-		m[id] = l
-		return l
-	}
-	for _, po := range g.pos {
-		ng.AddPO(build(po.Node()).NotCond(po.IsCompl()))
-	}
-	if ng.NumGates() > g.NumGates() {
-		return g
-	}
-	return ng
-}
+// RewriteOnce performs one majority cone-rewriting pass
+// (gatenet.RewriteOnce) that resynthesizes each cone as the cheaper of
+// a factored AND/OR form and a Shannon MUX form with majority
+// detection, which turns a majority of three leaves into a single gate.
+// The pass never grows the graph.
+func RewriteOnce(g *MIG) *MIG { return &MIG{gatenet.RewriteOnce(g.Net, resynthesize)} }
 
 // Rewrite iterates RewriteOnce to a fixpoint.
-func Rewrite(g *MIG) *MIG {
-	cur := g
-	for i := 0; i < 8; i++ {
-		next := RewriteOnce(cur)
-		if next.NumGates() >= cur.NumGates() {
-			return cur
-		}
-		cur = next
+func Rewrite(g *MIG) *MIG { return &MIG{gatenet.Rewrite(g.Net, resynthesize)} }
+
+// resynthesize builds both candidates for a cone function in scratch
+// graphs and returns the cheaper, preferring the factored form on ties.
+func resynthesize(f tt.TT) (int, func(*gatenet.Net, []aig.Lit) aig.Lit) {
+	expr := sop.Factor(sop.MinimizeTT(f))
+	factored := func(n *gatenet.Net, leaves []aig.Lit) aig.Lit {
+		return gatenet.BuildExpr(&MIG{n}, expr, leaves)
 	}
-	return cur
+	shannon := func(n *gatenet.Net, leaves []aig.Lit) aig.Lit {
+		return (&MIG{n}).shannonMaj(f, leaves, map[string]aig.Lit{})
+	}
+	cost := func(build func(*gatenet.Net, []aig.Lit) aig.Lit) int {
+		scratch := gatenet.New(f.NumVars())
+		build(scratch, scratch.PIs())
+		return scratch.NumGates()
+	}
+	fc, sc := cost(factored), cost(shannon)
+	if fc <= sc {
+		return fc, factored
+	}
+	return sc, shannon
 }
-
-// resynCost estimates the gate count of resynthesize without building.
-func resynCost(f tt.TT) int {
-	scratch := New(f.NumVars())
-	leaves := make([]Lit, f.NumVars())
-	for i := range leaves {
-		leaves[i] = scratch.PI(i)
-	}
-	resynthesize(scratch, f, leaves)
-	return scratch.NumGates()
-}
-
-// resynthesize builds f over the leaf literals, choosing the cheaper of
-// the factored form and a majority-aware Shannon decomposition.
-func resynthesize(g *MIG, f tt.TT, leaves []Lit) Lit {
-	// Build both candidates in scratch graphs to compare real costs,
-	// then replay the winner in g (strashing dedups any overlap).
-	costOf := func(build func(sg *MIG, sl []Lit) Lit) int {
-		sg := New(len(leaves))
-		sl := make([]Lit, len(leaves))
-		for i := range sl {
-			sl[i] = sg.PI(i)
-		}
-		build(sg, sl)
-		return sg.NumGates()
-	}
-	factored := func(sg *MIG, sl []Lit) Lit {
-		return instantiateExpr(sg, sop.Factor(sop.MinimizeTT(f)), sl)
-	}
-	shannon := func(sg *MIG, sl []Lit) Lit {
-		return shannonMaj(sg, f, sl, map[string]Lit{})
-	}
-	if costOf(factored) <= costOf(shannon) {
-		return factored(g, leaves)
-	}
-	return shannon(g, leaves)
-}
-
-func shannonMaj(g *MIG, f tt.TT, leaves []Lit, memo map[string]Lit) Lit {
-	if f.IsConst0() {
-		return LitFalse
-	}
-	if f.IsConst1() {
-		return LitTrue
-	}
-	key := f.Hex()
-	if l, ok := memo[key]; ok {
-		return l
-	}
-	var out Lit
-	if a, b, c, ok := majOfVars(f); ok {
-		out = g.Maj(
-			leaves[a.v].NotCond(a.compl),
-			leaves[b.v].NotCond(b.compl),
-			leaves[c.v].NotCond(c.compl),
-		)
-	} else {
-		v := bestVar(f)
-		out = g.Mux(leaves[v],
-			shannonMaj(g, f.Cofactor(v, true), leaves, memo),
-			shannonMaj(g, f.Cofactor(v, false), leaves, memo))
-	}
-	memo[key] = out
-	return out
-}
-
-func instantiateExpr(g *MIG, e *sop.Expr, leaves []Lit) Lit {
-	switch e.Kind {
-	case sop.ExprConst0:
-		return LitFalse
-	case sop.ExprConst1:
-		return LitTrue
-	case sop.ExprLit:
-		return leaves[e.Var].NotCond(!e.Pos)
-	case sop.ExprAnd:
-		out := LitTrue
-		for _, a := range e.Args {
-			out = g.And(out, instantiateExpr(g, a, leaves))
-		}
-		return out
-	case sop.ExprOr:
-		out := LitFalse
-		for _, a := range e.Args {
-			out = g.Or(out, instantiateExpr(g, a, leaves))
-		}
-		return out
-	}
-	panic("mig: bad expression")
-}
-
-// --- local structural analysis ------------------------------------------
-
-func (g *MIG) refCounts() []int {
-	refs := make([]int, g.NumObjs())
-	for id := g.numPIs + 1; id < g.NumObjs(); id++ {
-		for _, f := range g.fanins[id] {
-			refs[f.Node()]++
-		}
-	}
-	for _, po := range g.pos {
-		refs[po.Node()]++
-	}
-	return refs
-}
-
-func (g *MIG) reconvCut(root, maxLeaves int) []int {
-	leaves := []int{root}
-	inCut := map[int]bool{root: true}
-	visited := map[int]bool{root: true}
-	cost := func(id int) int {
-		if !g.IsGate(id) {
-			return 1 << 30
-		}
-		c := 0
-		for _, f := range g.fanins[id] {
-			if !visited[f.Node()] && f.Node() != 0 {
-				c++
-			}
-		}
-		return c
-	}
-	for {
-		best, bestCost := -1, 1<<30
-		for _, l := range leaves {
-			if c := cost(l); c < bestCost {
-				best, bestCost = l, c
-			}
-		}
-		if best == -1 || bestCost >= 1<<30 || len(leaves)-1+bestCost > maxLeaves {
-			break
-		}
-		kept := leaves[:0]
-		for _, l := range leaves {
-			if l != best {
-				kept = append(kept, l)
-			}
-		}
-		leaves = kept
-		delete(inCut, best)
-		for _, f := range g.fanins[best] {
-			fid := f.Node()
-			if fid == 0 {
-				continue // constants are always available
-			}
-			visited[fid] = true
-			if !inCut[fid] {
-				inCut[fid] = true
-				leaves = append(leaves, fid)
-			}
-		}
-	}
-	for i := 1; i < len(leaves); i++ {
-		for j := i; j > 0 && leaves[j] < leaves[j-1]; j-- {
-			leaves[j], leaves[j-1] = leaves[j-1], leaves[j]
-		}
-	}
-	return leaves
-}
-
-func (g *MIG) cutTT(root int, leaves []int) tt.TT {
-	n := len(leaves)
-	local := make(map[int]tt.TT, 2*n)
-	local[0] = tt.New(n)
-	for i, leaf := range leaves {
-		local[leaf] = tt.Var(i, n)
-	}
-	var eval func(id int) tt.TT
-	eval = func(id int) tt.TT {
-		if t, ok := local[id]; ok {
-			return t
-		}
-		var t [3]tt.TT
-		for k, f := range g.fanins[id] {
-			t[k] = eval(f.Node())
-			if f.IsCompl() {
-				t[k] = t[k].Not()
-			}
-		}
-		r := t[0].And(t[1]).Or(t[0].And(t[2])).Or(t[1].And(t[2]))
-		local[id] = r
-		return r
-	}
-	return eval(root)
-}
-
-func (g *MIG) mffcBounded(id int, refs []int, leaves []int) int {
-	boundary := make(map[int]bool, len(leaves))
-	for _, l := range leaves {
-		boundary[l] = true
-	}
-	var deref func(id int) int
-	deref = func(id int) int {
-		n := 1
-		for _, f := range g.fanins[id] {
-			fid := f.Node()
-			refs[fid]--
-			if refs[fid] == 0 && g.IsGate(fid) && !boundary[fid] {
-				n += deref(fid)
-			}
-		}
-		return n
-	}
-	var reref func(id int)
-	reref = func(id int) {
-		for _, f := range g.fanins[id] {
-			fid := f.Node()
-			if refs[fid] == 0 && g.IsGate(fid) && !boundary[fid] {
-				reref(fid)
-			}
-			refs[fid]++
-		}
-	}
-	n := deref(id)
-	reref(id)
-	return n
-}
-
-// --- Diversity scores (the paper's framework on MIGs) -------------------
 
 // Profile carries the diversity artifacts of one MIG.
-type Profile struct {
-	Gates     int
-	Levels    int
-	Reduction float64
-}
+type Profile = gatenet.Profile
 
 // NewProfile profiles a MIG, running one rewriting step.
-func NewProfile(g *MIG) Profile {
-	p := Profile{Gates: g.NumGates(), Levels: g.NumLevels()}
-	if p.Gates > 0 {
-		opt := RewriteOnce(g)
-		p.Reduction = float64(p.Gates-opt.NumGates()) / float64(p.Gates)
-	}
-	return p
-}
+func NewProfile(g *MIG) Profile { return gatenet.NewProfile(g.Net, resynthesize) }
 
 // RGC is the Relative Gate Count difference over majority gates.
-func RGC(a, b Profile) float64 {
-	den := a.Gates + b.Gates
-	if den == 0 {
-		return 0
-	}
-	return math.Abs(float64(a.Gates-b.Gates)) / float64(den)
-}
+func RGC(a, b Profile) float64 { return gatenet.RGC(a, b) }
 
 // RLC is the Relative Level Count difference.
-func RLC(a, b Profile) float64 {
-	den := a.Levels + b.Levels
-	if den == 0 {
-		return 0
-	}
-	return math.Abs(float64(a.Levels-b.Levels)) / float64(den)
-}
+func RLC(a, b Profile) float64 { return gatenet.RLC(a, b) }
 
 // RewriteScore is Eq. 3 with the MIG cone-rewriting operator.
-func RewriteScore(a, b Profile) float64 {
-	return math.Abs(a.Reduction - b.Reduction)
-}
+func RewriteScore(a, b Profile) float64 { return gatenet.RewriteScore(a, b) }

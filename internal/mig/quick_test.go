@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/aig"
 	"repro/internal/tt"
 )
 
@@ -33,7 +34,7 @@ func TestQuickMajorityAlgebra(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		g := New(5)
-		pick := func() Lit { return g.PI(r.Intn(5)).NotCond(r.Intn(2) == 1) }
+		pick := func() aig.Lit { return g.PI(r.Intn(5)).NotCond(r.Intn(2) == 1) }
 		a, b, c := pick(), pick(), pick()
 		m := g.Maj(a, b, c)
 		// Permutation invariance (all six orders give the same literal).

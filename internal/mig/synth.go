@@ -1,217 +1,112 @@
 package mig
 
 import (
-	"fmt"
-
 	"repro/internal/aig"
 	"repro/internal/bdd"
+	"repro/internal/gatenet"
 	"repro/internal/sop"
 	"repro/internal/tt"
 )
 
-// FromAIG converts an AIG into a MIG (AND(a,b) = M(a,b,0)).
-func FromAIG(a *aig.AIG) *MIG {
-	g := New(a.NumPIs())
-	m := make([]Lit, a.NumObjs())
-	m[0] = LitFalse
-	for i := 1; i <= a.NumPIs(); i++ {
-		m[i] = MakeLit(i, false)
-	}
-	for id := a.NumPIs() + 1; id < a.NumObjs(); id++ {
-		f0, f1 := a.Fanins(id)
-		x := m[f0.Node()].NotCond(f0.IsCompl())
-		y := m[f1.Node()].NotCond(f1.IsCompl())
-		m[id] = g.And(x, y)
-	}
-	for i := 0; i < a.NumPOs(); i++ {
-		po := a.PO(i)
-		g.AddPO(m[po.Node()].NotCond(po.IsCompl()))
-	}
-	return g.Cleanup()
-}
-
-// ToAIG lowers the MIG to an AIG via the 2-level majority formula.
-func (g *MIG) ToAIG() *aig.AIG {
-	a := aig.New(g.numPIs)
-	m := make([]aig.Lit, g.NumObjs())
-	m[0] = aig.LitFalse
-	for i := 1; i <= g.numPIs; i++ {
-		m[i] = aig.MakeLit(i, false)
-	}
-	for id := g.numPIs + 1; id < g.NumObjs(); id++ {
-		f := g.fanins[id]
-		var lits [3]aig.Lit
-		for k, l := range f {
-			lits[k] = m[l.Node()].NotCond(l.IsCompl())
-		}
-		m[id] = a.Maj3(lits[0], lits[1], lits[2])
-	}
-	for _, po := range g.pos {
-		a.AddPO(m[po.Node()].NotCond(po.IsCompl()))
-	}
-	return a.Cleanup()
-}
-
 // Recipe is a named MIG synthesis strategy.
-type Recipe struct {
-	Name        string
-	Description string
-	Build       func(spec []tt.TT) *MIG
-}
+type Recipe = gatenet.Recipe[*MIG]
 
 // Recipes returns the MIG synthesis recipes in canonical order.
 func Recipes() []Recipe {
 	return []Recipe{
-		{"shannon", "Shannon decomposition through majority multiplexers", SynthShannon},
-		{"factored", "espresso-minimized, kernel-factored AND/OR form", SynthFactored},
-		{"bdd", "sifted ROBDD converted to a majority MUX tree", SynthBDD},
+		{Name: "shannon", Description: "Shannon decomposition through majority multiplexers", Build: SynthShannon},
+		{Name: "factored", Description: "espresso-minimized, kernel-factored AND/OR form", Build: SynthFactored},
+		{Name: "bdd", Description: "sifted ROBDD converted to a majority MUX tree", Build: SynthBDD},
 	}
 }
 
 // Synthesize dispatches on the recipe name.
 func Synthesize(name string, spec []tt.TT) (*MIG, error) {
-	for _, r := range Recipes() {
-		if r.Name == name {
-			return r.Build(spec), nil
-		}
-	}
-	return nil, fmt.Errorf("mig: unknown recipe %q", name)
-}
-
-func checkSpec(spec []tt.TT) int {
-	if len(spec) == 0 {
-		panic("mig: empty specification")
-	}
-	n := spec[0].NumVars()
-	for _, f := range spec[1:] {
-		if f.NumVars() != n {
-			panic("mig: inconsistent arities")
-		}
-	}
-	return n
+	return gatenet.Synthesize(Recipes(), name, spec)
 }
 
 // SynthShannon decomposes by Shannon expansion with majority detection:
 // when a function is exactly the majority of three (possibly
 // complemented) remaining variables it becomes a single gate.
 func SynthShannon(spec []tt.TT) *MIG {
-	n := checkSpec(spec)
-	g := New(n)
-	memo := make(map[string]Lit)
-	var rec func(f tt.TT) Lit
-	rec = func(f tt.TT) Lit {
-		if f.IsConst0() {
-			return LitFalse
-		}
-		if f.IsConst1() {
-			return LitTrue
-		}
-		key := f.Hex()
-		if l, ok := memo[key]; ok {
-			return l
-		}
-		var out Lit
-		if a, b, c, ok := majOfVars(f); ok {
-			out = g.Maj(a.apply(g), b.apply(g), c.apply(g))
-		} else {
-			v := bestVar(f)
-			out = g.Mux(g.PI(v), rec(f.Cofactor(v, true)), rec(f.Cofactor(v, false)))
-		}
-		memo[key] = out
-		return out
-	}
+	g := New(gatenet.Inputs(spec))
+	pis, memo := g.PIs(), make(map[string]aig.Lit)
 	for _, f := range spec {
-		g.AddPO(rec(f))
+		g.AddPO(g.shannonMaj(f, pis, memo))
 	}
 	return g.Cleanup()
 }
 
-type varLit struct {
-	v     int
-	compl bool
+// shannonMaj builds f over the leaf literals by Shannon expansion,
+// emitting a single gate wherever the residue is a majority of three
+// leaves; memo maps a subfunction's hex form to its literal.
+func (g *MIG) shannonMaj(f tt.TT, leaves []aig.Lit, memo map[string]aig.Lit) aig.Lit {
+	if f.IsConst0() {
+		return aig.LitFalse
+	}
+	if f.IsConst1() {
+		return aig.LitTrue
+	}
+	key := f.Hex()
+	if l, ok := memo[key]; ok {
+		return l
+	}
+	var out aig.Lit
+	if vars, compl, ok := majOfVars(f); ok {
+		out = g.Maj(
+			leaves[vars[0]].NotCond(compl[0]),
+			leaves[vars[1]].NotCond(compl[1]),
+			leaves[vars[2]].NotCond(compl[2]),
+		)
+	} else {
+		v := gatenet.ShannonVar(f)
+		out = g.Mux(leaves[v],
+			g.shannonMaj(f.Cofactor(v, true), leaves, memo),
+			g.shannonMaj(f.Cofactor(v, false), leaves, memo))
+	}
+	memo[key] = out
+	return out
 }
 
-func (vl varLit) apply(g *MIG) Lit { return g.PI(vl.v).NotCond(vl.compl) }
-
 // majOfVars reports whether f is exactly MAJ(±x, ±y, ±z) of three
-// support variables.
-func majOfVars(f tt.TT) (a, b, c varLit, ok bool) {
+// support variables, returning the variables and their complements.
+func majOfVars(f tt.TT) (vars [3]int, compl [3]bool, ok bool) {
 	sup := f.Support()
 	if len(sup) != 3 {
-		return a, b, c, false
+		return vars, compl, false
 	}
 	n := f.NumVars()
-	vs := [3]tt.TT{tt.Var(sup[0], n), tt.Var(sup[1], n), tt.Var(sup[2], n)}
+	copy(vars[:], sup)
 	for mask := 0; mask < 8; mask++ {
 		var t [3]tt.TT
-		for k := 0; k < 3; k++ {
-			t[k] = vs[k]
-			if mask>>uint(k)&1 == 1 {
+		for k := range t {
+			compl[k] = mask>>uint(k)&1 == 1
+			t[k] = tt.Var(vars[k], n)
+			if compl[k] {
 				t[k] = t[k].Not()
 			}
 		}
-		maj := t[0].And(t[1]).Or(t[0].And(t[2])).Or(t[1].And(t[2]))
-		if maj.Equal(f) {
-			return varLit{sup[0], mask&1 == 1}, varLit{sup[1], mask>>1&1 == 1}, varLit{sup[2], mask>>2&1 == 1}, true
+		if t[0].And(t[1]).Or(t[0].And(t[2])).Or(t[1].And(t[2])).Equal(f) {
+			return vars, compl, true
 		}
 	}
-	return a, b, c, false
-}
-
-func bestVar(f tt.TT) int {
-	best, bestScore := -1, -1
-	for v := 0; v < f.NumVars(); v++ {
-		if !f.HasVar(v) {
-			continue
-		}
-		score := f.Cofactor(v, false).Xor(f.Cofactor(v, true)).CountOnes()
-		if score > bestScore {
-			best, bestScore = v, score
-		}
-	}
-	return best
+	return vars, compl, false
 }
 
 // SynthFactored minimizes and factors each output into AND/OR majority
 // gates.
 func SynthFactored(spec []tt.TT) *MIG {
-	n := checkSpec(spec)
-	g := New(n)
+	g := New(gatenet.Inputs(spec))
 	for _, f := range spec {
-		expr := sop.Factor(sop.MinimizeTT(f))
-		g.AddPO(buildExpr(g, expr))
+		g.AddPO(gatenet.BuildExpr(g, sop.Factor(sop.MinimizeTT(f)), g.PIs()))
 	}
 	return g.Cleanup()
-}
-
-func buildExpr(g *MIG, e *sop.Expr) Lit {
-	switch e.Kind {
-	case sop.ExprConst0:
-		return LitFalse
-	case sop.ExprConst1:
-		return LitTrue
-	case sop.ExprLit:
-		return g.PI(e.Var).NotCond(!e.Pos)
-	case sop.ExprAnd:
-		out := LitTrue
-		for _, a := range e.Args {
-			out = g.And(out, buildExpr(g, a))
-		}
-		return out
-	case sop.ExprOr:
-		out := LitFalse
-		for _, a := range e.Args {
-			out = g.Or(out, buildExpr(g, a))
-		}
-		return out
-	}
-	panic("mig: bad expression")
 }
 
 // SynthBDD builds a shared sifted BDD and converts each node to a
 // majority multiplexer.
 func SynthBDD(spec []tt.TT) *MIG {
-	n := checkSpec(spec)
+	n := gatenet.Inputs(spec)
 	widest := 0
 	for i, f := range spec {
 		if f.SupportSize() > spec[widest].SupportSize() {
@@ -225,9 +120,9 @@ func SynthBDD(spec []tt.TT) *MIG {
 		roots[i] = m.FromTT(f.Permute(order))
 	}
 	g := New(n)
-	memo := map[int32]Lit{bdd.False: LitFalse, bdd.True: LitTrue}
-	var conv func(node int32) Lit
-	conv = func(node int32) Lit {
+	memo := map[int32]aig.Lit{bdd.False: aig.LitFalse, bdd.True: aig.LitTrue}
+	var conv func(node int32) aig.Lit
+	conv = func(node int32) aig.Lit {
 		if l, ok := memo[node]; ok {
 			return l
 		}

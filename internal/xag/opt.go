@@ -1,329 +1,79 @@
 package xag
 
 import (
+	"math/bits"
+
+	"repro/internal/aig"
+	"repro/internal/gatenet"
 	"repro/internal/sop"
 	"repro/internal/tt"
 )
 
-// RewriteOnce performs one cone-rewriting pass over the XAG: every gate's
-// reconvergence-driven cone (up to 8 leaves) is collapsed to a truth
-// table and resynthesized as the cheaper of its ANF (XOR-of-ANDs) and
-// factored AND/OR forms; the replacement is committed when it costs
-// fewer gates than the cone's fanout-free interior. A demand-driven
-// rebuild drops the freed logic. The pass never grows the graph.
-func RewriteOnce(g *XAG) *XAG {
-	if g.NumPIs() > tt.MaxVars {
-		return g
-	}
-	refs := g.refCounts()
-	type choice struct {
-		anf    []uint32
-		invert bool
-		expr   *sop.Expr
-		leaves []int
-		nvars  int
-	}
-	decisions := make(map[int]choice)
-
-	for id := g.numPIs + 1; id < g.NumObjs(); id++ {
-		if refs[id] == 0 {
-			continue
-		}
-		leaves := g.reconvCut(id, 8)
-		if len(leaves) < 2 {
-			continue
-		}
-		saved := g.mffcBounded(id, refs, leaves)
-		if saved < 2 {
-			continue
-		}
-		f := g.cutTT(id, leaves)
-		// ANF candidate (cheaper polarity).
-		mon := f.ANF()
-		invert := false
-		if alt := f.Not().ANF(); len(alt) < len(mon) {
-			mon, invert = alt, true
-		}
-		anfCost := anfGateCount(mon)
-		// Factored candidate.
-		expr := sop.Factor(sop.MinimizeTT(f))
-		exprCost := exprGateCount(expr)
-		best := choice{leaves: leaves, nvars: len(leaves)}
-		cost := 0
-		if anfCost <= exprCost {
-			best.anf, best.invert = mon, invert
-			cost = anfCost
-		} else {
-			best.expr = expr
-			cost = exprCost
-		}
-		if saved > cost {
-			decisions[id] = best
-		}
-	}
-	if len(decisions) == 0 {
-		return g
-	}
-
-	// Demand-driven rebuild.
-	ng := New(g.numPIs)
-	m := make([]Lit, g.NumObjs())
-	for i := range m {
-		m[i] = Lit(0xFFFFFFFF)
-	}
-	m[0] = LitFalse
-	for i := 1; i <= g.numPIs; i++ {
-		m[i] = MakeLit(i, false)
-	}
-	var build func(id int) Lit
-	build = func(id int) Lit {
-		if m[id] != Lit(0xFFFFFFFF) {
-			return m[id]
-		}
-		if dec, ok := decisions[id]; ok {
-			leafLits := make([]Lit, len(dec.leaves))
-			for i, leaf := range dec.leaves {
-				leafLits[i] = build(leaf)
-			}
-			var l Lit
-			if dec.expr != nil {
-				l = instantiateExpr(ng, dec.expr, leafLits)
-			} else {
-				l = instantiateANF(ng, dec.anf, leafLits).NotCond(dec.invert)
-			}
-			m[id] = l
-			return l
-		}
-		a := build(g.fanin0[id].Node()).NotCond(g.fanin0[id].IsCompl())
-		b := build(g.fanin1[id].Node()).NotCond(g.fanin1[id].IsCompl())
-		var l Lit
-		if g.kind[id] == KindAnd {
-			l = ng.And(a, b)
-		} else {
-			l = ng.Xor(a, b)
-		}
-		m[id] = l
-		return l
-	}
-	for _, po := range g.pos {
-		ng.AddPO(build(po.Node()).NotCond(po.IsCompl()))
-	}
-	if ng.NumGates() > g.NumGates() {
-		return g
-	}
-	return ng
-}
+// RewriteOnce performs one cone-rewriting pass (gatenet.RewriteOnce) that
+// resynthesizes each cone as the cheaper of its ANF (XOR-of-ANDs) and
+// factored AND/OR forms. The pass never grows the graph.
+func RewriteOnce(g *XAG) *XAG { return &XAG{gatenet.RewriteOnce(g.Net, resynthesize)} }
 
 // Rewrite iterates RewriteOnce to a fixpoint.
-func Rewrite(g *XAG) *XAG {
-	cur := g
-	for i := 0; i < 8; i++ {
-		next := RewriteOnce(cur)
-		if next.NumGates() >= cur.NumGates() {
-			return cur
-		}
-		cur = next
+func Rewrite(g *XAG) *XAG { return &XAG{gatenet.Rewrite(g.Net, resynthesize)} }
+
+// resynthesize prices a cone function as the cheaper of its ANF, in the
+// sparser polarity, and its factored form, preferring the ANF on ties.
+func resynthesize(f tt.TT) (int, func(*gatenet.Net, []aig.Lit) aig.Lit) {
+	mon, invert := sparserANF(f)
+	anfCost := max(len(mon)-1, 0) // XORs joining the monomials
+	for _, m := range mon {
+		anfCost += max(bits.OnesCount32(m)-1, 0) // ANDs within each
 	}
-	return cur
+	expr := sop.Factor(sop.MinimizeTT(f))
+	if exprCost := exprGateCount(expr); exprCost < anfCost {
+		return exprCost, func(n *gatenet.Net, leaves []aig.Lit) aig.Lit {
+			return gatenet.BuildExpr(&XAG{n}, expr, leaves)
+		}
+	}
+	return anfCost, func(n *gatenet.Net, leaves []aig.Lit) aig.Lit {
+		g, out := &XAG{n}, aig.LitFalse
+		for _, m := range mon {
+			out = g.Xor(out, g.monomial(m, leaves))
+		}
+		return out.NotCond(invert)
+	}
 }
 
-func anfGateCount(monomials []uint32) int {
-	gates := 0
-	for _, m := range monomials {
-		lits := 0
-		for x := m; x != 0; x &= x - 1 {
-			lits++
-		}
-		if lits > 1 {
-			gates += lits - 1
-		}
-	}
-	if len(monomials) > 1 {
-		gates += len(monomials) - 1
-	}
-	return gates
-}
-
+// exprGateCount returns the two-input gates a factored expression needs.
 func exprGateCount(e *sop.Expr) int {
-	switch e.Kind {
-	case sop.ExprAnd, sop.ExprOr:
-		n := len(e.Args) - 1
-		for _, a := range e.Args {
-			n += exprGateCount(a)
-		}
-		return n
-	default:
+	if e.Kind != sop.ExprAnd && e.Kind != sop.ExprOr {
 		return 0
 	}
-}
-
-func instantiateExpr(g *XAG, e *sop.Expr, leaves []Lit) Lit {
-	switch e.Kind {
-	case sop.ExprConst0:
-		return LitFalse
-	case sop.ExprConst1:
-		return LitTrue
-	case sop.ExprLit:
-		return leaves[e.Var].NotCond(!e.Pos)
-	case sop.ExprAnd:
-		out := LitTrue
-		for _, a := range e.Args {
-			out = g.And(out, instantiateExpr(g, a, leaves))
-		}
-		return out
-	case sop.ExprOr:
-		out := LitFalse
-		for _, a := range e.Args {
-			out = g.Or(out, instantiateExpr(g, a, leaves))
-		}
-		return out
+	n := len(e.Args) - 1
+	for _, a := range e.Args {
+		n += exprGateCount(a)
 	}
-	panic("xag: bad expression")
-}
-
-func instantiateANF(g *XAG, monomials []uint32, leaves []Lit) Lit {
-	out := LitFalse
-	for _, m := range monomials {
-		term := LitTrue
-		for v := 0; v < len(leaves); v++ {
-			if m>>uint(v)&1 == 1 {
-				term = g.And(term, leaves[v])
-			}
-		}
-		out = g.Xor(out, term)
-	}
-	return out
-}
-
-// --- local structural analysis (cuts, MFFC) ----------------------------
-
-func (g *XAG) refCounts() []int {
-	refs := make([]int, g.NumObjs())
-	for id := g.numPIs + 1; id < g.NumObjs(); id++ {
-		refs[g.fanin0[id].Node()]++
-		refs[g.fanin1[id].Node()]++
-	}
-	for _, po := range g.pos {
-		refs[po.Node()]++
-	}
-	return refs
-}
-
-// reconvCut grows a reconvergence-driven cut, as in the aig package.
-func (g *XAG) reconvCut(root, maxLeaves int) []int {
-	leaves := []int{root}
-	inCut := map[int]bool{root: true}
-	visited := map[int]bool{root: true}
-	cost := func(id int) int {
-		if !g.IsGate(id) {
-			return 1 << 30
-		}
-		c := 0
-		if !visited[g.fanin0[id].Node()] {
-			c++
-		}
-		if !visited[g.fanin1[id].Node()] {
-			c++
-		}
-		return c
-	}
-	for {
-		best, bestCost := -1, 1<<30
-		for _, l := range leaves {
-			if c := cost(l); c < bestCost {
-				best, bestCost = l, c
-			}
-		}
-		if best == -1 || bestCost >= 1<<30 || len(leaves)-1+bestCost > maxLeaves {
-			break
-		}
-		kept := leaves[:0]
-		for _, l := range leaves {
-			if l != best {
-				kept = append(kept, l)
-			}
-		}
-		leaves = kept
-		delete(inCut, best)
-		for _, f := range []Lit{g.fanin0[best], g.fanin1[best]} {
-			fid := f.Node()
-			visited[fid] = true
-			if !inCut[fid] {
-				inCut[fid] = true
-				leaves = append(leaves, fid)
-			}
-		}
-	}
-	for i := 1; i < len(leaves); i++ {
-		for j := i; j > 0 && leaves[j] < leaves[j-1]; j-- {
-			leaves[j], leaves[j-1] = leaves[j-1], leaves[j]
-		}
-	}
-	return leaves
-}
-
-// cutTT computes the gate's function over the cut leaves.
-func (g *XAG) cutTT(root int, leaves []int) tt.TT {
-	n := len(leaves)
-	local := make(map[int]tt.TT, 2*n)
-	for i, leaf := range leaves {
-		local[leaf] = tt.Var(i, n)
-	}
-	var eval func(id int) tt.TT
-	eval = func(id int) tt.TT {
-		if t, ok := local[id]; ok {
-			return t
-		}
-		f0, f1 := g.fanin0[id], g.fanin1[id]
-		a := eval(f0.Node())
-		if f0.IsCompl() {
-			a = a.Not()
-		}
-		b := eval(f1.Node())
-		if f1.IsCompl() {
-			b = b.Not()
-		}
-		var t tt.TT
-		if g.kind[id] == KindAnd {
-			t = a.And(b)
-		} else {
-			t = a.Xor(b)
-		}
-		local[id] = t
-		return t
-	}
-	return eval(root)
-}
-
-// mffcBounded computes the bounded fanout-free-cone size of id.
-func (g *XAG) mffcBounded(id int, refs []int, leaves []int) int {
-	boundary := make(map[int]bool, len(leaves))
-	for _, l := range leaves {
-		boundary[l] = true
-	}
-	var deref func(id int) int
-	deref = func(id int) int {
-		n := 1
-		for _, f := range []Lit{g.fanin0[id], g.fanin1[id]} {
-			fid := f.Node()
-			refs[fid]--
-			if refs[fid] == 0 && g.IsGate(fid) && !boundary[fid] {
-				n += deref(fid)
-			}
-		}
-		return n
-	}
-	var reref func(id int)
-	reref = func(id int) {
-		for _, f := range []Lit{g.fanin0[id], g.fanin1[id]} {
-			fid := f.Node()
-			if refs[fid] == 0 && g.IsGate(fid) && !boundary[fid] {
-				reref(fid)
-			}
-			refs[fid]++
-		}
-	}
-	n := deref(id)
-	reref(id)
 	return n
 }
+
+// Profile carries the diversity artifacts of one XAG: the shared
+// profile plus the AND count behind RMC.
+type Profile struct {
+	gatenet.Profile
+	Ands int
+}
+
+// NewProfile profiles an XAG, running one rewriting step.
+func NewProfile(g *XAG) Profile {
+	return Profile{gatenet.NewProfile(g.Net, resynthesize), g.NumAnds()}
+}
+
+// RGC is the Relative Gate Count difference (Eq. 2 on XAG gate counts).
+func RGC(a, b Profile) float64 { return gatenet.RGC(a.Profile, b.Profile) }
+
+// RMC is the Relative Multiplicative Complexity difference: Eq. 2 over
+// AND counts only, the natural XAG-specific attribute (XORs are "free"
+// in many XAG cost models).
+func RMC(a, b Profile) float64 { return gatenet.RelDiff(a.Ands, b.Ands) }
+
+// RLC is the Relative Level Count difference.
+func RLC(a, b Profile) float64 { return gatenet.RLC(a.Profile, b.Profile) }
+
+// RewriteScore is Eq. 3 with the XAG cone-rewriting operator.
+func RewriteScore(a, b Profile) float64 { return gatenet.RewriteScore(a.Profile, b.Profile) }

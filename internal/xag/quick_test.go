@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/aig"
 	"repro/internal/tt"
 )
 
@@ -34,7 +35,7 @@ func TestQuickGateAlgebra(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		g := New(4)
-		lits := []Lit{g.PI(0), g.PI(1), g.PI(2), g.PI(3)}
+		lits := []aig.Lit{g.PI(0), g.PI(1), g.PI(2), g.PI(3)}
 		a := lits[r.Intn(4)].NotCond(r.Intn(2) == 1)
 		b := lits[r.Intn(4)].NotCond(r.Intn(2) == 1)
 		// Commutativity at the literal level.

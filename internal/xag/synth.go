@@ -1,8 +1,8 @@
 package xag
 
 import (
-	"fmt"
-
+	"repro/internal/aig"
+	"repro/internal/gatenet"
 	"repro/internal/sop"
 	"repro/internal/tt"
 )
@@ -10,79 +10,67 @@ import (
 // Recipe is a named XAG synthesis strategy — the XAG counterpart of the
 // seven AIG recipes, generating structurally diverse XAGs from one
 // specification.
-type Recipe struct {
-	Name        string
-	Description string
-	Build       func(spec []tt.TT) *XAG
-}
+type Recipe = gatenet.Recipe[*XAG]
 
 // Recipes returns the XAG synthesis recipes in canonical order.
 func Recipes() []Recipe {
 	return []Recipe{
-		{"anf", "Reed-Muller XOR-of-ANDs expansion", SynthANF},
-		{"factored", "espresso-minimized, kernel-factored AND/OR form", SynthFactored},
-		{"shannon", "Shannon decomposition with XOR-based multiplexers", SynthShannon},
+		{Name: "anf", Description: "Reed-Muller XOR-of-ANDs expansion", Build: SynthANF},
+		{Name: "factored", Description: "espresso-minimized, kernel-factored AND/OR form", Build: SynthFactored},
+		{Name: "shannon", Description: "Shannon decomposition with XOR-based multiplexers", Build: SynthShannon},
 	}
 }
 
 // Synthesize dispatches on the recipe name.
 func Synthesize(name string, spec []tt.TT) (*XAG, error) {
-	for _, r := range Recipes() {
-		if r.Name == name {
-			return r.Build(spec), nil
-		}
-	}
-	return nil, fmt.Errorf("xag: unknown recipe %q", name)
-}
-
-func checkSpec(spec []tt.TT) int {
-	if len(spec) == 0 {
-		panic("xag: empty specification")
-	}
-	n := spec[0].NumVars()
-	for _, f := range spec[1:] {
-		if f.NumVars() != n {
-			panic("xag: inconsistent arities")
-		}
-	}
-	return n
+	return gatenet.Synthesize(Recipes(), name, spec)
 }
 
 // SynthANF builds each output as a balanced XOR of AND monomials — the
 // native XAG form of the algebraic normal form. Dense functions use the
 // complement when sparser.
 func SynthANF(spec []tt.TT) *XAG {
-	n := checkSpec(spec)
-	g := New(n)
+	g := New(gatenet.Inputs(spec))
+	pis := g.PIs()
 	for _, f := range spec {
-		mon := f.ANF()
-		invert := false
-		if alt := f.Not().ANF(); len(alt) < len(mon) {
-			mon = alt
-			invert = true
+		mon, invert := sparserANF(f)
+		terms := make([]aig.Lit, len(mon))
+		for i, m := range mon {
+			terms[i] = g.monomial(m, pis)
 		}
-		g.AddPO(buildANF(g, n, mon).NotCond(invert))
+		g.AddPO(g.balancedXor(terms).NotCond(invert))
 	}
 	return g.Cleanup()
 }
 
-func buildANF(g *XAG, n int, monomials []uint32) Lit {
-	terms := make([]Lit, 0, len(monomials))
-	for _, m := range monomials {
-		term := LitTrue
-		for v := 0; v < n; v++ {
-			if m>>uint(v)&1 == 1 {
-				term = g.And(term, g.PI(v))
-			}
-		}
-		terms = append(terms, term)
+// sparserANF returns the ANF monomials of f or of its complement,
+// whichever has fewer, and whether the complement was taken.
+func sparserANF(f tt.TT) ([]uint32, bool) {
+	mon := f.ANF()
+	if alt := f.Not().ANF(); len(alt) < len(mon) {
+		return alt, true
 	}
-	// Balanced XOR tree.
+	return mon, false
+}
+
+// monomial returns the AND chain of the leaves whose bits are set in m.
+func (g *XAG) monomial(m uint32, leaves []aig.Lit) aig.Lit {
+	term := aig.LitTrue
+	for v, leaf := range leaves {
+		if m>>uint(v)&1 == 1 {
+			term = g.And(term, leaf)
+		}
+	}
+	return term
+}
+
+// balancedXor returns the XOR of terms as a balanced tree.
+func (g *XAG) balancedXor(terms []aig.Lit) aig.Lit {
 	if len(terms) == 0 {
-		return LitFalse
+		return aig.LitFalse
 	}
 	for len(terms) > 1 {
-		var next []Lit
+		var next []aig.Lit
 		for i := 0; i+1 < len(terms); i += 2 {
 			next = append(next, g.Xor(terms[i], terms[i+1]))
 		}
@@ -99,58 +87,31 @@ func buildANF(g *XAG, n int, monomials []uint32) Lit {
 // them via the Mux-free construction — i.e. never; this is the
 // deliberately XOR-poor counterpoint to SynthANF).
 func SynthFactored(spec []tt.TT) *XAG {
-	n := checkSpec(spec)
-	g := New(n)
+	g := New(gatenet.Inputs(spec))
 	for _, f := range spec {
-		expr := sop.Factor(sop.MinimizeTT(f))
-		g.AddPO(buildExpr(g, expr))
+		g.AddPO(gatenet.BuildExpr(g, sop.Factor(sop.MinimizeTT(f)), g.PIs()))
 	}
 	return g.Cleanup()
-}
-
-func buildExpr(g *XAG, e *sop.Expr) Lit {
-	switch e.Kind {
-	case sop.ExprConst0:
-		return LitFalse
-	case sop.ExprConst1:
-		return LitTrue
-	case sop.ExprLit:
-		return g.PI(e.Var).NotCond(!e.Pos)
-	case sop.ExprAnd:
-		out := LitTrue
-		for _, a := range e.Args {
-			out = g.And(out, buildExpr(g, a))
-		}
-		return out
-	case sop.ExprOr:
-		out := LitFalse
-		for _, a := range e.Args {
-			out = g.Or(out, buildExpr(g, a))
-		}
-		return out
-	}
-	panic("xag: bad expression")
 }
 
 // SynthShannon decomposes by Shannon expansion using the XOR-form
 // multiplexer e XOR (s AND (t XOR e)), memoizing subfunctions.
 func SynthShannon(spec []tt.TT) *XAG {
-	n := checkSpec(spec)
-	g := New(n)
-	memo := make(map[string]Lit)
-	var rec func(f tt.TT) Lit
-	rec = func(f tt.TT) Lit {
+	g := New(gatenet.Inputs(spec))
+	memo := make(map[string]aig.Lit)
+	var rec func(f tt.TT) aig.Lit
+	rec = func(f tt.TT) aig.Lit {
 		if f.IsConst0() {
-			return LitFalse
+			return aig.LitFalse
 		}
 		if f.IsConst1() {
-			return LitTrue
+			return aig.LitTrue
 		}
 		key := f.Hex()
 		if l, ok := memo[key]; ok {
 			return l
 		}
-		v := bestVar(f)
+		v := gatenet.ShannonVar(f)
 		l := g.Mux(g.PI(v), rec(f.Cofactor(v, true)), rec(f.Cofactor(v, false)))
 		memo[key] = l
 		return l
@@ -159,18 +120,4 @@ func SynthShannon(spec []tt.TT) *XAG {
 		g.AddPO(rec(f))
 	}
 	return g.Cleanup()
-}
-
-func bestVar(f tt.TT) int {
-	best, bestScore := -1, -1
-	for v := 0; v < f.NumVars(); v++ {
-		if !f.HasVar(v) {
-			continue
-		}
-		score := f.Cofactor(v, false).Xor(f.Cofactor(v, true)).CountOnes()
-		if score > bestScore {
-			best, bestScore = v, score
-		}
-	}
-	return best
 }

@@ -5,328 +5,53 @@
 // cryptography) exponentially more compact than in AIGs, which changes
 // what "structurally diverse" means — exactly the setting in which the
 // paper's diversity framework is meant to generalize.
+//
+// The network itself (storage, simulation, checks, cuts, the rewriting
+// pass, profiles) is the shared gatenet.Net; this package adds the XAG
+// gate set, XOR-motif recovery on AIG import, the XAG recipes and the
+// ANF-versus-factored cone resynthesis.
 package xag
 
 import (
 	"fmt"
 
-	"repro/internal/tt"
+	"repro/internal/aig"
+	"repro/internal/gatenet"
 )
 
-// Kind discriminates node types.
-type Kind uint8
-
-// Node kinds.
-const (
-	KindAnd Kind = iota
-	KindXor
-)
-
-// Lit is an edge literal: 2*node + complement (as in the aig package).
-type Lit uint32
-
-// Constant literals.
-const (
-	LitFalse Lit = 0
-	LitTrue  Lit = 1
-)
-
-// MakeLit builds a literal.
-func MakeLit(node int, compl bool) Lit {
-	l := Lit(node) << 1
-	if compl {
-		l |= 1
-	}
-	return l
-}
-
-// Node returns the node id of the literal.
-func (l Lit) Node() int { return int(l >> 1) }
-
-// IsCompl reports the complement flag.
-func (l Lit) IsCompl() bool { return l&1 == 1 }
-
-// Not complements the literal.
-func (l Lit) Not() Lit { return l ^ 1 }
-
-// NotCond complements when c holds.
-func (l Lit) NotCond(c bool) Lit {
-	if c {
-		return l ^ 1
-	}
-	return l
-}
-
-// XAG is a structurally hashed XOR-AND graph. Node 0 is constant false,
-// nodes 1..numPIs are inputs, higher ids are AND or XOR nodes created in
-// topological order. XOR nodes are normalized to plain fanins (input
+// XAG is a structurally hashed XOR-AND graph: a gatenet.Net holding only
+// AND and XOR gates. XOR nodes are normalized to plain fanins (input
 // complements are pulled to the output), so structural hashing catches
 // all XOR polarity variants.
-type XAG struct {
-	numPIs int
-	kind   []Kind
-	fanin0 []Lit
-	fanin1 []Lit
-	level  []int32
-	strash map[uint64]int
-	pos    []Lit
-}
+type XAG struct{ *gatenet.Net }
 
 // New creates an XAG with the given number of primary inputs.
-func New(numPIs int) *XAG {
-	g := &XAG{
-		numPIs: numPIs,
-		kind:   make([]Kind, numPIs+1),
-		fanin0: make([]Lit, numPIs+1),
-		fanin1: make([]Lit, numPIs+1),
-		level:  make([]int32, numPIs+1),
-		strash: make(map[uint64]int),
-	}
-	return g
-}
-
-// NumPIs returns the primary input count.
-func (g *XAG) NumPIs() int { return g.numPIs }
-
-// NumPOs returns the primary output count.
-func (g *XAG) NumPOs() int { return len(g.pos) }
-
-// NumObjs returns constant + PIs + gates.
-func (g *XAG) NumObjs() int { return len(g.fanin0) }
-
-// NumGates returns the total gate count (ANDs + XORs).
-func (g *XAG) NumGates() int { return len(g.fanin0) - g.numPIs - 1 }
+func New(numPIs int) *XAG { return &XAG{gatenet.New(numPIs)} }
 
 // NumAnds returns the AND gate count — the multiplicative complexity
 // proxy that XAG-based cryptography research optimizes.
-func (g *XAG) NumAnds() int {
-	n := 0
-	for id := g.numPIs + 1; id < g.NumObjs(); id++ {
-		if g.kind[id] == KindAnd {
-			n++
-		}
-	}
-	return n
-}
+func (g *XAG) NumAnds() int { return g.Count(gatenet.And2) }
 
 // NumXors returns the XOR gate count.
-func (g *XAG) NumXors() int { return g.NumGates() - g.NumAnds() }
-
-// PI returns the literal of input i.
-func (g *XAG) PI(i int) Lit {
-	if i < 0 || i >= g.numPIs {
-		panic(fmt.Sprintf("xag: PI %d out of range", i))
-	}
-	return MakeLit(i+1, false)
-}
-
-// PO returns output literal i.
-func (g *XAG) PO(i int) Lit { return g.pos[i] }
-
-// AddPO appends an output.
-func (g *XAG) AddPO(l Lit) int {
-	g.pos = append(g.pos, l)
-	return len(g.pos) - 1
-}
-
-// IsGate reports whether id is an internal gate.
-func (g *XAG) IsGate(id int) bool { return id > g.numPIs }
-
-// IsPI reports whether id is a primary input.
-func (g *XAG) IsPI(id int) bool { return id >= 1 && id <= g.numPIs }
-
-// GateKind returns the kind of gate id.
-func (g *XAG) GateKind(id int) Kind { return g.kind[id] }
-
-// Fanins returns gate id's fanin literals.
-func (g *XAG) Fanins(id int) (Lit, Lit) {
-	if !g.IsGate(id) {
-		panic(fmt.Sprintf("xag: node %d is not a gate", id))
-	}
-	return g.fanin0[id], g.fanin1[id]
-}
-
-// Level returns the logic level of id.
-func (g *XAG) Level(id int) int { return int(g.level[id]) }
-
-// NumLevels returns the output depth.
-func (g *XAG) NumLevels() int {
-	d := int32(0)
-	for _, l := range g.pos {
-		if lv := g.level[l.Node()]; lv > d {
-			d = lv
-		}
-	}
-	return int(d)
-}
-
-func strashKey(k Kind, a, b Lit) uint64 {
-	return uint64(k)<<63 | uint64(a)<<32 | uint64(b)
-}
-
-func (g *XAG) newGate(k Kind, a, b Lit) Lit {
-	key := strashKey(k, a, b)
-	if id, ok := g.strash[key]; ok {
-		return MakeLit(id, false)
-	}
-	id := len(g.fanin0)
-	g.kind = append(g.kind, k)
-	g.fanin0 = append(g.fanin0, a)
-	g.fanin1 = append(g.fanin1, b)
-	lv := g.level[a.Node()]
-	if l2 := g.level[b.Node()]; l2 > lv {
-		lv = l2
-	}
-	g.level = append(g.level, lv+1)
-	g.strash[key] = id
-	return MakeLit(id, false)
-}
+func (g *XAG) NumXors() int { return g.Count(gatenet.Xor2) }
 
 // And returns AND(a, b) with constant folding and structural hashing.
-func (g *XAG) And(a, b Lit) Lit {
-	switch {
-	case a == LitFalse || b == LitFalse:
-		return LitFalse
-	case a == LitTrue:
-		return b
-	case b == LitTrue:
-		return a
-	case a == b:
-		return a
-	case a == b.Not():
-		return LitFalse
-	}
-	if a > b {
-		a, b = b, a
-	}
-	return g.newGate(KindAnd, a, b)
-}
+func (g *XAG) And(a, b aig.Lit) aig.Lit { return gatenet.And(g.Net, a, b) }
 
 // Xor returns XOR(a, b) as a native XOR gate, normalizing complements to
 // the output: xor(!a, b) == !xor(a, b).
-func (g *XAG) Xor(a, b Lit) Lit {
-	outCompl := a.IsCompl() != b.IsCompl()
-	a, b = a&^1, b&^1
-	switch {
-	case a == LitFalse:
-		return b.NotCond(outCompl)
-	case b == LitFalse:
-		return a.NotCond(outCompl)
-	case a == b:
-		return LitFalse.NotCond(outCompl)
-	}
-	if a > b {
-		a, b = b, a
-	}
-	return g.newGate(KindXor, a, b).NotCond(outCompl)
-}
+func (g *XAG) Xor(a, b aig.Lit) aig.Lit { return gatenet.Xor(g.Net, a, b) }
 
 // Or returns OR(a, b).
-func (g *XAG) Or(a, b Lit) Lit { return g.And(a.Not(), b.Not()).Not() }
+func (g *XAG) Or(a, b aig.Lit) aig.Lit { return g.And(a.Not(), b.Not()).Not() }
 
 // Mux returns sel ? t : e, using the XOR form e XOR (sel AND (t XOR e)).
-func (g *XAG) Mux(sel, t, e Lit) Lit {
+func (g *XAG) Mux(sel, t, e aig.Lit) aig.Lit {
 	return g.Xor(e, g.And(sel, g.Xor(t, e)))
 }
 
-// SimAll computes every node's truth table over the inputs.
-func (g *XAG) SimAll() []tt.TT {
-	n := g.numPIs
-	if n > tt.MaxVars {
-		panic(fmt.Sprintf("xag: SimAll limited to %d inputs", tt.MaxVars))
-	}
-	tabs := make([]tt.TT, g.NumObjs())
-	tabs[0] = tt.New(n)
-	for i := 1; i <= n; i++ {
-		tabs[i] = tt.Var(i-1, n)
-	}
-	for id := n + 1; id < g.NumObjs(); id++ {
-		f0, f1 := g.fanin0[id], g.fanin1[id]
-		a := tabs[f0.Node()]
-		if f0.IsCompl() {
-			a = a.Not()
-		}
-		b := tabs[f1.Node()]
-		if f1.IsCompl() {
-			b = b.Not()
-		}
-		if g.kind[id] == KindAnd {
-			tabs[id] = a.And(b)
-		} else {
-			tabs[id] = a.Xor(b)
-		}
-	}
-	return tabs
-}
-
-// OutputTTs returns the truth table of every output.
-func (g *XAG) OutputTTs() []tt.TT {
-	tabs := g.SimAll()
-	out := make([]tt.TT, len(g.pos))
-	for i, po := range g.pos {
-		t := tabs[po.Node()]
-		if po.IsCompl() {
-			t = t.Not()
-		}
-		out[i] = t
-	}
-	return out
-}
-
 // Cleanup returns a copy with only output-reachable gates.
-func (g *XAG) Cleanup() *XAG {
-	ng := New(g.numPIs)
-	m := make([]Lit, g.NumObjs())
-	for i := range m {
-		m[i] = Lit(0xFFFFFFFF)
-	}
-	m[0] = LitFalse
-	for i := 1; i <= g.numPIs; i++ {
-		m[i] = MakeLit(i, false)
-	}
-	var build func(id int) Lit
-	build = func(id int) Lit {
-		if m[id] != Lit(0xFFFFFFFF) {
-			return m[id]
-		}
-		a := build(g.fanin0[id].Node()).NotCond(g.fanin0[id].IsCompl())
-		b := build(g.fanin1[id].Node()).NotCond(g.fanin1[id].IsCompl())
-		var l Lit
-		if g.kind[id] == KindAnd {
-			l = ng.And(a, b)
-		} else {
-			l = ng.Xor(a, b)
-		}
-		m[id] = l
-		return l
-	}
-	for _, po := range g.pos {
-		ng.AddPO(build(po.Node()).NotCond(po.IsCompl()))
-	}
-	return ng
-}
-
-// Check validates structural invariants.
-func (g *XAG) Check() error {
-	for id := g.numPIs + 1; id < g.NumObjs(); id++ {
-		f0, f1 := g.fanin0[id], g.fanin1[id]
-		if f0.Node() >= id || f1.Node() >= id {
-			return fmt.Errorf("xag: node %d has forward fanin", id)
-		}
-		if f0 > f1 {
-			return fmt.Errorf("xag: node %d fanins not normalized", id)
-		}
-		if g.kind[id] == KindXor && (f0.IsCompl() || f1.IsCompl()) {
-			return fmt.Errorf("xag: XOR node %d has complemented fanin", id)
-		}
-	}
-	for i, po := range g.pos {
-		if po.Node() >= g.NumObjs() {
-			return fmt.Errorf("xag: PO %d dangling", i)
-		}
-	}
-	return nil
-}
+func (g *XAG) Cleanup() *XAG { return &XAG{g.Net.Cleanup()} }
 
 // Stats summarizes the graph.
 type Stats struct {
@@ -335,9 +60,58 @@ type Stats struct {
 
 // Stat returns summary statistics.
 func (g *XAG) Stat() Stats {
-	return Stats{PIs: g.numPIs, POs: g.NumPOs(), Ands: g.NumAnds(), Xors: g.NumXors(), Levels: g.NumLevels()}
+	return Stats{PIs: g.NumPIs(), POs: g.NumPOs(), Ands: g.NumAnds(), Xors: g.NumXors(), Levels: g.NumLevels()}
 }
 
 func (s Stats) String() string {
 	return fmt.Sprintf("i/o = %d/%d  and = %d  xor = %d  lev = %d", s.PIs, s.POs, s.Ands, s.Xors, s.Levels)
+}
+
+// FromAIG converts an AIG into an XAG, recognizing the three-AND XOR
+// motif and mapping it to native XOR gates. The result is typically
+// smaller than the AIG on parity-heavy logic and structurally very
+// different — a new kind of diversity the AIG recipes cannot produce.
+func FromAIG(a *aig.AIG) *XAG {
+	g := New(a.NumPIs())
+	m := make([]aig.Lit, a.NumObjs())
+	for i := 1; i <= a.NumPIs(); i++ {
+		m[i] = aig.MakeLit(i, false)
+	}
+	lit := func(l aig.Lit) aig.Lit { return m[l.Node()].NotCond(l.IsCompl()) }
+	for id := a.NumPIs() + 1; id < a.NumObjs(); id++ {
+		if x, y, ok := xorMotif(a, id); ok {
+			m[id] = g.Xor(lit(x), lit(y)).Not()
+			continue
+		}
+		f0, f1 := a.Fanins(id)
+		m[id] = g.And(lit(f0), lit(f1))
+	}
+	for i := 0; i < a.NumPOs(); i++ {
+		g.AddPO(lit(a.PO(i)))
+	}
+	return g.Cleanup()
+}
+
+// xorMotif recognizes node id == AND(!AND(p,q), !AND(r,s)) where the
+// inner ANDs implement a XOR b: {p,q} == {a, !b}, {r,s} == {!a, b}.
+// Returns the XOR operands; id itself computes XNOR(x, y) (AND of the
+// complemented halves is the complement of the OR), so callers
+// complement the XOR.
+func xorMotif(a *aig.AIG, id int) (x, y aig.Lit, ok bool) {
+	f0, f1 := a.Fanins(id)
+	if !f0.IsCompl() || !f1.IsCompl() {
+		return 0, 0, false
+	}
+	n0, n1 := f0.Node(), f1.Node()
+	if !a.IsAnd(n0) || !a.IsAnd(n1) {
+		return 0, 0, false
+	}
+	p, q := a.Fanins(n0)
+	r, s := a.Fanins(n1)
+	// Need {p,q} and {r,s} to be {u, v} with polarities crossed:
+	// p==!r and q==!s (in some order).
+	if (p == r.Not() && q == s.Not()) || (p == s.Not() && q == r.Not()) {
+		return p, q.Not(), true
+	}
+	return 0, 0, false
 }

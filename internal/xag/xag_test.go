@@ -50,10 +50,10 @@ func TestXorNormalization(t *testing.T) {
 		t.Errorf("4 polarity variants created %d gates, want 1", g.NumGates())
 	}
 	// Folding.
-	if g.Xor(a, a) != LitFalse || g.Xor(a, a.Not()) != LitTrue {
+	if g.Xor(a, a) != aig.LitFalse || g.Xor(a, a.Not()) != aig.LitTrue {
 		t.Error("XOR folding wrong")
 	}
-	if g.Xor(a, LitFalse) != a || g.Xor(a, LitTrue) != a.Not() {
+	if g.Xor(a, aig.LitFalse) != a || g.Xor(a, aig.LitTrue) != a.Not() {
 		t.Error("XOR constant folding wrong")
 	}
 }
@@ -198,12 +198,32 @@ func TestDiversityScores(t *testing.T) {
 	}
 }
 
-func TestLitHelpers(t *testing.T) {
-	l := MakeLit(7, true)
-	if l.Node() != 7 || !l.IsCompl() || l.Not().IsCompl() {
-		t.Error("lit helpers wrong")
+// TestRewriteAbove16Inputs rewrites a 17-input graph: cuts hold at most
+// 8 leaves, so the pass must shrink it exactly as it shrinks the same
+// logic over 16 inputs. Exhaustive simulation stops at 16 inputs, so the
+// result is checked against its source by random simulation.
+func TestRewriteAbove16Inputs(t *testing.T) {
+	shrunk := func(n int) Stats {
+		g := New(n)
+		a, b := g.PI(0), g.PI(1)
+		x := g.Or(g.And(a, b.Not()), g.And(a.Not(), b)) // XOR as AND/OR
+		g.AddPO(g.And(x, g.PI(n-1)))
+		ng := RewriteOnce(g)
+		if err := ng.Check(); err != nil {
+			t.Fatal(err)
+		}
+		r := rand.New(rand.NewSource(int64(n)))
+		if idx, err := aig.RandomSimCheck(g.ToAIG(), ng.ToAIG(), 64, r); err != nil || idx != -1 {
+			t.Fatalf("%d inputs: rewrite changed output %d (%v)", n, idx, err)
+		}
+		if p := NewProfile(g); p.Reduction <= 0 {
+			t.Errorf("%d inputs: profile reduction %v, want > 0", n, p.Reduction)
+		}
+		s := ng.Stat()
+		s.PIs = 0
+		return s
 	}
-	if LitFalse.Not() != LitTrue {
-		t.Error("const lits wrong")
+	if got, want := shrunk(17), shrunk(16); got != want || want.Ands+want.Xors >= 4 {
+		t.Errorf("17 inputs rewrite to %v, 16 inputs to %v", got, want)
 	}
 }

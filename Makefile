@@ -10,7 +10,7 @@
 # build a spec's variants concurrently run again at one worker and at
 # four (-cpu 1,4), so both the serial and the parallel path are raced.
 
-.PHONY: tier1 tier2 lint bench fuzz chaos serve
+.PHONY: tier1 tier2 lint bench fuzz chaos serve smoke
 
 tier1:
 	go build ./... && go test ./...
@@ -33,6 +33,16 @@ AIGD_ADDR ?= :8347
 
 serve:
 	go run ./cmd/aigd -addr $(AIGD_ADDR)
+
+# smoke runs the four serving smokes CI runs, each against real daemons
+# on localhost (needs curl and jq): aigd tracing and drain, sketch
+# retrieval through aigw, 3-node cluster failover, and a rolling
+# restart through drain, stop and rejoin. See scripts/smoke.sh.
+smoke:
+	scripts/smoke.sh aigd
+	scripts/smoke.sh sketch
+	scripts/smoke.sh cluster
+	scripts/smoke.sh rolling_restart
 
 # fuzz hammers the AIGER parser, the aigd request decoders, the sketch
 # codec, the optimization passes and XAG/MIG cone rewriting with

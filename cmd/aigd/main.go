@@ -66,29 +66,6 @@ import (
 	"repro/internal/telemetry/trace"
 )
 
-// parsePeers parses the -peers spec: "n1=http://h1:8347,n2=http://h2:8347".
-func parsePeers(spec string) (map[string]string, error) {
-	if spec == "" {
-		return nil, fmt.Errorf("cluster mode needs -peers (ID=URL,ID=URL,...)")
-	}
-	peers := make(map[string]string)
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		id, url, ok := strings.Cut(part, "=")
-		if !ok || id == "" || url == "" {
-			return nil, fmt.Errorf("entry %q is not ID=URL", part)
-		}
-		if _, dup := peers[id]; dup {
-			return nil, fmt.Errorf("duplicate member ID %q", id)
-		}
-		peers[id] = url
-	}
-	return peers, nil
-}
-
 // parsePeersFile reads a membership file: one ID=URL per line (commas
 // work too), blank lines and #-comments ignored. The same file drives
 // boot and SIGHUP reload, so membership changes are an edit plus a
@@ -106,7 +83,7 @@ func parsePeersFile(path string) (map[string]string, error) {
 		}
 		entries = append(entries, line)
 	}
-	return parsePeers(strings.Join(entries, ","))
+	return client.ParsePeers(strings.Join(entries, ","))
 }
 
 func main() {
@@ -201,7 +178,7 @@ func run() int {
 				return 2
 			}
 		default:
-			if peers, err = parsePeers(*peersSpec); err != nil {
+			if peers, err = client.ParsePeers(*peersSpec); err != nil {
 				fmt.Fprintln(os.Stderr, "aigd: bad -peers:", err)
 				return 2
 			}

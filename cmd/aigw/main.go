@@ -55,6 +55,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/service"
 	"repro/internal/service/client"
 )
 
@@ -74,18 +75,10 @@ func run() int {
 		return 2
 	}
 
-	peers := make(map[string]string)
-	for _, part := range strings.Split(*peersSpec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		id, url, ok := strings.Cut(part, "=")
-		if !ok || id == "" || url == "" {
-			fmt.Fprintf(os.Stderr, "aigw: bad -peers entry %q (want ID=URL)\n", part)
-			return 2
-		}
-		peers[id] = url
+	peers, err := client.ParsePeers(*peersSpec)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "aigw: bad -peers:", err)
+		return 2
 	}
 	g, err := client.NewGateway(client.GatewayConfig{
 		Peers:       peers,
@@ -144,8 +137,8 @@ func run() int {
 			fmt.Fprintln(os.Stderr, "aigw: usage: neighbors [-k K] [-metric M] [-exact] [-budget N] FP")
 			return 2
 		}
-		resp, err := g.Neighbors(ctx, fs.Arg(0), client.NeighborsOptions{
-			K: *k, Metric: *metric, Exact: *exact, Budget: *budget,
+		resp, err := g.Neighbors(ctx, service.NeighborsRequest{
+			FP: fs.Arg(0), K: *k, Metric: *metric, Exact: *exact, Budget: *budget,
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "aigw:", err)

@@ -181,7 +181,13 @@ type Node struct {
 	reconfiguring atomic.Bool
 	handoff       handoffProgress
 
-	fills fillGroup
+	// fills deduplicates concurrent fills per (pair, metrics): under
+	// concurrent fan-in for one pair, the whole node issues one peer
+	// round trip, and — because the owner singleflights its own
+	// computation — the whole *cluster* computes each (pair, metric)
+	// once. A follower counts as a dedup whether it received the
+	// leader's scores or its ctx ended first.
+	fills *service.FlightGroup[map[string]float64]
 
 	// baseCtx is the node-lifetime context: every background activity —
 	// health probes, replication fan-outs — derives from it, so Close
@@ -216,13 +222,13 @@ func New(svc *service.Server, cfg Config) (*Node, error) {
 		cfg:   cfg,
 		svc:   svc,
 		table: table,
+		fills: service.NewFlightGroup[map[string]float64]("cluster/fill_dedups", "cluster/fill_dedups"),
 	}
 	if cfg.Join {
 		n.state.Store(stateJoining)
 	}
 	//lint:ignore ctxflow the node base context is the member-lifetime root, canceled in Close — probes and replication derive from it
 	n.baseCtx, n.baseCancel = context.WithCancel(context.Background())
-	n.fills.calls = make(map[string]*fillCall)
 	v, err := n.buildView(cfg.Peers, nil)
 	if err != nil {
 		return nil, err
@@ -304,45 +310,13 @@ func (n *Node) routePair(ctx context.Context, fpA, fpB string, names []string) (
 	return n.fill(ctx, key, fpA, fpB, names)
 }
 
-// fillCall is one in-flight fill; followers wait on done.
-type fillCall struct {
-	done   chan struct{}
-	scores map[string]float64
-	err    error
-}
-
-// fillGroup deduplicates concurrent fills per (pair, metrics): under
-// concurrent fan-in for one pair, the whole node issues one peer round
-// trip, and — because the owner singleflights its own computation —
-// the whole *cluster* computes each (pair, metric) once.
-type fillGroup struct {
-	mu    sync.Mutex
-	calls map[string]*fillCall
-}
-
+// fill resolves a pair this node does not own with one deduplicated
+// peer fill per (pair, metrics).
 func (n *Node) fill(ctx context.Context, key, fpA, fpB string, names []string) (map[string]float64, error) {
-	fkey := key + "\x00" + fmt.Sprint(names)
-	n.fills.mu.Lock()
-	if c, ok := n.fills.calls[fkey]; ok {
-		n.fills.mu.Unlock()
-		telemetry.Add("cluster/fill_dedups", 1)
-		select {
-		case <-c.done:
-			return c.scores, c.err
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	c := &fillCall{done: make(chan struct{})}
-	n.fills.calls[fkey] = c
-	n.fills.mu.Unlock()
-
-	c.scores, c.err = n.fillLeader(ctx, key, fpA, fpB, names)
-	n.fills.mu.Lock()
-	delete(n.fills.calls, fkey)
-	n.fills.mu.Unlock()
-	close(c.done)
-	return c.scores, c.err
+	scores, err, _ := n.fills.Do(ctx, key+"\x00"+fmt.Sprint(names), func() (map[string]float64, error) {
+		return n.fillLeader(ctx, key, fpA, fpB, names)
+	})
+	return scores, err
 }
 
 // fillLeader does the actual peer-fill fan-out: ask each alive owner

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -46,7 +45,6 @@ func (n *Node) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/cluster/aigs", n.peerGuard(n.handlePutAIG))
 	mux.HandleFunc("GET /v1/cluster/aigs/{fp}", n.peerGuard(n.handleGetAIGER))
 	mux.HandleFunc("POST /v1/cluster/result", n.peerGuard(n.handlePutResult))
-	mux.HandleFunc("GET /v1/cluster/health", n.peerGuard(n.handleHealth))
 	mux.HandleFunc("GET /v1/cluster/status", n.peerGuard(n.handleStatus))
 	mux.HandleFunc("POST /v1/cluster/reconfigure", n.peerGuard(n.handleReconfigure))
 	mux.HandleFunc("POST /v1/cluster/drain", n.peerGuard(n.handleDrain))
@@ -67,7 +65,7 @@ func (n *Node) externalGate(inner http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if st := n.state.Load(); st != stateActive {
 			w.Header().Set("Retry-After", strconv.Itoa(n.drainRetrySeconds()))
-			peerError(w, http.StatusServiceUnavailable, "node is %s", stateName(st))
+			peerReplies.Error(w, http.StatusServiceUnavailable, "node is %s", stateName(st))
 			return
 		}
 		if hdr := r.Header.Get(client.EpochHeader); hdr != "" {
@@ -96,7 +94,7 @@ func (n *Node) externalGate(inner http.Handler) http.Handler {
 func (n *Node) replyEpochMismatch(w http.ResponseWriter, got uint64) {
 	telemetry.Add("cluster/epoch_rejects", 1)
 	local := n.table.Epoch()
-	peerReply(w, http.StatusConflict, client.EpochStatus{
+	peerReplies.JSON(w, http.StatusConflict, client.EpochStatus{
 		Error:   fmt.Sprintf("membership epoch mismatch: request at %d, node at %d", got, local),
 		Node:    n.cfg.NodeID,
 		Epoch:   local,
@@ -105,39 +103,32 @@ func (n *Node) replyEpochMismatch(w http.ResponseWriter, got uint64) {
 }
 
 // peerGuard is the cluster-endpoint analog of the service's request
-// guard: it adopts the requesting node's traceparent (or roots a fresh
-// trace) and echoes the trace identity, so a request that hops
-// gateway → node → owner stitches into one trace ID end to end.
+// guard: it opens the "cluster/peer_request" span under the requesting
+// node's traceparent (or a fresh trace) and echoes the trace identity,
+// so a request that hops gateway → node → owner stitches into one
+// trace ID end to end.
 func (n *Node) peerGuard(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		telemetry.Add("cluster/peer_requests", 1)
-		ctx := r.Context()
-		if sc, ok := trace.Extract(r.Header); ok {
-			ctx = trace.ContextWithRemote(ctx, sc)
-		}
-		ctx, sp := trace.Start(ctx, "cluster/peer_request")
+		ctx, sp := trace.StartServer(w, r, "cluster/peer_request")
 		sp.Attr("path", r.URL.Path).Attr("node", n.cfg.NodeID)
-		if sc := sp.Context(); sc.Valid() {
-			w.Header().Set(trace.TraceIDHeader, sc.TraceID.String())
-			w.Header().Set("traceparent", trace.Traceparent(sc))
-		}
 		defer sp.End()
 		h(w, r.WithContext(ctx))
 	}
 }
 
-func peerReply(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.WriteHeader(code)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		telemetry.Add("cluster/write_errors", 1)
-	}
+// peerReplies is the reply path of the peer routes and of the external
+// gate's refusals.
+var peerReplies = service.NewReplies("cluster/http_errors", "cluster/write_errors")
+
+// faultReply is a ResponseWriter whose body goes through the
+// fill_reply fault point, so chaos suites can serve torn fill replies.
+type faultReply struct {
+	http.ResponseWriter
+	body io.Writer
 }
 
-func peerError(w http.ResponseWriter, code int, format string, args ...any) {
-	telemetry.Add("cluster/http_errors", 1)
-	peerReply(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
+func (f faultReply) Write(p []byte) (int, error) { return f.body.Write(p) }
 
 // internInline installs an inline fill payload if the fingerprint is
 // not already stored, verifying the payload actually hashes to the
@@ -182,41 +173,31 @@ func (n *Node) handleFill(w http.ResponseWriter, r *http.Request) {
 	var req client.FillRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxPeerBody))
 	if err := dec.Decode(&req); err != nil {
-		peerError(w, http.StatusBadRequest, "decoding fill request: %v", err)
+		peerReplies.Error(w, http.StatusBadRequest, "decoding fill request: %v", err)
 		return
 	}
 	if err := n.internInline(r.Context(), req.A, req.AIGERA); err != nil {
-		peerError(w, http.StatusBadRequest, "interning %s: %v", req.A, err)
+		peerReplies.Error(w, http.StatusBadRequest, "interning %s: %v", req.A, err)
 		return
 	}
 	if err := n.internInline(r.Context(), req.B, req.AIGERB); err != nil {
-		peerError(w, http.StatusBadRequest, "interning %s: %v", req.B, err)
+		peerReplies.Error(w, http.StatusBadRequest, "interning %s: %v", req.B, err)
 		return
 	}
 	if !n.svc.HasAIG(req.A) || !n.svc.HasAIG(req.B) {
-		peerError(w, http.StatusNotFound, "pair (%s, %s) not fully stored here and no payload supplied", req.A, req.B)
+		peerReplies.Error(w, http.StatusNotFound, "pair (%s, %s) not fully stored here and no payload supplied", req.A, req.B)
 		return
 	}
 	scores, err := n.svc.ScorePairLocal(r.Context(), req.A, req.B, req.Metrics)
+	if errors.Is(err, service.ErrBusy) {
+		n.svc.Shed(w, r, peerReplies)
+		return
+	}
 	if err != nil {
-		if errors.Is(err, service.ErrBusy) {
-			w.Header().Set("Retry-After", strconv.Itoa(n.svc.RetryAfterSeconds()))
-			peerError(w, http.StatusTooManyRequests, "saturated, retry later")
-			return
-		}
-		peerError(w, http.StatusInternalServerError, "%v", err)
+		peerReplies.Error(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(client.FillResponse{Scores: scores}); err != nil {
-		peerError(w, http.StatusInternalServerError, "encoding response: %v", err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.WriteHeader(http.StatusOK)
-	if _, err := faultinject.WrapWriter(PointFillReply, w).Write(buf.Bytes()); err != nil {
-		telemetry.Add("cluster/write_errors", 1)
-	}
+	peerReplies.JSON(faultReply{w, faultinject.WrapWriter(PointFillReply, w)}, http.StatusOK, client.FillResponse{Scores: scores})
 }
 
 // handlePutAIG is the receive side of AIG replication: intern the
@@ -225,15 +206,15 @@ func (n *Node) handleFill(w http.ResponseWriter, r *http.Request) {
 func (n *Node) handlePutAIG(w http.ResponseWriter, r *http.Request) {
 	payload, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxPeerBody))
 	if err != nil {
-		peerError(w, http.StatusBadRequest, "reading payload: %v", err)
+		peerReplies.Error(w, http.StatusBadRequest, "reading payload: %v", err)
 		return
 	}
 	v, err := n.svc.InternAIGER(r.Context(), payload)
 	if err != nil {
-		peerError(w, http.StatusBadRequest, "%v", err)
+		peerReplies.Error(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	peerReply(w, http.StatusOK, v)
+	peerReplies.JSON(w, http.StatusOK, v)
 }
 
 // handleGetAIGER serves the canonical AIGER encoding of a stored
@@ -242,10 +223,10 @@ func (n *Node) handleGetAIGER(w http.ResponseWriter, r *http.Request) {
 	fp := r.PathValue("fp")
 	payload, err := n.svc.AIGERFor(fp)
 	if err != nil {
-		peerError(w, http.StatusNotFound, "%v", err)
+		peerReplies.Error(w, http.StatusNotFound, "%v", err)
 		return
 	}
-	peerReply(w, http.StatusOK, map[string][]byte{"aiger": payload})
+	peerReplies.JSON(w, http.StatusOK, client.AIGERPayload{AIGER: payload})
 }
 
 // handlePutResult is the receive side of result replication: install
@@ -254,28 +235,23 @@ func (n *Node) handleGetAIGER(w http.ResponseWriter, r *http.Request) {
 func (n *Node) handlePutResult(w http.ResponseWriter, r *http.Request) {
 	var req client.ResultPut
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxPeerBody)).Decode(&req); err != nil {
-		peerError(w, http.StatusBadRequest, "decoding result: %v", err)
+		peerReplies.Error(w, http.StatusBadRequest, "decoding result: %v", err)
 		return
 	}
 	if req.A == "" || req.B == "" || len(req.Scores) == 0 {
-		peerError(w, http.StatusBadRequest, "result put needs a, b, and scores")
+		peerReplies.Error(w, http.StatusBadRequest, "result put needs a, b, and scores")
 		return
 	}
 	n.svc.FillPairCache(req.A, req.B, req.Scores)
 	telemetry.Add("cluster/results_received", 1)
-	peerReply(w, http.StatusOK, map[string]bool{"ok": true})
-}
-
-// handleHealth reports this node's view of the cluster.
-func (n *Node) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	peerReply(w, http.StatusOK, n.healthSnapshot())
+	peerReplies.JSON(w, http.StatusOK, map[string]bool{"ok": true})
 }
 
 // handleStatus reports membership epoch, lifecycle state, per-peer
 // health/breaker state, and handoff progress — the aigw status
 // surface and the poll target for 202-admitted membership operations.
 func (n *Node) handleStatus(w http.ResponseWriter, _ *http.Request) {
-	peerReply(w, http.StatusOK, n.Status())
+	peerReplies.JSON(w, http.StatusOK, n.Status())
 }
 
 // handleReconfigure admits a membership-change proposal. The reply is
@@ -286,24 +262,24 @@ func (n *Node) handleStatus(w http.ResponseWriter, _ *http.Request) {
 func (n *Node) handleReconfigure(w http.ResponseWriter, r *http.Request) {
 	var req client.ReconfigureRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxPeerBody)).Decode(&req); err != nil {
-		peerError(w, http.StatusBadRequest, "decoding reconfigure request: %v", err)
+		peerReplies.Error(w, http.StatusBadRequest, "decoding reconfigure request: %v", err)
 		return
 	}
 	if err := n.Reconfigure(req); err != nil {
-		peerError(w, http.StatusConflict, "%v", err)
+		peerReplies.Error(w, http.StatusConflict, "%v", err)
 		return
 	}
-	peerReply(w, http.StatusAccepted, n.Status())
+	peerReplies.JSON(w, http.StatusAccepted, n.Status())
 }
 
 // handleDrain starts this node's departure (also reachable via
 // SIGUSR1). 202 like reconfigure: the pre-copy runs asynchronously.
 func (n *Node) handleDrain(w http.ResponseWriter, r *http.Request) {
 	if err := n.StartDrain(); err != nil {
-		peerError(w, http.StatusConflict, "%v", err)
+		peerReplies.Error(w, http.StatusConflict, "%v", err)
 		return
 	}
-	peerReply(w, http.StatusAccepted, n.Status())
+	peerReplies.JSON(w, http.StatusAccepted, n.Status())
 }
 
 // handleAnnounce receives a peer's membership notification: a
@@ -313,7 +289,7 @@ func (n *Node) handleDrain(w http.ResponseWriter, r *http.Request) {
 func (n *Node) handleAnnounce(w http.ResponseWriter, r *http.Request) {
 	var req client.AnnounceRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxPeerBody)).Decode(&req); err != nil {
-		peerError(w, http.StatusBadRequest, "decoding announce: %v", err)
+		peerReplies.Error(w, http.StatusBadRequest, "decoding announce: %v", err)
 		return
 	}
 	telemetry.Add("cluster/announces_received", 1)
@@ -324,5 +300,5 @@ func (n *Node) handleAnnounce(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	n.observeEpoch(req.Epoch, req.Members)
-	peerReply(w, http.StatusOK, map[string]bool{"ok": true})
+	peerReplies.JSON(w, http.StatusOK, map[string]bool{"ok": true})
 }

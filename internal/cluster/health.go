@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/faultinject"
@@ -122,38 +121,4 @@ func (n *Node) logPeerEvent(event, id string, failures int) {
 		"peer":     id,
 		"failures": failures,
 	})
-}
-
-// healthView is the GET /v1/cluster/health answer.
-type healthView struct {
-	Node        string         `json:"node"`
-	State       string         `json:"state"`
-	Epoch       uint64         `json:"epoch"`
-	Members     []string       `json:"members"`
-	Replication int            `json:"replication"`
-	Down        []string       `json:"down"`
-	Failures    map[string]int `json:"failures"`
-}
-
-func (n *Node) healthSnapshot() healthView {
-	mv := n.view()
-	v := healthView{
-		Node:        n.cfg.NodeID,
-		State:       n.State(),
-		Epoch:       n.table.Epoch(),
-		Members:     n.table.Ring().Members(),
-		Replication: n.table.Ring().Replication(),
-		Down:        n.table.Down(),
-		Failures:    make(map[string]int, len(mv.peerIDs)),
-	}
-	if v.Down == nil {
-		v.Down = []string{}
-	}
-	sort.Strings(v.Down)
-	for _, id := range mv.peerIDs {
-		if f := mv.failures[id]; f != nil {
-			v.Failures[id] = int(f.Load())
-		}
-	}
-	return v
 }

@@ -15,12 +15,12 @@ type Config struct {
 	// global randomness.
 	DeterminismRoots []string
 
-	// MetricNameFuncs lists qualified callables whose string argument
-	// (by index) names a telemetry instrument. Names must be compile-
-	// time constants in snake_case segments; passing a bare identifier
+	// MetricNameFuncs lists qualified callables whose string arguments
+	// (by index) name telemetry instruments. Names must be compile-time
+	// constants in snake_case segments; passing a bare identifier
 	// through a helper is allowed (the helper's own call sites are
 	// checked instead).
-	MetricNameFuncs map[string]int
+	MetricNameFuncs map[string][]int
 
 	// MetricNamePattern validates constant metric names. Segments are
 	// snake_case, separated by '/'.
@@ -86,31 +86,36 @@ func DefaultConfig() *Config {
 			`^repro/internal/opt\.(Balance|RewriteOnce|RefactorOnce|ResubOnce)$`,
 			`^repro/internal/lutmap\.RoundTrip$`,
 		},
-		MetricNameFuncs: map[string]int{
-			"repro/internal/telemetry.Add":                   0,
-			"repro/internal/telemetry.SetGauge":              0,
-			"repro/internal/telemetry.Observe":               0,
-			"(repro/internal/telemetry.Registry).Counter":    0,
-			"(repro/internal/telemetry.Registry).Gauge":      0,
-			"(repro/internal/telemetry.Registry).Histogram":  0,
-			"(repro/internal/telemetry.Registry).RecordSpan": 0,
+		MetricNameFuncs: map[string][]int{
+			"repro/internal/telemetry.Add":                   {0},
+			"repro/internal/telemetry.SetGauge":              {0},
+			"repro/internal/telemetry.Observe":               {0},
+			"(repro/internal/telemetry.Registry).Counter":    {0},
+			"(repro/internal/telemetry.Registry).Gauge":      {0},
+			"(repro/internal/telemetry.Registry).Histogram":  {0},
+			"(repro/internal/telemetry.Registry).RecordSpan": {0},
 			// Trace span and attribute names share the metric namespace:
 			// span names feed RecordSpan histograms and attribute keys
 			// are the grep surface of /v1/debug/traces output.
-			"repro/internal/telemetry/trace.Start":        1,
-			"repro/internal/telemetry/trace.AddEvent":     1,
-			"repro/internal/telemetry/trace.A":            0,
-			"(repro/internal/telemetry/trace.Span).Attr":  0,
-			"(repro/internal/telemetry/trace.Span).Event": 0,
+			"repro/internal/telemetry/trace.Start":        {1},
+			"repro/internal/telemetry/trace.StartServer":  {2},
+			"repro/internal/telemetry/trace.AddEvent":     {1},
+			"repro/internal/telemetry/trace.A":            {0},
+			"(repro/internal/telemetry/trace.Span).Attr":  {0},
+			"(repro/internal/telemetry/trace.Span).Event": {0},
+			// The serving stack's shared HTTP reply path and singleflight
+			// take the counters of the surface that uses them.
+			"repro/internal/service.NewReplies":     {0, 1},
+			"repro/internal/service.NewFlightGroup": {0, 1},
 			// Optimization steps name their span and, suffixed, their
 			// gates_removed histogram; newPass names the span of each
 			// pass in opt's table, which runs as a Step.
-			"repro/internal/opt.Step":    1,
-			"repro/internal/opt.newPass": 1,
+			"repro/internal/opt.Step":    {1},
+			"repro/internal/opt.newPass": {1},
 			// Per-peer cluster instruments are assembled from a dynamic
 			// member ID plus a constant suffix; the suffix is the part
 			// that must stay snake_case and greppable.
-			"repro/internal/cluster.peerMetricName": 1,
+			"repro/internal/cluster.peerMetricName": {1},
 		},
 		MetricNamePattern: `^[a-z][a-z0-9_]*(/[a-z][a-z0-9_]*)*$`,
 		FaultPointFuncs: map[string]int{

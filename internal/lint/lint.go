@@ -298,7 +298,15 @@ func QualifiedName(fn *types.Func) string {
 // built-ins.
 func calleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
 	var obj types.Object
-	switch fun := ast.Unparen(call.Fun).(type) {
+	fun := ast.Unparen(call.Fun)
+	// An explicit instantiation f[T](...) calls the generic f.
+	switch ix := fun.(type) {
+	case *ast.IndexExpr:
+		fun = ix.X
+	case *ast.IndexListExpr:
+		fun = ix.X
+	}
+	switch fun := fun.(type) {
 	case *ast.Ident:
 		obj = info.Uses[fun]
 	case *ast.SelectorExpr:

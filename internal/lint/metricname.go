@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/constant"
+	"go/types"
 	"regexp"
 )
 
@@ -37,34 +38,38 @@ func runMetricName(pass *Pass) error {
 			if fn == nil {
 				return true
 			}
-			argIdx, ok := pass.Config.MetricNameFuncs[QualifiedName(fn)]
-			if !ok || argIdx >= len(call.Args) {
-				return true
-			}
-			arg := ast.Unparen(call.Args[argIdx])
-			tv, ok := pass.Pkg.Info.Types[arg]
-			if ok && tv.Value != nil && tv.Value.Kind() == constant.String {
-				name := constant.StringVal(tv.Value)
-				if !pattern.MatchString(name) {
-					pass.Reportf(arg.Pos(),
-						"metric name %q violates the registry convention (snake_case segments, %s)",
-						name, pass.Config.MetricNamePattern)
+			for _, argIdx := range pass.Config.MetricNameFuncs[QualifiedName(fn)] {
+				if argIdx < len(call.Args) {
+					checkMetricName(pass, pattern, fn, ast.Unparen(call.Args[argIdx]))
 				}
-				return true
 			}
-			// Bare identifiers and field reads are pass-through plumbing
-			// (the value was named at an upstream call site that this
-			// analyzer checks); only expressions that *build* a name are
-			// flagged.
-			switch arg.(type) {
-			case *ast.Ident, *ast.SelectorExpr:
-				return true
-			}
-			pass.Reportf(arg.Pos(),
-				"metric name passed to %s is built dynamically: dynamic names mint unbounded time series (cardinality drift); use a constant name or suppress with //lint:ignore stating the bound",
-				QualifiedName(fn))
 			return true
 		})
 	}
 	return nil
+}
+
+// checkMetricName reports a metric-name argument of fn that is not a
+// snake_case constant.
+func checkMetricName(pass *Pass, pattern *regexp.Regexp, fn *types.Func, arg ast.Expr) {
+	tv, ok := pass.Pkg.Info.Types[arg]
+	if ok && tv.Value != nil && tv.Value.Kind() == constant.String {
+		name := constant.StringVal(tv.Value)
+		if !pattern.MatchString(name) {
+			pass.Reportf(arg.Pos(),
+				"metric name %q violates the registry convention (snake_case segments, %s)",
+				name, pass.Config.MetricNamePattern)
+		}
+		return
+	}
+	// Bare identifiers and field reads are pass-through plumbing (the
+	// value was named at an upstream call site that this analyzer
+	// checks); only expressions that *build* a name are flagged.
+	switch arg.(type) {
+	case *ast.Ident, *ast.SelectorExpr:
+		return
+	}
+	pass.Reportf(arg.Pos(),
+		"metric name passed to %s is built dynamically: dynamic names mint unbounded time series (cardinality drift); use a constant name or suppress with //lint:ignore stating the bound",
+		QualifiedName(fn))
 }

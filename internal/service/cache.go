@@ -123,53 +123,59 @@ func (c *resultCache) entries() []cacheItem {
 
 // --- singleflight ------------------------------------------------------
 
-// flightGroup deduplicates concurrent identical computations: the first
+// FlightGroup deduplicates concurrent identical computations: the first
 // caller for a key runs fn, every concurrent duplicate waits for that
 // result instead of recomputing. (A minimal in-house singleflight — the
-// module is dependency-free by design.)
-type flightGroup struct {
-	mu sync.Mutex
-	m  map[string]*flightCall
+// module is dependency-free by design.) The service's metric flights
+// and the cluster's peer fills both run on it.
+type FlightGroup[V any] struct {
+	mu    sync.Mutex
+	calls map[string]*flightCall[V]
+	// shared and abandoned count the followers that received a leader's
+	// result and those whose ctx ended first.
+	shared, abandoned string
 }
 
-type flightCall struct {
+type flightCall[V any] struct {
 	done chan struct{}
-	val  float64
+	val  V
 	err  error
 }
 
-func newFlightGroup() *flightGroup {
-	return &flightGroup{m: make(map[string]*flightCall)}
+// NewFlightGroup returns an empty group whose followers count under
+// the shared and abandoned counters.
+func NewFlightGroup[V any](shared, abandoned string) *FlightGroup[V] {
+	return &FlightGroup[V]{calls: make(map[string]*flightCall[V]), shared: shared, abandoned: abandoned}
 }
 
-// do runs fn once per key among concurrent callers; shared reports
+// Do runs fn once per key among concurrent callers; shared reports
 // whether this caller joined another caller's flight. A follower's wait
 // is bounded by ctx: if the caller's request is canceled while the
 // leader is still computing, the follower returns ctx.Err() immediately
 // instead of inheriting the leader's schedule (the leader is not
-// interrupted — its result still fills the cache for later callers).
-func (g *flightGroup) do(ctx context.Context, key string, fn func() (float64, error)) (val float64, err error, shared bool) {
+// interrupted — its result still reaches every caller that outlasts it).
+func (g *FlightGroup[V]) Do(ctx context.Context, key string, fn func() (V, error)) (val V, err error, shared bool) {
 	g.mu.Lock()
-	if c, ok := g.m[key]; ok {
+	if c, ok := g.calls[key]; ok {
 		g.mu.Unlock()
 		select {
 		case <-c.done:
 		case <-ctx.Done():
-			telemetry.Add("service/singleflight_abandoned", 1)
-			return 0, ctx.Err(), true
+			telemetry.Add(g.abandoned, 1)
+			return val, ctx.Err(), true
 		}
-		telemetry.Add("service/singleflight_shared", 1)
+		telemetry.Add(g.shared, 1)
 		return c.val, c.err, true
 	}
-	c := &flightCall{done: make(chan struct{})}
-	g.m[key] = c
+	c := &flightCall[V]{done: make(chan struct{})}
+	g.calls[key] = c
 	g.mu.Unlock()
 
 	c.val, c.err = fn()
 	close(c.done)
 
 	g.mu.Lock()
-	delete(g.m, key)
+	delete(g.calls, key)
 	g.mu.Unlock()
 	return c.val, c.err, false
 }

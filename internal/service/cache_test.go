@@ -12,16 +12,16 @@ import (
 // leader's schedule. The leader is not interrupted — its result still
 // lands in the flight for any caller that outlasts it.
 //
-// Regression: flightGroup.do used to wait on the leader's done channel
+// Regression: FlightGroup.Do used to wait on the leader's done channel
 // with a bare receive, so a canceled request (client gone, deadline
 // passed) stayed parked for as long as the leader's computation took.
 func TestFlightGroupFollowerCancel(t *testing.T) {
-	g := newFlightGroup()
+	g := NewFlightGroup[float64]("service/singleflight_shared", "service/singleflight_abandoned")
 	leaderIn := make(chan struct{})
 	release := make(chan struct{})
 	leaderOut := make(chan float64, 1)
 	go func() {
-		v, _, _ := g.do(context.Background(), "k", func() (float64, error) {
+		v, _, _ := g.Do(context.Background(), "k", func() (float64, error) {
 			close(leaderIn)
 			<-release
 			return 42, nil
@@ -33,7 +33,7 @@ func TestFlightGroupFollowerCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	followerOut := make(chan error, 1)
 	go func() {
-		_, err, shared := g.do(ctx, "k", func() (float64, error) {
+		_, err, shared := g.Do(ctx, "k", func() (float64, error) {
 			t.Error("follower ran the computation despite an in-flight leader")
 			return 0, nil
 		})

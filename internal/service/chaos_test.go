@@ -103,7 +103,7 @@ func TestChaosSpillTornWrite(t *testing.T) {
 	armChaos(t, harness.PointAtomicWrite, faultinject.Always(),
 		faultinject.Fault{Mode: faultinject.ModeTornWrite, KeepBytes: 11})
 
-	var acc jobAccepted
+	var acc JobAccepted
 	if code := d.do(t, "POST", "/v1/optimize", `{"aig":"`+fp+`"}`, &acc); code != http.StatusAccepted {
 		t.Fatalf("optimize status %d", code)
 	}
@@ -139,7 +139,7 @@ func TestChaosSpillENOSPC(t *testing.T) {
 	fp := d.submit(t, testAIG(t, 42)).Fingerprint
 	armChaos(t, PointSpill, faultinject.Always(), faultinject.Fault{Mode: faultinject.ModeENOSPC})
 
-	var acc jobAccepted
+	var acc JobAccepted
 	if code := d.do(t, "POST", "/v1/optimize", `{"aig":"`+fp+`"}`, &acc); code != http.StatusAccepted {
 		t.Fatalf("optimize status %d", code)
 	}
@@ -184,7 +184,7 @@ func TestChaosRestartRecoverySweep(t *testing.T) {
 
 	// The swept directory is immediately usable: a new job spills fine.
 	fp := d.submit(t, testAIG(t, 43)).Fingerprint
-	var acc jobAccepted
+	var acc JobAccepted
 	if code := d.do(t, "POST", "/v1/optimize", `{"aig":"`+fp+`"}`, &acc); code != http.StatusAccepted {
 		t.Fatalf("optimize status %d", code)
 	}
@@ -204,7 +204,7 @@ func TestChaosIdempotentRetryNoSlotLeak(t *testing.T) {
 	d := newTestDaemon(t, Config{Workers: 2})
 	fp := d.submit(t, testAIG(t, 44)).Fingerprint
 
-	post := func() jobAccepted {
+	post := func() JobAccepted {
 		t.Helper()
 		req, err := http.NewRequest("POST", d.ts.URL+"/v1/optimize", strings.NewReader(`{"aig":"`+fp+`"}`))
 		if err != nil {
@@ -219,7 +219,7 @@ func TestChaosIdempotentRetryNoSlotLeak(t *testing.T) {
 		if resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("status = %d, want 202", resp.StatusCode)
 		}
-		var acc jobAccepted
+		var acc JobAccepted
 		if err := json.NewDecoder(resp.Body).Decode(&acc); err != nil {
 			t.Fatal(err)
 		}
@@ -259,7 +259,7 @@ func TestChaosIdempotentRetryNoSlotLeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var acc jobAccepted
+	var acc JobAccepted
 	if err := json.NewDecoder(resp.Body).Decode(&acc); err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestChaosKillAndRestartMidSpill(t *testing.T) {
 	d1 := spillingDaemon(t, dir)
 	fp := d1.submit(t, testAIG(t, 45)).Fingerprint
 	for i := 0; i < 4; i++ {
-		var acc jobAccepted
+		var acc JobAccepted
 		d1.do(t, "POST", "/v1/optimize", `{"aig":"`+fp+`"}`, &acc)
 	}
 	d1.ts.Close()
@@ -299,7 +299,7 @@ func TestChaosKillAndRestartMidSpill(t *testing.T) {
 	// and the daemon must be fully serviceable.
 	d2 := spillingDaemon(t, dir)
 	fp2 := d2.submit(t, testAIG(t, 45)).Fingerprint
-	var acc jobAccepted
+	var acc JobAccepted
 	if code := d2.do(t, "POST", "/v1/optimize", `{"aig":"`+fp2+`"}`, &acc); code != http.StatusAccepted {
 		t.Fatalf("post-restart optimize status %d", code)
 	}

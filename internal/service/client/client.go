@@ -344,9 +344,7 @@ func (c *Client) attempt(ctx context.Context, method, path, contentType string, 
 	}
 
 	msg := strings.TrimSpace(string(raw))
-	var eresp struct {
-		Error string `json:"error"`
-	}
+	var eresp service.ErrorResponse
 	if json.Unmarshal(raw, &eresp) == nil && eresp.Error != "" {
 		msg = eresp.Error
 	}
@@ -371,65 +369,14 @@ func (c *Client) attempt(ctx context.Context, method, path, contentType string, 
 	}
 }
 
-// --- request mirrors of the daemon's unexported wire types -------------
-
-type metricsReq struct {
-	A       string   `json:"a"`
-	B       string   `json:"b"`
-	Metrics []string `json:"metrics,omitempty"`
-}
-
-type metricsResp struct {
-	Scores map[string]float64 `json:"scores"`
-}
-
-type batchReq struct {
-	AIGs    []string `json:"aigs"`
-	Metrics []string `json:"metrics,omitempty"`
-}
-
-// BatchPair is one scored unordered pair of a batch call, indexed into
-// the submitted fingerprint list.
-type BatchPair struct {
-	I      int                `json:"i"`
-	J      int                `json:"j"`
-	Scores map[string]float64 `json:"scores"`
-}
-
-type batchResp struct {
-	Pairs []BatchPair `json:"pairs"`
-}
-
-type neighborsReq struct {
-	FP     string `json:"fp"`
-	K      int    `json:"k,omitempty"`
-	Metric string `json:"metric,omitempty"`
-	Exact  bool   `json:"exact,omitempty"`
-	Budget int    `json:"budget,omitempty"`
-}
-
-type diverseReq struct {
-	AIGs   []string `json:"aigs,omitempty"`
-	K      int      `json:"k"`
-	Metric string   `json:"metric,omitempty"`
-}
-
-type optimizeReq struct {
-	AIG  string `json:"aig"`
-	Flow string `json:"flow"`
-	Seed int64  `json:"seed,omitempty"`
-}
-
-type reportReq struct {
-	A       string   `json:"a"`
-	B       string   `json:"b"`
-	Flows   []string `json:"flows,omitempty"`
-	Metrics []string `json:"metrics,omitempty"`
-	Seed    int64    `json:"seed,omitempty"`
-}
-
-type jobAccepted struct {
-	ID string `json:"id"`
+// post sends in as a JSON body through do — the request path of every
+// JSON call, whose bodies are the daemon's own wire types.
+func (c *Client) post(ctx context.Context, endpoint, path string, in any, idemKey string, out any) error {
+	body, err := json.Marshal(in)
+	if err != nil {
+		return err
+	}
+	return c.do(ctx, endpoint, http.MethodPost, path, "application/json", body, idemKey, out)
 }
 
 // --- API surface -------------------------------------------------------
@@ -452,64 +399,34 @@ func (c *Client) GetAIG(ctx context.Context, fp string) (service.AIGView, error)
 // Metrics scores one stored pair. Empty metrics means the daemon's
 // full metric set.
 func (c *Client) Metrics(ctx context.Context, a, b string, metrics []string) (map[string]float64, error) {
-	body, err := json.Marshal(metricsReq{A: a, B: b, Metrics: metrics})
-	if err != nil {
-		return nil, err
-	}
-	var resp metricsResp
-	if err := c.do(ctx, "metrics", http.MethodPost, "/v1/metrics", "application/json", body, "", &resp); err != nil {
+	var resp service.MetricsResponse
+	if err := c.post(ctx, "metrics", "/v1/metrics", service.MetricsRequest{A: a, B: b, Metrics: metrics}, "", &resp); err != nil {
 		return nil, err
 	}
 	return resp.Scores, nil
 }
 
 // MetricsBatch scores every unordered pair among stored fingerprints.
-func (c *Client) MetricsBatch(ctx context.Context, fps []string, metrics []string) ([]BatchPair, error) {
-	body, err := json.Marshal(batchReq{AIGs: fps, Metrics: metrics})
-	if err != nil {
-		return nil, err
-	}
-	var resp batchResp
-	if err := c.do(ctx, "batch", http.MethodPost, "/v1/metrics/batch", "application/json", body, "", &resp); err != nil {
+func (c *Client) MetricsBatch(ctx context.Context, fps []string, metrics []string) ([]service.BatchPair, error) {
+	var resp service.BatchResponse
+	if err := c.post(ctx, "batch", "/v1/metrics/batch", service.BatchRequest{AIGs: fps, Metrics: metrics}, "", &resp); err != nil {
 		return nil, err
 	}
 	return resp.Pairs, nil
 }
 
-// NeighborsOptions tunes a k-NN query; the zero value uses the
-// daemon's defaults (k=10, WLKernel, sketch-pruned with the default
-// candidate budget).
-type NeighborsOptions struct {
-	K      int
-	Metric string
-	// Exact forces the ground-truth full-corpus scan.
-	Exact bool
-	// Budget caps sketch-pruned candidates getting full evaluation.
-	Budget int
-}
-
-// Neighbors runs a k-NN query for a stored fingerprint.
-func (c *Client) Neighbors(ctx context.Context, fp string, opts NeighborsOptions) (service.NeighborsResponse, error) {
-	body, err := json.Marshal(neighborsReq{
-		FP: fp, K: opts.K, Metric: opts.Metric, Exact: opts.Exact, Budget: opts.Budget,
-	})
-	if err != nil {
-		return service.NeighborsResponse{}, err
-	}
+// Neighbors runs a k-NN query for the stored fingerprint req.FP.
+func (c *Client) Neighbors(ctx context.Context, req service.NeighborsRequest) (service.NeighborsResponse, error) {
 	var resp service.NeighborsResponse
-	err = c.do(ctx, "neighbors", http.MethodPost, "/v1/neighbors", "application/json", body, "", &resp)
+	err := c.post(ctx, "neighbors", "/v1/neighbors", req, "", &resp)
 	return resp, err
 }
 
 // DiverseSubset runs greedy max-min diversity selection over stored
 // fingerprints (nil pool = the daemon's whole corpus).
 func (c *Client) DiverseSubset(ctx context.Context, pool []string, k int, metric string) (service.DiverseResponse, error) {
-	body, err := json.Marshal(diverseReq{AIGs: pool, K: k, Metric: metric})
-	if err != nil {
-		return service.DiverseResponse{}, err
-	}
 	var resp service.DiverseResponse
-	err = c.do(ctx, "diverse", http.MethodPost, "/v1/diverse-subset", "application/json", body, "", &resp)
+	err := c.post(ctx, "diverse", "/v1/diverse-subset", service.DiverseRequest{AIGs: pool, K: k, Metric: metric}, "", &resp)
 	return resp, err
 }
 
@@ -517,12 +434,8 @@ func (c *Client) DiverseSubset(ctx context.Context, pool []string, k int, metric
 // submission carries a generated idempotency key, so a retry that
 // races a slow first attempt lands on the same job server-side.
 func (c *Client) Optimize(ctx context.Context, fp, flow string, seed int64) (string, error) {
-	body, err := json.Marshal(optimizeReq{AIG: fp, Flow: flow, Seed: seed})
-	if err != nil {
-		return "", err
-	}
-	var acc jobAccepted
-	if err := c.do(ctx, "optimize", http.MethodPost, "/v1/optimize", "application/json", body, c.idemKey(), &acc); err != nil {
+	var acc service.JobAccepted
+	if err := c.post(ctx, "optimize", "/v1/optimize", service.OptimizeRequest{AIG: fp, Flow: flow, Seed: seed}, c.idemKey(), &acc); err != nil {
 		return "", err
 	}
 	return acc.ID, nil
@@ -531,12 +444,9 @@ func (c *Client) Optimize(ctx context.Context, fp, flow string, seed int64) (str
 // Report submits an async ROD-style pair report job and returns its
 // ID, idempotency-keyed like Optimize.
 func (c *Client) Report(ctx context.Context, a, b string, flows, metrics []string, seed int64) (string, error) {
-	body, err := json.Marshal(reportReq{A: a, B: b, Flows: flows, Metrics: metrics, Seed: seed})
-	if err != nil {
-		return "", err
-	}
-	var acc jobAccepted
-	if err := c.do(ctx, "report", http.MethodPost, "/v1/report", "application/json", body, c.idemKey(), &acc); err != nil {
+	var acc service.JobAccepted
+	req := service.ReportRequest{A: a, B: b, Flows: flows, Metrics: metrics, Seed: seed}
+	if err := c.post(ctx, "report", "/v1/report", req, c.idemKey(), &acc); err != nil {
 		return "", err
 	}
 	return acc.ID, nil

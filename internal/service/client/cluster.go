@@ -2,7 +2,6 @@ package client
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 
@@ -13,7 +12,9 @@ import (
 // types are shared with internal/cluster's handlers (the cluster
 // imports this package for its per-peer clients), so both sides of
 // every peer conversation marshal the same struct — there is no second
-// copy of the wire contract to drift.
+// copy of the wire contract to drift. The daemon's own API follows the
+// same rule: the client marshals the request and response types
+// internal/service declares.
 
 // FillRequest asks a pair's ring owner for its scores. The AIGER
 // payloads ride along so an owner that has not yet received the
@@ -31,6 +32,13 @@ type FillRequest struct {
 // FillResponse carries the owner's scores for a FillRequest.
 type FillResponse struct {
 	Scores map[string]float64 `json:"scores"`
+}
+
+// AIGERPayload carries a stored AIG's canonical AIGER encoding (as
+// base64, like every []byte field) — the GET /v1/cluster/aigs/{fp}
+// answer.
+type AIGERPayload struct {
+	AIGER []byte `json:"aiger"`
 }
 
 // ResultPut replicates one computed pair result to a replica's cache.
@@ -121,12 +129,8 @@ type StatusView struct {
 // ClusterFill asks a peer (the pair's owner) to resolve a fill
 // request, retrying and breaker-gating like any other endpoint.
 func (c *Client) ClusterFill(ctx context.Context, req FillRequest) (map[string]float64, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
 	var resp FillResponse
-	if err := c.do(ctx, "cluster_fill", http.MethodPost, "/v1/cluster/fill", "application/json", body, "", &resp); err != nil {
+	if err := c.post(ctx, "cluster_fill", "/v1/cluster/fill", req, "", &resp); err != nil {
 		return nil, err
 	}
 	return resp.Scores, nil
@@ -137,9 +141,7 @@ func (c *Client) ClusterFill(ctx context.Context, req FillRequest) (map[string]f
 // node asked about a fingerprint it never received pulls the structure
 // from a peer before scoring.
 func (c *Client) ClusterGetAIGER(ctx context.Context, fp string) ([]byte, error) {
-	var p struct {
-		AIGER []byte `json:"aiger"`
-	}
+	var p AIGERPayload
 	if err := c.do(ctx, "cluster_aigs", http.MethodGet, "/v1/cluster/aigs/"+fp, "", nil, "", &p); err != nil {
 		return nil, err
 	}
@@ -158,11 +160,7 @@ func (c *Client) ClusterPutAIG(ctx context.Context, aiger []byte) (service.AIGVi
 // cache. Safe to replay: scores are a pure function of the pair, so a
 // duplicate put installs the identical value.
 func (c *Client) ClusterPutResult(ctx context.Context, a, b string, scores map[string]float64) error {
-	body, err := json.Marshal(ResultPut{A: a, B: b, Scores: scores})
-	if err != nil {
-		return err
-	}
-	return c.do(ctx, "cluster_result", http.MethodPost, "/v1/cluster/result", "application/json", body, "", nil)
+	return c.post(ctx, "cluster_result", "/v1/cluster/result", ResultPut{A: a, B: b, Scores: scores}, "", nil)
 }
 
 // ClusterStatus fetches a node's membership/handoff status.
@@ -176,12 +174,8 @@ func (c *Client) ClusterStatus(ctx context.Context) (StatusView, error) {
 // validates and replies immediately (202); handoff and epoch install
 // run asynchronously — poll ClusterStatus for completion.
 func (c *Client) ClusterReconfigure(ctx context.Context, req ReconfigureRequest) (StatusView, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return StatusView{}, err
-	}
 	var v StatusView
-	err = c.do(ctx, "cluster_reconfigure", http.MethodPost, "/v1/cluster/reconfigure", "application/json", body, "", &v)
+	err := c.post(ctx, "cluster_reconfigure", "/v1/cluster/reconfigure", req, "", &v)
 	return v, err
 }
 
@@ -190,15 +184,11 @@ func (c *Client) ClusterReconfigure(ctx context.Context, req ReconfigureRequest)
 // ClusterStatus for handoff progress.
 func (c *Client) ClusterDrain(ctx context.Context) (StatusView, error) {
 	var v StatusView
-	err := c.do(ctx, "cluster_drain", http.MethodPost, "/v1/cluster/drain", "application/json", []byte("{}"), "", &v)
+	err := c.post(ctx, "cluster_drain", "/v1/cluster/drain", struct{}{}, "", &v)
 	return v, err
 }
 
 // ClusterAnnounce delivers a membership notification to a peer.
 func (c *Client) ClusterAnnounce(ctx context.Context, req AnnounceRequest) error {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return err
-	}
-	return c.do(ctx, "cluster_announce", http.MethodPost, "/v1/cluster/announce", "application/json", body, "", nil)
+	return c.post(ctx, "cluster_announce", "/v1/cluster/announce", req, "", nil)
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -38,6 +39,33 @@ type GatewayConfig struct {
 	// per peer. Leave AttemptTimeout set (default 2s) so one stalled
 	// node cannot eat a request's whole budget before failover.
 	Client Config
+}
+
+// ParsePeers parses a membership spec, "n1=http://h1:8347,n2=...", into
+// member ID → base URL — the one parser behind aigd's -peers and
+// -peers-file and aigw's -peers. Blank entries are skipped; an entry
+// that is not ID=URL, a repeated ID, or a spec naming no member at all
+// is an error.
+func ParsePeers(spec string) (map[string]string, error) {
+	peers := make(map[string]string)
+	for _, part := range strings.Split(spec, ",") {
+		part = strings.TrimSpace(part)
+		if part == "" {
+			continue
+		}
+		id, url, ok := strings.Cut(part, "=")
+		if !ok || id == "" || url == "" {
+			return nil, fmt.Errorf("entry %q is not ID=URL", part)
+		}
+		if _, dup := peers[id]; dup {
+			return nil, fmt.Errorf("duplicate member ID %q", id)
+		}
+		peers[id] = url
+	}
+	if len(peers) == 0 {
+		return nil, fmt.Errorf("no members given (want ID=URL,ID=URL,...)")
+	}
+	return peers, nil
 }
 
 // DefaultGatewayAttemptTimeout bounds one attempt against one node on
@@ -278,55 +306,51 @@ func (g *Gateway) tryEach(ctx context.Context, candidatesFn func(v *gwView) []st
 	return fmt.Errorf("gateway: all nodes failed: %w", lastErr)
 }
 
+// first runs call through tryEach and returns the answer of the first
+// node that succeeds.
+func first[T any](ctx context.Context, g *Gateway, candidatesFn func(v *gwView) []string, call func(c *Client) (T, error)) (T, error) {
+	var out T
+	err := g.tryEach(ctx, candidatesFn, func(c *Client) error {
+		v, err := call(c)
+		if err == nil {
+			out = v
+		}
+		return err
+	})
+	return out, err
+}
+
 // SubmitAIG uploads an AIGER payload to the cluster. The receiving
 // node (round-robin over members, with failover) interns it and
 // replicates it to the structure's ring owners server-side.
 func (g *Gateway) SubmitAIG(ctx context.Context, aiger []byte) (service.AIGView, error) {
-	var v service.AIGView
-	err := g.tryEach(ctx, g.roundRobin, func(c *Client) error {
-		view, err := c.SubmitAIG(ctx, aiger)
-		if err == nil {
-			v = view
-		}
-		return err
+	return first(ctx, g, g.roundRobin, func(c *Client) (service.AIGView, error) {
+		return c.SubmitAIG(ctx, aiger)
 	})
-	return v, err
 }
 
 // Metrics scores a stored pair, routed by fingerprint to the pair's
 // ring owner; a dead or saturated owner fails over to its replicas and
 // then to the rest of the cluster.
 func (g *Gateway) Metrics(ctx context.Context, a, b string, metrics []string) (map[string]float64, error) {
-	var scores map[string]float64
-	err := g.tryEach(ctx, func(v *gwView) []string {
+	return first(ctx, g, func(v *gwView) []string {
 		return v.ordered(v.ring.Owners(ring.PairKey(a, b)))
-	}, func(c *Client) error {
-		s, err := c.Metrics(ctx, a, b, metrics)
-		if err == nil {
-			scores = s
-		}
-		return err
+	}, func(c *Client) (map[string]float64, error) {
+		return c.Metrics(ctx, a, b, metrics)
 	})
-	return scores, err
 }
 
-// Neighbors runs a k-NN query for a stored fingerprint, routed to the
-// structure's ring owners first — they hold the structure (and the
-// densest local corpus around it) so the answer is most complete
-// there. Each node answers from its own store; in a cluster this is a
-// per-node view, not a global one.
-func (g *Gateway) Neighbors(ctx context.Context, fp string, opts NeighborsOptions) (service.NeighborsResponse, error) {
-	var resp service.NeighborsResponse
-	err := g.tryEach(ctx, func(v *gwView) []string {
-		return v.ordered(v.ring.Owners(fp))
-	}, func(c *Client) error {
-		r, err := c.Neighbors(ctx, fp, opts)
-		if err == nil {
-			resp = r
-		}
-		return err
+// Neighbors runs a k-NN query for the stored fingerprint req.FP,
+// routed to the structure's ring owners first — they hold the
+// structure (and the densest local corpus around it) so the answer is
+// most complete there. Each node answers from its own store; in a
+// cluster this is a per-node view, not a global one.
+func (g *Gateway) Neighbors(ctx context.Context, req service.NeighborsRequest) (service.NeighborsResponse, error) {
+	return first(ctx, g, func(v *gwView) []string {
+		return v.ordered(v.ring.Owners(req.FP))
+	}, func(c *Client) (service.NeighborsResponse, error) {
+		return c.Neighbors(ctx, req)
 	})
-	return resp, err
 }
 
 // DiverseSubset runs greedy max-min diversity selection. With an
@@ -341,15 +365,9 @@ func (g *Gateway) DiverseSubset(ctx context.Context, pool []string, k int, metri
 			return v.ordered(v.ring.Owners(pool[0]))
 		}
 	}
-	var resp service.DiverseResponse
-	err := g.tryEach(ctx, candidatesFn, func(c *Client) error {
-		r, err := c.DiverseSubset(ctx, pool, k, metric)
-		if err == nil {
-			resp = r
-		}
-		return err
+	return first(ctx, g, candidatesFn, func(c *Client) (service.DiverseResponse, error) {
+		return c.DiverseSubset(ctx, pool, k, metric)
 	})
-	return resp, err
 }
 
 // Healthz probes every node once and returns the per-node outcome

@@ -6,6 +6,8 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -327,7 +329,7 @@ func TestGatewayNeighborsAndDiverse(t *testing.T) {
 	}
 
 	owners := fx.g.AIGOwners(fps[0])
-	resp, err := fx.g.Neighbors(context.Background(), fps[0], NeighborsOptions{K: 3})
+	resp, err := fx.g.Neighbors(context.Background(), service.NeighborsRequest{FP: fps[0], K: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +342,7 @@ func TestGatewayNeighborsAndDiverse(t *testing.T) {
 
 	// Kill the owner: the same query must fail over and still answer.
 	fx.dead[owners[0]].Store(true)
-	if _, err := fx.g.Neighbors(context.Background(), fps[0], NeighborsOptions{K: 3}); err != nil {
+	if _, err := fx.g.Neighbors(context.Background(), service.NeighborsRequest{FP: fps[0], K: 3}); err != nil {
 		t.Fatalf("neighbors with dead owner: %v", err)
 	}
 	fx.dead[owners[0]].Store(false)
@@ -357,7 +359,7 @@ func TestGatewayNeighborsAndDiverse(t *testing.T) {
 	for id := range fx.counts {
 		fx.counts[id].Store(0)
 	}
-	if _, err := fx.g.Neighbors(context.Background(), "fp-missing", NeighborsOptions{}); err == nil {
+	if _, err := fx.g.Neighbors(context.Background(), service.NeighborsRequest{FP: "fp-missing"}); err == nil {
 		t.Fatal("expected 404 for unknown fingerprint")
 	}
 	var total int64
@@ -366,5 +368,39 @@ func TestGatewayNeighborsAndDiverse(t *testing.T) {
 	}
 	if total != 1 {
 		t.Fatalf("a contract 404 reached %d nodes, want exactly 1", total)
+	}
+}
+
+// TestParsePeers pins the one membership-spec parser aigd and aigw
+// share: blank entries are skipped, everything else must be ID=URL
+// with a unique ID, and a spec naming no member is refused.
+func TestParsePeers(t *testing.T) {
+	cases := []struct {
+		name, spec string
+		want       map[string]string
+		wantErr    string
+	}{
+		{"two members", "n1=http://h1:1,n2=http://h2:2", map[string]string{"n1": "http://h1:1", "n2": "http://h2:2"}, ""},
+		{"blank entries skipped", " , n1=http://h1:1 ,, ", map[string]string{"n1": "http://h1:1"}, ""},
+		{"duplicate ID", "n1=http://h1:1,n1=http://h1:2,n2=http://h2:3", nil, `duplicate member ID "n1"`},
+		{"missing =", "n1=http://h1:1,n2", nil, `entry "n2" is not ID=URL`},
+		{"empty ID", "=http://h1:1", nil, `entry "=http://h1:1" is not ID=URL`},
+		{"empty URL", "n1=", nil, `entry "n1=" is not ID=URL`},
+		{"empty spec", "", nil, "no members given"},
+		{"only blanks", " , ,", nil, "no members given"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got, err := ParsePeers(tc.spec)
+			if tc.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("ParsePeers(%q) = %v, %v; want error containing %q", tc.spec, got, err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil || !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("ParsePeers(%q) = %v, %v; want %v", tc.spec, got, err, tc.want)
+			}
+		})
 	}
 }

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/aiger"
 	"repro/internal/simil"
-	"repro/internal/telemetry/trace"
 )
 
 // This file is the surface internal/cluster composes a multi-node
@@ -52,22 +51,14 @@ func (s *Server) SetClusterHooks(router PairRouter, onIntern InternObserver) {
 	s.onIntern = onIntern
 }
 
-// InternAIGER parses, validates, and interns an AIGER payload exactly
-// like POST /v1/aigs does — including the Cleanup canonicalization
-// that keeps dead cones out of the fingerprint — but without invoking
-// the intern observer. It is the receive side of cluster replication
-// and inline fill payloads; interning is content-addressed, so
-// replaying it is idempotent.
+// InternAIGER interns an AIGER payload exactly like POST /v1/aigs does
+// — the same intern path, Cleanup canonicalization and
+// service/store_intern span — but without invoking the intern
+// observer. It is the receive side of cluster replication and inline
+// fill payloads; interning is content-addressed, so replaying it is
+// idempotent.
 func (s *Server) InternAIGER(ctx context.Context, payload []byte) (AIGView, error) {
-	g, err := aiger.Read(bytes.NewReader(payload))
-	if err != nil {
-		return AIGView{}, fmt.Errorf("parsing AIGER: %w", err)
-	}
-	if err := g.Check(); err != nil {
-		return AIGView{}, fmt.Errorf("invalid AIG: %w", err)
-	}
-	e, known := s.store.put(ctx, g.Cleanup())
-	return viewOf(e, known), nil
+	return s.intern(ctx, bytes.NewReader(payload))
 }
 
 // AIGERFor returns the canonical ASCII AIGER encoding of a stored
@@ -97,33 +88,26 @@ func (s *Server) HasAIG(fp string) bool {
 // node's worker pool, through its cache and singleflight — the exact
 // single-node scoring path. ErrBusy means the pool queue is full.
 func (s *Server) ScorePairLocal(ctx context.Context, fpA, fpB string, metricNames []string) (map[string]float64, error) {
-	ea, eb, err := s.resolvePair(fpA, fpB)
-	if err != nil {
-		return nil, err
-	}
 	metrics, err := resolveMetrics(metricNames)
 	if err != nil {
 		return nil, err
 	}
-	return s.scorePairPooled(ctx, ea, eb, metrics)
+	return s.scorePair(ctx, fpA, fpB, metrics)
 }
 
-// scorePairPooled runs pairScores on the bounded pool with the
-// queue-wait span, shared by handleMetrics and ScorePairLocal.
-func (s *Server) scorePairPooled(ctx context.Context, ea, eb *storedAIG, metrics []simil.Metric) (map[string]float64, error) {
-	var scores map[string]float64
-	var serr error
-	_, qspan := trace.Start(ctx, "service/queue_wait")
-	err := s.pool.run(ctx, func() {
-		qspan.End()
-		scores, serr = s.pairScores(ctx, ea, eb, metrics)
-	})
+// scorePair runs pairScores for a stored pair on the bounded pool,
+// shared by handleMetrics and ScorePairLocal.
+func (s *Server) scorePair(ctx context.Context, fpA, fpB string, metrics []simil.Metric) (map[string]float64, error) {
+	ea, eb, err := s.resolvePair(fpA, fpB)
 	if err != nil {
-		qspan.Fail(err).End()
 		return nil, err
 	}
-	if serr != nil {
-		return nil, serr
+	var scores map[string]float64
+	if err := s.pooled(ctx, func() (err error) {
+		scores, err = s.pairScores(ctx, ea, eb, metrics)
+		return err
+	}); err != nil {
+		return nil, err
 	}
 	return scores, nil
 }
@@ -209,26 +193,4 @@ func (s *Server) CachedPairResults() []PairResult {
 		out[i] = *byPair[k]
 	}
 	return out
-}
-
-// RetryAfterSeconds exposes the load-scaled Retry-After hint (1s idle,
-// up to 30s under backlog) so the cluster layer's refusals carry the
-// same pacing signal as the service's own 429s.
-func (s *Server) RetryAfterSeconds() int {
-	return s.retryAfterSeconds()
-}
-
-// MetricNames canonicalizes a request's metric list the way the
-// scoring path will resolve it (empty = the full registry), so routing
-// layers key their deduplication on exactly what will be computed.
-func MetricNames(names []string) ([]string, error) {
-	metrics, err := resolveMetrics(names)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]string, len(metrics))
-	for i, m := range metrics {
-		out[i] = m.Name
-	}
-	return out, nil
 }

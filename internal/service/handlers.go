@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -36,6 +37,9 @@ const (
 )
 
 // --- wire types --------------------------------------------------------
+//
+// The daemon's request and response bodies. internal/service/client
+// marshals these same structs, so the wire contract has one copy.
 
 // AIGView describes one stored AIG.
 type AIGView struct {
@@ -49,27 +53,33 @@ type AIGView struct {
 	Known bool `json:"known"`
 }
 
-type metricsRequest struct {
+// MetricsRequest is the POST /v1/metrics body: a stored pair and the
+// metrics to score it by (empty = all of them).
+type MetricsRequest struct {
 	A       string   `json:"a"`
 	B       string   `json:"b"`
 	Metrics []string `json:"metrics,omitempty"`
 }
 
-type metricsResponse struct {
+// MetricsResponse carries one pair's scores.
+type MetricsResponse struct {
 	A      string             `json:"a"`
 	B      string             `json:"b"`
 	Scores map[string]float64 `json:"scores"`
 }
 
-type batchRequest struct {
+// BatchRequest is the POST /v1/metrics/batch body: stored fingerprints
+// whose every unordered pair is scored.
+type BatchRequest struct {
 	AIGs    []string `json:"aigs"`
 	Metrics []string `json:"metrics,omitempty"`
 }
 
-type batchResponse struct {
+// BatchResponse carries a batch's scored pairs.
+type BatchResponse struct {
 	AIGs []string `json:"aigs"`
 	// Pairs holds one entry per unordered pair, indexed into AIGs.
-	Pairs []batchPair `json:"pairs"`
+	Pairs []BatchPair `json:"pairs"`
 	// Pruned reports that the batch exceeded maxBatchExact and the
 	// sketch index pre-filtered the pair loop; PrunedPairs counts the
 	// pairs skipped without full evaluation.
@@ -77,21 +87,25 @@ type batchResponse struct {
 	PrunedPairs int  `json:"pruned_pairs,omitempty"`
 }
 
-// batchCapError is the structured over-cap refusal: the client learns
+// BatchCapError is the structured over-cap refusal: the client learns
 // the actual cap and its own request size, not just a bare 400.
-type batchCapError struct {
+type BatchCapError struct {
 	Error string `json:"error"`
 	Cap   int    `json:"cap"`
 	Size  int    `json:"size"`
 }
 
-type batchPair struct {
+// BatchPair is one scored unordered pair of a batch, indexed into the
+// submitted fingerprint list.
+type BatchPair struct {
 	I      int                `json:"i"`
 	J      int                `json:"j"`
 	Scores map[string]float64 `json:"scores"`
 }
 
-type optimizeRequest struct {
+// OptimizeRequest is the POST /v1/optimize body (flow default
+// orchestrate).
+type OptimizeRequest struct {
 	AIG  string `json:"aig"`
 	Flow string `json:"flow"`
 	Seed int64  `json:"seed,omitempty"`
@@ -112,7 +126,9 @@ type OptimizeResult struct {
 	AIGER                string `json:"aiger"`
 }
 
-type reportRequest struct {
+// ReportRequest is the POST /v1/report body (empty flows or metrics =
+// all of them).
+type ReportRequest struct {
 	A       string   `json:"a"`
 	B       string   `json:"b"`
 	Flows   []string `json:"flows,omitempty"`
@@ -120,41 +136,65 @@ type reportRequest struct {
 	Seed    int64    `json:"seed,omitempty"`
 }
 
-type jobAccepted struct {
+// JobAccepted is the 202 answer to a job submission.
+type JobAccepted struct {
 	ID     string    `json:"id"`
 	Status JobStatus `json:"status"`
 	Poll   string    `json:"poll"`
 }
 
-type errorResponse struct {
+// ErrorResponse is the body of every JSON refusal, on the daemon's
+// routes and the cluster's peer routes alike.
+type ErrorResponse struct {
 	Error string `json:"error"`
 }
 
 // --- plumbing ----------------------------------------------------------
 
-// reply writes a JSON response. An encode/write failure means the
-// client is gone; it is counted, not propagated.
-func reply(w http.ResponseWriter, code int, v any) {
+// Replies is the JSON reply path of one HTTP surface. The daemon's
+// routes and the cluster's peer routes share it; each surface counts
+// its refusals and its failed writes under its own names.
+type Replies struct{ httpErrors, writeErrors string }
+
+// NewReplies names a surface's counters: httpErrors counts refusals,
+// writeErrors response writes that failed because the client is gone.
+func NewReplies(httpErrors, writeErrors string) Replies {
+	return Replies{httpErrors: httpErrors, writeErrors: writeErrors}
+}
+
+// replies is the reply path of the daemon's own routes.
+var replies = NewReplies("service/http_errors", "service/write_errors")
+
+// JSON writes v as the body of a code response. An encode/write
+// failure means the client is gone; it is counted, not propagated.
+func (rp Replies) JSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	w.WriteHeader(code)
 	if err := json.NewEncoder(w).Encode(v); err != nil {
-		telemetry.Add("service/write_errors", 1)
+		telemetry.Add(rp.writeErrors, 1)
 	}
 }
 
-func replyError(w http.ResponseWriter, code int, format string, args ...any) {
-	telemetry.Add("service/http_errors", 1)
-	reply(w, code, errorResponse{Error: fmt.Sprintf(format, args...)})
+// refuse counts a refusal and writes body as its JSON answer.
+func (rp Replies) refuse(w http.ResponseWriter, code int, body any) {
+	telemetry.Add(rp.httpErrors, 1)
+	rp.JSON(w, code, body)
 }
 
-// shed refuses a request from a saturated endpoint: 429 plus a
+// Error refuses a request with an ErrorResponse.
+func (rp Replies) Error(w http.ResponseWriter, code int, format string, args ...any) {
+	rp.refuse(w, code, ErrorResponse{Error: fmt.Sprintf(format, args...)})
+}
+
+// Shed refuses a request from a saturated endpoint: 429 plus a
 // Retry-After hint so well-behaved clients back off instead of
-// hammering. The refusal is stamped onto the request's trace so a
-// shed storm is attributable per request, not just as a counter.
-func (s *Server) shed(w http.ResponseWriter, r *http.Request) {
+// hammering. The refusal is stamped onto the request's trace so a shed
+// storm is attributable per request, not just as a counter. rp is the
+// reply path of the surface the request arrived on.
+func (s *Server) Shed(w http.ResponseWriter, r *http.Request, rp Replies) {
 	trace.AddEvent(r.Context(), "admission_shed")
 	w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-	replyError(w, http.StatusTooManyRequests, "saturated, retry later")
+	rp.Error(w, http.StatusTooManyRequests, "saturated, retry later")
 }
 
 // retryAfterSeconds scales the shed hint with the actual state of the
@@ -191,47 +231,104 @@ func (s *Server) retryAfterSeconds() int {
 	return hint
 }
 
+// decodeJSON decodes a request body into v, refusing unknown fields.
 func decodeJSON(r *http.Request, v any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, maxAIGERBody))
 	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("decoding request: %w", err)
+	}
+	return nil
 }
 
-// routePatterns is the daemon's fixed route table, shared by Handler
-// (mux registration) and newRedSet (per-endpoint RED metric names).
-// Adding a route here is what creates its metric families — cardinality
-// is bounded by this list, never by traffic.
-var routePatterns = []string{
-	"GET /healthz",
-	"POST /v1/aigs",
-	"GET /v1/aigs/{fp}",
-	"POST /v1/metrics",
-	"POST /v1/metrics/batch",
-	"POST /v1/neighbors",
-	"POST /v1/diverse-subset",
-	"POST /v1/optimize",
-	"POST /v1/report",
-	"GET /v1/jobs/{id}",
-	"DELETE /v1/jobs/{id}",
+// lookup returns the stored entry for fp; a miss is ErrUnknownFingerprint.
+func (s *Server) lookup(fp string) (*storedAIG, error) {
+	if e, ok := s.store.get(fp); ok {
+		return e, nil
+	}
+	return nil, fmt.Errorf("%w %q (submit it via POST /v1/aigs first)", ErrUnknownFingerprint, fp)
 }
 
-// Handler returns the daemon's HTTP API. Every endpoint except
-// /healthz refuses with 503 once the server is draining. When a trace
-// store is configured, the read-only trace debug endpoints are mounted
-// alongside the API.
+// pooled runs f on the bounded worker pool under a service/queue_wait
+// span that ends when a worker picks f up. It returns the pool's
+// refusal — ErrBusy, or ctx's error when the caller stopped waiting —
+// or else f's own error. After a refusal f may still run later, so the
+// caller must not read what f writes unless pooled returned nil.
+func (s *Server) pooled(ctx context.Context, f func() error) error {
+	var ferr error
+	_, qspan := trace.Start(ctx, "service/queue_wait")
+	if err := s.pool.run(ctx, func() {
+		qspan.End()
+		ferr = f()
+	}); err != nil {
+		qspan.Fail(err).End()
+		return err
+	}
+	return ferr
+}
+
+// replyFailed answers a request whose scoring failed: an unknown
+// fingerprint is 404 and a saturated pool sheds with 429. A client
+// disconnect (context cancellation) is counted and answered with
+// 499-style semantics — the client is gone; the 503 is unread — and
+// carries the same scaled Retry-After as the 429s, so clients refused
+// on the drain path back off by the backlog estimate, not blindly.
+// Anything else is a 500.
+func (s *Server) replyFailed(w http.ResponseWriter, r *http.Request, err error) {
+	switch {
+	case errors.Is(err, ErrUnknownFingerprint):
+		replies.Error(w, http.StatusNotFound, "%v", err)
+	case errors.Is(err, ErrBusy):
+		s.Shed(w, r, replies)
+	case r.Context().Err() != nil:
+		telemetry.Add("service/client_disconnects", 1)
+		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
+		replies.Error(w, http.StatusServiceUnavailable, "%v", err)
+	default:
+		replies.Error(w, http.StatusInternalServerError, "%v", err)
+	}
+}
+
+// route is one entry of the daemon's route table.
+type route struct {
+	pattern string
+	handle  http.HandlerFunc
+	// adm, when set, is the admission budget the request holds while
+	// its handler runs; a full budget sheds it with 429.
+	adm *admission
+}
+
+// routes is the daemon's fixed route table. Each pattern drives its
+// mux registration, its RED metric names — adding a route is what
+// creates its metric families, so cardinality is bounded by this list,
+// never by traffic — and its admission. Job submissions hold their
+// admission slot past the request, so submitJob admits them itself.
+func (s *Server) routes() []route {
+	return []route{
+		{"POST /v1/aigs", s.handleSubmitAIG, nil},
+		{"GET /v1/aigs/{fp}", s.handleGetAIG, nil},
+		{"POST /v1/metrics", s.handleMetrics, &s.metricsAdm},
+		{"POST /v1/metrics/batch", s.handleMetricsBatch, &s.metricsAdm},
+		{"POST /v1/neighbors", s.handleNeighbors, &s.metricsAdm},
+		{"POST /v1/diverse-subset", s.handleDiverse, &s.metricsAdm},
+		{"POST /v1/optimize", s.handleOptimize, nil},
+		{"POST /v1/report", s.handleReport, nil},
+		{"GET /v1/jobs/{id}", s.replyJob(s.jobs.get), nil},
+		{"DELETE /v1/jobs/{id}", s.replyJob(s.jobs.cancelJob), nil},
+	}
+}
+
+// Handler returns the daemon's HTTP API: every route of the table
+// behind guard, which refuses with 503 once the server is draining, and
+// GET /healthz outside it, because it must answer while draining. When
+// a trace store is configured, the read-only trace debug endpoints are
+// mounted alongside the API.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("POST /v1/aigs", s.guard("POST /v1/aigs", s.handleSubmitAIG))
-	mux.HandleFunc("GET /v1/aigs/{fp}", s.guard("GET /v1/aigs/{fp}", s.handleGetAIG))
-	mux.HandleFunc("POST /v1/metrics", s.guard("POST /v1/metrics", s.handleMetrics))
-	mux.HandleFunc("POST /v1/metrics/batch", s.guard("POST /v1/metrics/batch", s.handleMetricsBatch))
-	mux.HandleFunc("POST /v1/neighbors", s.guard("POST /v1/neighbors", s.handleNeighbors))
-	mux.HandleFunc("POST /v1/diverse-subset", s.guard("POST /v1/diverse-subset", s.handleDiverse))
-	mux.HandleFunc("POST /v1/optimize", s.guard("POST /v1/optimize", s.handleOptimize))
-	mux.HandleFunc("POST /v1/report", s.guard("POST /v1/report", s.handleReport))
-	mux.HandleFunc("GET /v1/jobs/{id}", s.guard("GET /v1/jobs/{id}", s.handleGetJob))
-	mux.HandleFunc("DELETE /v1/jobs/{id}", s.guard("DELETE /v1/jobs/{id}", s.handleCancelJob))
+	for _, rt := range s.routes() {
+		mux.HandleFunc(rt.pattern, s.guard(rt))
+	}
 	if s.cfg.Trace != nil {
 		mux.Handle("GET /v1/debug/traces", s.cfg.Trace.Handler())
 		mux.Handle("GET /v1/debug/traces/{id}", s.cfg.Trace.Handler())
@@ -263,34 +360,24 @@ func (sr *statusRecorder) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// guard wraps a handler with the drain gate and request accounting: it
-// extracts the caller's traceparent (or roots a fresh trace), opens the
-// "service/request" span every downstream span hangs off, echoes the
-// trace identity in response headers, and on completion feeds the RED
-// metrics and the structured access log. pattern must be one of
-// routePatterns.
-func (s *Server) guard(pattern string, h http.HandlerFunc) http.HandlerFunc {
-	ep := s.red.endpoint(pattern)
+// guard wraps a route's handler with the drain gate, admission and
+// request accounting: it opens the "service/request" span every
+// downstream span hangs off (adopting the caller's traceparent), and
+// on completion feeds the RED metrics and the structured access log.
+func (s *Server) guard(rt route) http.HandlerFunc {
+	ep := newRedEndpoint(rt.pattern, s.cfg.SLOTarget)
 	return func(w http.ResponseWriter, r *http.Request) {
 		telemetry.Add("service/requests", 1)
-		ctx := r.Context()
-		if sc, ok := trace.Extract(r.Header); ok {
-			ctx = trace.ContextWithRemote(ctx, sc)
-		}
-		ctx, sp := trace.Start(ctx, "service/request")
+		ctx, sp := trace.StartServer(w, r, "service/request")
 		sp.Attr("endpoint", ep.path).Attr("method", r.Method)
-		if sc := sp.Context(); sc.Valid() {
-			w.Header().Set(trace.TraceIDHeader, sc.TraceID.String())
-			w.Header().Set("traceparent", trace.Traceparent(sc))
-		}
 		rec := &statusRecorder{ResponseWriter: w}
 		start := time.Now()
 		if s.draining.Load() {
 			rec.Header().Set("Connection", "close")
 			rec.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-			replyError(rec, http.StatusServiceUnavailable, "draining")
+			replies.Error(rec, http.StatusServiceUnavailable, "draining")
 		} else {
-			h(rec, r.WithContext(ctx))
+			s.admit(rt, rec, r.WithContext(ctx))
 		}
 		d := time.Since(start)
 		if rec.status == 0 {
@@ -301,9 +388,22 @@ func (s *Server) guard(pattern string, h http.HandlerFunc) http.HandlerFunc {
 			sp.Fail(fmt.Errorf("http %d", rec.status))
 		}
 		sp.End()
-		s.red.record(ep, rec.status, d)
+		ep.record(rec.status, d)
 		s.logAccess(sp, r, ep, rec, d)
 	}
+}
+
+// admit runs a route's handler inside its admission budget, if it has
+// one.
+func (s *Server) admit(rt route, w http.ResponseWriter, r *http.Request) {
+	if rt.adm != nil {
+		if !rt.adm.enter() {
+			s.Shed(w, r, replies)
+			return
+		}
+		defer rt.adm.leave()
+	}
+	rt.handle(w, r)
 }
 
 // logAccess emits one structured access-log line per finished request
@@ -329,7 +429,7 @@ func (s *Server) logAccess(sp *trace.Span, r *http.Request, ep *redEndpoint, rec
 // --- endpoints ---------------------------------------------------------
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	reply(w, http.StatusOK, map[string]any{
+	replies.JSON(w, http.StatusOK, map[string]any{
 		"status":   "ok",
 		"draining": s.draining.Load(),
 		"aigs":     s.store.len(),
@@ -341,31 +441,40 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 // resubmitting an identical structure returns the same fingerprint
 // without re-validating or re-profiling anything.
 func (s *Server) handleSubmitAIG(w http.ResponseWriter, r *http.Request) {
-	g, err := aiger.Read(http.MaxBytesReader(w, r.Body, maxAIGERBody))
+	v, err := s.intern(r.Context(), http.MaxBytesReader(w, r.Body, maxAIGERBody))
 	if err != nil {
-		replyError(w, http.StatusBadRequest, "parsing AIGER: %v", err)
+		replies.Error(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if err := g.Check(); err != nil {
-		replyError(w, http.StatusBadRequest, "invalid AIG: %v", err)
-		return
-	}
-	// Intern the PO-reachable cone only. The fingerprint deliberately
-	// ignores dangling nodes, so two submissions differing only in dead
-	// cones collide on one key; without Cleanup the stored stats and
-	// profiles would depend on whichever structure arrived first, which
-	// would break the hit-equals-fresh-computation invariant.
-	ictx, ispan := trace.Start(r.Context(), "service/store_intern")
-	e, known := s.store.put(ictx, g.Cleanup())
-	ispan.Attr("fingerprint", e.fp).Attr("known", known)
-	ispan.End()
 	if s.onIntern != nil {
 		// Cluster mode: hand the submission to the replication layer
 		// (it fans out asynchronously; the response does not wait on
 		// peers).
-		s.onIntern(r.Context(), viewOf(e, known))
+		s.onIntern(r.Context(), v)
 	}
-	reply(w, http.StatusOK, viewOf(e, known))
+	replies.JSON(w, http.StatusOK, v)
+}
+
+// intern parses, validates, and interns one AIGER payload — the one
+// intern path of external submissions, replication receives and inline
+// fill payloads. It interns the PO-reachable cone only. The fingerprint
+// deliberately ignores dangling nodes, so two submissions differing
+// only in dead cones collide on one key; without Cleanup the stored
+// stats and profiles would depend on whichever structure arrived first,
+// which would break the hit-equals-fresh-computation invariant.
+func (s *Server) intern(ctx context.Context, payload io.Reader) (AIGView, error) {
+	g, err := aiger.Read(payload)
+	if err != nil {
+		return AIGView{}, fmt.Errorf("parsing AIGER: %w", err)
+	}
+	if err := g.Check(); err != nil {
+		return AIGView{}, fmt.Errorf("invalid AIG: %w", err)
+	}
+	ictx, ispan := trace.Start(ctx, "service/store_intern")
+	e, known := s.store.put(ictx, g.Cleanup())
+	ispan.Attr("fingerprint", e.fp).Attr("known", known)
+	ispan.End()
+	return viewOf(e, known), nil
 }
 
 func viewOf(e *storedAIG, known bool) AIGView {
@@ -380,21 +489,19 @@ func viewOf(e *storedAIG, known bool) AIGView {
 func (s *Server) handleGetAIG(w http.ResponseWriter, r *http.Request) {
 	e, ok := s.store.get(r.PathValue("fp"))
 	if !ok {
-		replyError(w, http.StatusNotFound, "unknown fingerprint %q", r.PathValue("fp"))
+		replies.Error(w, http.StatusNotFound, "unknown fingerprint %q", r.PathValue("fp"))
 		return
 	}
-	reply(w, http.StatusOK, viewOf(e, true))
+	replies.JSON(w, http.StatusOK, viewOf(e, true))
 }
 
 // resolvePair looks up both referenced AIGs.
 func (s *Server) resolvePair(fpA, fpB string) (ea, eb *storedAIG, err error) {
-	ea, ok := s.store.get(fpA)
-	if !ok {
-		return nil, nil, fmt.Errorf("%w %q (submit it via POST /v1/aigs first)", ErrUnknownFingerprint, fpA)
+	if ea, err = s.lookup(fpA); err != nil {
+		return nil, nil, err
 	}
-	eb, ok = s.store.get(fpB)
-	if !ok {
-		return nil, nil, fmt.Errorf("%w %q (submit it via POST /v1/aigs first)", ErrUnknownFingerprint, fpB)
+	if eb, err = s.lookup(fpB); err != nil {
+		return nil, nil, err
 	}
 	return ea, eb, nil
 }
@@ -403,23 +510,16 @@ func (s *Server) resolvePair(fpA, fpB string) (ea, eb *storedAIG, err error) {
 // previously submitted AIGs. The computation runs on the bounded worker
 // pool; a saturated pool sheds with 429.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if !s.metricsAdm.enter() {
-		s.shed(w, r)
-		return
-	}
-	defer s.metricsAdm.leave()
-
-	var req metricsRequest
+	var req MetricsRequest
 	if err := decodeJSON(r, &req); err != nil {
-		replyError(w, http.StatusBadRequest, "decoding request: %v", err)
+		replies.Error(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	metrics, err := resolveMetrics(req.Metrics)
 	if err != nil {
-		replyError(w, http.StatusBadRequest, "%v", err)
+		replies.Error(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	ctx := r.Context()
 	var scores map[string]float64
 	if s.pairRouter != nil {
 		// Cluster mode: the router owns the whole resolution — local
@@ -432,29 +532,15 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		for i, m := range metrics {
 			names[i] = m.Name
 		}
-		scores, err = s.pairRouter(ctx, req.A, req.B, names)
+		scores, err = s.pairRouter(r.Context(), req.A, req.B, names)
 	} else {
-		var ea, eb *storedAIG
-		ea, eb, err = s.resolvePair(req.A, req.B)
-		if err != nil {
-			replyError(w, http.StatusNotFound, "%v", err)
-			return
-		}
-		scores, err = s.scorePairPooled(ctx, ea, eb, metrics)
+		scores, err = s.scorePair(r.Context(), req.A, req.B, metrics)
 	}
 	if err != nil {
-		if errors.Is(err, ErrUnknownFingerprint) {
-			replyError(w, http.StatusNotFound, "%v", err)
-			return
-		}
-		if errors.Is(err, ErrBusy) || ctx.Err() != nil {
-			s.replyPoolError(w, r, err)
-			return
-		}
-		replyError(w, http.StatusInternalServerError, "%v", err)
+		s.replyFailed(w, r, err)
 		return
 	}
-	reply(w, http.StatusOK, metricsResponse{A: req.A, B: req.B, Scores: scores})
+	replies.JSON(w, http.StatusOK, MetricsResponse{A: req.A, B: req.B, Scores: scores})
 }
 
 // handleMetricsBatch scores every unordered pair among n submitted
@@ -462,25 +548,18 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // per-graph preprocessing runs once per graph (n profiles), not once
 // per pair (n·(n−1) would-be profiles).
 func (s *Server) handleMetricsBatch(w http.ResponseWriter, r *http.Request) {
-	if !s.metricsAdm.enter() {
-		s.shed(w, r)
-		return
-	}
-	defer s.metricsAdm.leave()
-
-	var req batchRequest
+	var req BatchRequest
 	if err := decodeJSON(r, &req); err != nil {
-		replyError(w, http.StatusBadRequest, "decoding request: %v", err)
+		replies.Error(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if len(req.AIGs) < 2 {
-		replyError(w, http.StatusBadRequest, "batch needs at least 2 AIGs, got %d", len(req.AIGs))
+		replies.Error(w, http.StatusBadRequest, "batch needs at least 2 AIGs, got %d", len(req.AIGs))
 		return
 	}
 	if len(req.AIGs) > maxBatchAIGs {
 		telemetry.Add("service/batch_shed", 1)
-		telemetry.Add("service/http_errors", 1)
-		reply(w, http.StatusBadRequest, batchCapError{
+		replies.refuse(w, http.StatusBadRequest, BatchCapError{
 			Error: fmt.Sprintf("batch of %d AIGs exceeds the limit of %d; split it into smaller batches", len(req.AIGs), maxBatchAIGs),
 			Cap:   maxBatchAIGs,
 			Size:  len(req.AIGs),
@@ -489,29 +568,24 @@ func (s *Server) handleMetricsBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	metrics, err := resolveMetrics(req.Metrics)
 	if err != nil {
-		replyError(w, http.StatusBadRequest, "%v", err)
+		replies.Error(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	entries := make([]*storedAIG, len(req.AIGs))
 	for i, fp := range req.AIGs {
-		e, ok := s.store.get(fp)
-		if !ok {
-			replyError(w, http.StatusNotFound, "unknown fingerprint %q (submit it via POST /v1/aigs first)", fp)
+		if entries[i], err = s.lookup(fp); err != nil {
+			s.replyFailed(w, r, err)
 			return
 		}
-		entries[i] = e
 	}
-	resp := batchResponse{AIGs: req.AIGs}
+	resp := BatchResponse{AIGs: req.AIGs}
 	// Oversized batches go two-stage: an ephemeral sketch index over
 	// just the batch population picks the candidate pairs, and the
 	// O(n²) full-evaluation loop shrinks to the pairs some LSH band
 	// considers similar.
 	prune := len(req.AIGs) > maxBatchExact
 	ctx := r.Context()
-	var serr error
-	_, qspan := trace.Start(ctx, "service/queue_wait")
-	err = s.pool.run(ctx, func() {
-		qspan.End()
+	err = s.pooled(ctx, func() error {
 		// Coalesce the batch's per-graph work up front: one profile per
 		// graph covering the union of artifact needs.
 		needs := simil.Needs(metrics)
@@ -520,13 +594,12 @@ func (s *Server) handleMetricsBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		sigs := make([]*sketch.Signature, len(entries))
 		for i, e := range entries {
-			if serr = ctx.Err(); serr != nil { // client gone: free the worker
-				return
+			if err := ctx.Err(); err != nil { // client gone: free the worker
+				return err
 			}
-			p, perr := s.profileFor(ctx, e, needs)
-			if perr != nil {
-				serr = perr
-				return
+			p, err := s.profileFor(ctx, e, needs)
+			if err != nil {
+				return err
 			}
 			sigs[i] = p.Sketch()
 		}
@@ -546,8 +619,8 @@ func (s *Server) handleMetricsBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		for i := 0; i < len(entries); i++ {
 			for j := i + 1; j < len(entries); j++ {
-				if serr = ctx.Err(); serr != nil {
-					return
+				if err := ctx.Err(); err != nil {
+					return err
 				}
 				// Identical fingerprints always evaluate (the index holds
 				// one entry per fingerprint, so banding cannot vouch for
@@ -562,12 +635,11 @@ func (s *Server) handleMetricsBatch(w http.ResponseWriter, r *http.Request) {
 						continue
 					}
 				}
-				scores, perr := s.pairScores(ctx, entries[i], entries[j], metrics)
-				if perr != nil {
-					serr = perr
-					return
+				scores, err := s.pairScores(ctx, entries[i], entries[j], metrics)
+				if err != nil {
+					return err
 				}
-				resp.Pairs = append(resp.Pairs, batchPair{I: i, J: j, Scores: scores})
+				resp.Pairs = append(resp.Pairs, BatchPair{I: i, J: j, Scores: scores})
 			}
 		}
 		if prune {
@@ -576,99 +648,68 @@ func (s *Server) handleMetricsBatch(w http.ResponseWriter, r *http.Request) {
 			telemetry.Add("sketch/exact_evals", int64(len(resp.Pairs)))
 			telemetry.Add("sketch/pruned", int64(resp.PrunedPairs))
 		}
+		return nil
 	})
 	if err != nil {
-		qspan.Fail(err).End()
-		s.replyPoolError(w, r, err)
+		s.replyFailed(w, r, err)
 		return
 	}
-	if serr != nil {
-		if ctx.Err() != nil {
-			s.replyPoolError(w, r, serr)
-			return
-		}
-		replyError(w, http.StatusInternalServerError, "%v", serr)
-		return
-	}
-	reply(w, http.StatusOK, resp)
+	replies.JSON(w, http.StatusOK, resp)
 }
 
-// replyPoolError maps pool failures: saturation sheds with 429, a
-// client disconnect (context cancellation) is counted and logged with
-// 499-style semantics (the client is gone; any status is unread). The
-// 503 fallback (pool shut down mid-request — the drain/stop path)
-// carries the same scaled Retry-After as the 429s so clients refused
-// during a drain back off by the backlog estimate, not blindly.
-func (s *Server) replyPoolError(w http.ResponseWriter, r *http.Request, err error) {
-	if errors.Is(err, ErrBusy) {
-		s.shed(w, r)
-		return
-	}
-	if r.Context().Err() != nil {
-		telemetry.Add("service/client_disconnects", 1)
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-	replyError(w, http.StatusServiceUnavailable, "%v", err)
-}
+// --- jobs --------------------------------------------------------------
 
-// handleOptimize schedules an optimization flow as an async job and
-// returns its ID immediately.
-func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
+// submitJob is the one submission path of /v1/optimize and /v1/report:
+// admission, decode into req, resolve (which validates req and returns
+// the job body), schedule, accept. Every refusal — a bad request, an
+// Idempotency-Key reused for another request (422), a full queue —
+// gives the admission slot back in one place. An accepted job owns the
+// slot until its pool task exits, on every path including cancellation
+// while still queued; a deduplicated replay schedules nothing, and the
+// original submission's slot already covers the job.
+func (s *Server) submitJob(w http.ResponseWriter, r *http.Request, kind string, req any, resolve func() (jobRun, error)) {
 	if !s.jobsAdm.enter() {
-		s.shed(w, r)
+		s.Shed(w, r, replies)
 		return
 	}
-	var req optimizeRequest
-	if err := decodeJSON(r, &req); err != nil {
-		s.jobsAdm.leave()
-		replyError(w, http.StatusBadRequest, "decoding request: %v", err)
-		return
-	}
-	if req.Flow == "" {
-		req.Flow = "orchestrate"
-	}
-	flow, err := opt.FlowByName(req.Flow)
-	if err != nil {
-		s.jobsAdm.leave()
-		replyError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	e, ok := s.store.get(req.AIG)
-	if !ok {
-		s.jobsAdm.leave()
-		replyError(w, http.StatusNotFound, "unknown fingerprint %q (submit it via POST /v1/aigs first)", req.AIG)
-		return
-	}
-	if err := checkable(e); err != nil {
-		s.jobsAdm.leave()
-		replyError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	// The admission slot is released by the job engine when the pool
-	// task exits — on every path, including cancellation while still
-	// queued (where the run closure never executes). A deduplicated
-	// retry never schedules anything, so this request's slot is handed
-	// straight back: the original submission's slot already covers the
-	// job.
-	j, dup, err := s.jobs.submit(s.baseCtx, r.Context(), s.pool, "optimize", idempotencyKey(r), func(ctx context.Context) (any, error) {
-		return s.runOptimize(ctx, e, flow, req.Seed)
-	}, s.jobsAdm.leave)
-	if err != nil {
-		s.jobsAdm.leave()
-		s.shed(w, r)
-		return
-	}
-	if dup {
+	j, owned, err := s.scheduleJob(r, kind, req, resolve)
+	if !owned {
+		// Before the reply: a shed's Retry-After counts pending jobs.
 		s.jobsAdm.leave()
 	}
-	s.accept(w, r, j)
+	switch {
+	case err == nil:
+		s.accept(w, r, j)
+	case errors.Is(err, ErrBusy):
+		s.Shed(w, r, replies)
+	case errors.Is(err, errKeyReused):
+		replies.Error(w, http.StatusUnprocessableEntity, "%v", err)
+	case errors.Is(err, ErrUnknownFingerprint):
+		replies.Error(w, http.StatusNotFound, "%v", err)
+	default:
+		replies.Error(w, http.StatusBadRequest, "%v", err)
+	}
 }
 
-// idempotencyKey extracts the client's Idempotency-Key header for job
-// submission dedup. Empty means "not idempotent": every submit is a
-// new job.
-func idempotencyKey(r *http.Request) string {
-	return r.Header.Get("Idempotency-Key")
+// scheduleJob decodes, resolves and submits one job request; owned
+// reports that the scheduled job took over the admission slot.
+func (s *Server) scheduleJob(r *http.Request, kind string, req any, resolve func() (jobRun, error)) (j *job, owned bool, err error) {
+	if err := decodeJSON(r, req); err != nil {
+		return nil, false, err
+	}
+	run, err := resolve()
+	if err != nil {
+		return nil, false, err
+	}
+	// Re-marshalled after resolve filled in its defaults (optimize's
+	// flow), so a replay's whitespace, field order and spelled-out
+	// defaults do not count against it.
+	canon, err := json.Marshal(req)
+	if err != nil {
+		return nil, false, err
+	}
+	j, dup, err := s.jobs.submit(s.baseCtx, r.Context(), s.pool, kind, r.Header.Get("Idempotency-Key"), string(canon), run, s.jobsAdm.leave)
+	return j, err == nil && !dup, err
 }
 
 func (s *Server) accept(w http.ResponseWriter, r *http.Request, j *job) {
@@ -676,7 +717,60 @@ func (s *Server) accept(w http.ResponseWriter, r *http.Request, j *job) {
 	if sp := trace.SpanFromContext(r.Context()); sp != nil {
 		sp.Attr("job_id", v.ID)
 	}
-	reply(w, http.StatusAccepted, jobAccepted{ID: v.ID, Status: v.Status, Poll: "/v1/jobs/" + v.ID})
+	replies.JSON(w, http.StatusAccepted, JobAccepted{ID: v.ID, Status: v.Status, Poll: "/v1/jobs/" + v.ID})
+}
+
+// handleOptimize schedules an optimization flow as an async job and
+// returns its ID immediately.
+func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
+	var req OptimizeRequest
+	s.submitJob(w, r, "optimize", &req, func() (jobRun, error) {
+		if req.Flow == "" {
+			req.Flow = "orchestrate"
+		}
+		flow, err := opt.FlowByName(req.Flow)
+		if err != nil {
+			return nil, err
+		}
+		e, err := s.lookup(req.AIG)
+		if err != nil {
+			return nil, err
+		}
+		if err := checkable(e); err != nil {
+			return nil, err
+		}
+		return func(ctx context.Context) (any, error) {
+			return s.runOptimize(ctx, e, flow, req.Seed)
+		}, nil
+	})
+}
+
+// handleReport schedules a full ROD-style pair report: the pairwise
+// metrics plus, per requested flow, both optimized gate counts and the
+// Relative Optimizability Difference — the service equivalent of one
+// harness.PairSample.
+func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
+	var req ReportRequest
+	s.submitJob(w, r, "report", &req, func() (jobRun, error) {
+		metrics, err := resolveMetrics(req.Metrics)
+		if err != nil {
+			return nil, err
+		}
+		flows, err := resolveFlows(req.Flows)
+		if err != nil {
+			return nil, err
+		}
+		ea, eb, err := s.resolvePair(req.A, req.B)
+		if err != nil {
+			return nil, err
+		}
+		if err := checkable(ea, eb); err != nil {
+			return nil, err
+		}
+		return func(ctx context.Context) (any, error) {
+			return s.runReport(ctx, ea, eb, flows, metrics, req.Seed)
+		}, nil
+	})
 }
 
 // checkable refuses AIGs a flow job could not verify: checkedFlow's
@@ -738,58 +832,6 @@ func (s *Server) runOptimize(ctx context.Context, e *storedAIG, flow opt.Flow, s
 	}, nil
 }
 
-// handleReport schedules a full ROD-style pair report: the pairwise
-// metrics plus, per requested flow, both optimized gate counts and the
-// Relative Optimizability Difference — the service equivalent of one
-// harness.PairSample.
-func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
-	if !s.jobsAdm.enter() {
-		s.shed(w, r)
-		return
-	}
-	var req reportRequest
-	if err := decodeJSON(r, &req); err != nil {
-		s.jobsAdm.leave()
-		replyError(w, http.StatusBadRequest, "decoding request: %v", err)
-		return
-	}
-	metrics, err := resolveMetrics(req.Metrics)
-	if err != nil {
-		s.jobsAdm.leave()
-		replyError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	flows, err := resolveFlows(req.Flows)
-	if err != nil {
-		s.jobsAdm.leave()
-		replyError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	ea, eb, err := s.resolvePair(req.A, req.B)
-	if err != nil {
-		s.jobsAdm.leave()
-		replyError(w, http.StatusNotFound, "%v", err)
-		return
-	}
-	if err := checkable(ea, eb); err != nil {
-		s.jobsAdm.leave()
-		replyError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	j, dup, err := s.jobs.submit(s.baseCtx, r.Context(), s.pool, "report", idempotencyKey(r), func(ctx context.Context) (any, error) {
-		return s.runReport(ctx, ea, eb, flows, metrics, req.Seed)
-	}, s.jobsAdm.leave)
-	if err != nil {
-		s.jobsAdm.leave()
-		s.shed(w, r)
-		return
-	}
-	if dup {
-		s.jobsAdm.leave()
-	}
-	s.accept(w, r, j)
-}
-
 // runReport reuses the harness's pair-sample shape: RecipeA/RecipeB
 // carry the fingerprints, Metrics the pairwise scores, ROD the per-flow
 // Relative Optimizability Difference of Eq. 1.
@@ -837,20 +879,15 @@ func resolveFlows(names []string) ([]opt.Flow, error) {
 	return out, nil
 }
 
-func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
-	v, ok := s.jobs.get(r.PathValue("id"))
-	if !ok {
-		replyError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
-		return
+// replyJob serves a job view found by id: GET polls it, DELETE cancels
+// it.
+func (s *Server) replyJob(find func(id string) (JobView, bool)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		v, ok := find(r.PathValue("id"))
+		if !ok {
+			replies.Error(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
+			return
+		}
+		replies.JSON(w, http.StatusOK, v)
 	}
-	reply(w, http.StatusOK, v)
-}
-
-func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
-	v, ok := s.jobs.cancelJob(r.PathValue("id"))
-	if !ok {
-		replyError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
-		return
-	}
-	reply(w, http.StatusOK, v)
 }

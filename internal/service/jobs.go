@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"path/filepath"
@@ -58,11 +59,20 @@ type SpillRef struct {
 	Bytes     int    `json:"bytes"`
 }
 
+// jobRun is a job's body; it runs under the job's context.
+type jobRun func(ctx context.Context) (any, error)
+
+// errKeyReused refuses a submission whose Idempotency-Key names a
+// retained job of another kind or request.
+var errKeyReused = errors.New("key reused for a different request")
+
 type job struct {
 	// idemKey is the Idempotency-Key the job was submitted under ("" if
-	// none). Immutable after creation; the manager uses it to clear the
-	// dedup entry when the job is pruned.
-	idemKey string
+	// none), and req the canonical JSON of its decoded request: a replay
+	// under the key must match view.Kind and req. Immutable after
+	// creation; the manager uses idemKey to clear the dedup entry when
+	// the job is pruned.
+	idemKey, req string
 
 	mu     sync.Mutex
 	view   JobView
@@ -108,10 +118,13 @@ func newJobManager(history int, spillDir string, spillBytes int) *jobManager {
 // like a panicking harness variant, the daemon keeps serving.
 //
 // idemKey, when non-empty, deduplicates retried submissions: a second
-// submit carrying the key of a still-retained job returns that job
-// with dup=true instead of scheduling anything, so a client retrying
-// into a half-dead daemon can neither double-spend an admission slot
-// nor create a duplicate job. The dedup entry lives exactly as long as
+// submit carrying the key of a still-retained job of the same kind and
+// canonical request req returns that job with dup=true instead of
+// scheduling anything, so a client retrying into a half-dead daemon
+// can neither double-spend an admission slot nor create a duplicate
+// job. The key reused for another kind or request is refused with
+// errKeyReused — answering with the retained job would hand the caller
+// another request's result. The dedup entry lives exactly as long as
 // the job (cleared on prune and on failed scheduling), and the
 // existing-job check is atomic with registration, so concurrent
 // retries collapse onto one job too.
@@ -127,7 +140,7 @@ func newJobManager(history int, spillDir string, spillBytes int) *jobManager {
 // its lifetime) is carried over onto the job, so the async work and
 // its spill write stitch into the originating request's trace even
 // though they run under the long-lived base ctx.
-func (m *jobManager) submit(ctx, rctx context.Context, p *pool, kind, idemKey string, run func(ctx context.Context) (any, error), onExit func()) (j *job, dup bool, err error) {
+func (m *jobManager) submit(ctx, rctx context.Context, p *pool, kind, idemKey, req string, run jobRun, onExit func()) (j *job, dup bool, err error) {
 	sc := trace.FromContext(rctx)
 	jctx, cancel := context.WithCancel(trace.ContextWithRemote(ctx, sc))
 	m.mu.Lock()
@@ -135,6 +148,9 @@ func (m *jobManager) submit(ctx, rctx context.Context, p *pool, kind, idemKey st
 		if prior, ok := m.idem[idemKey]; ok {
 			m.mu.Unlock()
 			cancel()
+			if prior.snapshot().Kind != kind || prior.req != req {
+				return nil, false, fmt.Errorf("%w: Idempotency-Key %q", errKeyReused, idemKey)
+			}
 			telemetry.Add("service/idempotent_replays", 1)
 			// The replaying request gets no job spans of its own — the
 			// original submission's trace carries them — so mark the
@@ -147,6 +163,7 @@ func (m *jobManager) submit(ctx, rctx context.Context, p *pool, kind, idemKey st
 	id := fmt.Sprintf("j%06d", m.seq)
 	j = &job{
 		idemKey: idemKey,
+		req:     req,
 		view:    JobView{ID: id, Kind: kind, Status: JobQueued, TraceID: traceIDString(sc)},
 		cancel:  cancel,
 		done:    make(chan struct{}),
@@ -228,7 +245,7 @@ func traceIDString(sc trace.SpanContext) string {
 // runGuarded executes the job body with the harness panic guard: a
 // panic becomes an error (and a harness/panics_recovered count), never
 // a crashed daemon.
-func (m *jobManager) runGuarded(ctx context.Context, kind string, run func(ctx context.Context) (any, error)) (res any, err error) {
+func (m *jobManager) runGuarded(ctx context.Context, kind string, run jobRun) (res any, err error) {
 	defer harness.Recover(&err, "service job "+kind)
 	return run(ctx)
 }

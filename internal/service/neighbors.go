@@ -61,7 +61,10 @@ func (s *Server) RebuildSketchIndex() (int, error) {
 
 // --- wire types --------------------------------------------------------
 
-type neighborsRequest struct {
+// NeighborsRequest is the POST /v1/neighbors body; the zero value of
+// every field but FP takes the daemon's default (k=10, WLKernel,
+// sketch-pruned with the default candidate budget).
+type NeighborsRequest struct {
 	FP     string `json:"fp"`
 	K      int    `json:"k,omitempty"`
 	Metric string `json:"metric,omitempty"`
@@ -97,7 +100,8 @@ type NeighborsResponse struct {
 	Neighbors []NeighborEntry `json:"neighbors"`
 }
 
-type diverseRequest struct {
+// DiverseRequest is the POST /v1/diverse-subset body.
+type DiverseRequest struct {
 	// AIGs is the explicit candidate pool; empty means the whole store.
 	AIGs   []string `json:"aigs,omitempty"`
 	K      int      `json:"k"`
@@ -190,23 +194,17 @@ func dissim(m simil.Metric, score float64) float64 {
 // computation), or a full corpus scan when exact is requested or the
 // corpus is small enough that pruning cannot pay for itself.
 func (s *Server) handleNeighbors(w http.ResponseWriter, r *http.Request) {
-	if !s.metricsAdm.enter() {
-		s.shed(w, r)
-		return
-	}
-	defer s.metricsAdm.leave()
-
-	var req neighborsRequest
+	var req NeighborsRequest
 	if err := decodeJSON(r, &req); err != nil {
-		replyError(w, http.StatusBadRequest, "decoding request: %v", err)
+		replies.Error(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if req.FP == "" {
-		replyError(w, http.StatusBadRequest, "missing query fingerprint \"fp\"")
+		replies.Error(w, http.StatusBadRequest, "missing query fingerprint \"fp\"")
 		return
 	}
 	if req.K < 0 || req.Budget < 0 {
-		replyError(w, http.StatusBadRequest, "k and budget must be non-negative")
+		replies.Error(w, http.StatusBadRequest, "k and budget must be non-negative")
 		return
 	}
 	k := req.K
@@ -214,17 +212,17 @@ func (s *Server) handleNeighbors(w http.ResponseWriter, r *http.Request) {
 		k = 10
 	}
 	if k > maxNeighborsK {
-		replyError(w, http.StatusBadRequest, "k=%d exceeds the limit of %d", k, maxNeighborsK)
+		replies.Error(w, http.StatusBadRequest, "k=%d exceeds the limit of %d", k, maxNeighborsK)
 		return
 	}
 	metric, err := resolveOneMetric(req.Metric)
 	if err != nil {
-		replyError(w, http.StatusBadRequest, "%v", err)
+		replies.Error(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	e, ok := s.store.get(req.FP)
-	if !ok {
-		replyError(w, http.StatusNotFound, "unknown fingerprint %q (submit it via POST /v1/aigs first)", req.FP)
+	e, err := s.lookup(req.FP)
+	if err != nil {
+		s.replyFailed(w, r, err)
 		return
 	}
 	budget := req.Budget
@@ -237,10 +235,7 @@ func (s *Server) handleNeighbors(w http.ResponseWriter, r *http.Request) {
 
 	ctx := r.Context()
 	resp := NeighborsResponse{FP: req.FP, Metric: metric.Name, K: k}
-	var serr error
-	_, qspan := trace.Start(ctx, "service/queue_wait")
-	err = s.pool.run(ctx, func() {
-		qspan.End()
+	err = s.pooled(ctx, func() error {
 		sctx, span := trace.Start(ctx, "service/sketch_query")
 		defer span.End()
 
@@ -256,10 +251,9 @@ func (s *Server) handleNeighbors(w http.ResponseWriter, r *http.Request) {
 				}
 			}
 		} else {
-			qp, perr := s.profileFor(sctx, e, simil.NeedSketch)
-			if perr != nil {
-				serr = perr
-				return
+			qp, err := s.profileFor(sctx, e, simil.NeedSketch)
+			if err != nil {
+				return err
 			}
 			qs := qp.Sketch()
 			ranked, bandHits := s.store.index.Query(e.fp, qs, sketchRanker(qs, metric), budget)
@@ -280,13 +274,12 @@ func (s *Server) handleNeighbors(w http.ResponseWriter, r *http.Request) {
 		// shared pair-scoring path (cache + singleflight).
 		entries := make([]NeighborEntry, 0, len(cands))
 		for _, ce := range cands {
-			if serr = sctx.Err(); serr != nil {
-				return
+			if err := sctx.Err(); err != nil {
+				return err
 			}
-			scores, perr := s.pairScores(sctx, e, ce, []simil.Metric{metric})
-			if perr != nil {
-				serr = perr
-				return
+			scores, err := s.pairScores(sctx, e, ce, []simil.Metric{metric})
+			if err != nil {
+				return err
 			}
 			entries = append(entries, NeighborEntry{Fingerprint: ce.fp, Score: scores[metric.Name]})
 		}
@@ -303,21 +296,13 @@ func (s *Server) handleNeighbors(w http.ResponseWriter, r *http.Request) {
 			entries = entries[:k]
 		}
 		resp.Neighbors = entries
+		return nil
 	})
 	if err != nil {
-		qspan.Fail(err).End()
-		s.replyPoolError(w, r, err)
+		s.replyFailed(w, r, err)
 		return
 	}
-	if serr != nil {
-		if ctx.Err() != nil {
-			s.replyPoolError(w, r, serr)
-			return
-		}
-		replyError(w, http.StatusInternalServerError, "%v", serr)
-		return
-	}
-	reply(w, http.StatusOK, resp)
+	replies.JSON(w, http.StatusOK, resp)
 }
 
 // handleDiverse serves greedy max-min diversity selection — the
@@ -330,28 +315,22 @@ func (s *Server) handleNeighbors(w http.ResponseWriter, r *http.Request) {
 // seeded profiles), so repeated runs over the same corpus return
 // byte-identical responses.
 func (s *Server) handleDiverse(w http.ResponseWriter, r *http.Request) {
-	if !s.metricsAdm.enter() {
-		s.shed(w, r)
-		return
-	}
-	defer s.metricsAdm.leave()
-
-	var req diverseRequest
+	var req DiverseRequest
 	if err := decodeJSON(r, &req); err != nil {
-		replyError(w, http.StatusBadRequest, "decoding request: %v", err)
+		replies.Error(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if req.K <= 0 {
-		replyError(w, http.StatusBadRequest, "k must be positive, got %d", req.K)
+		replies.Error(w, http.StatusBadRequest, "k must be positive, got %d", req.K)
 		return
 	}
 	if req.K > maxDiverseK {
-		replyError(w, http.StatusBadRequest, "k=%d exceeds the limit of %d", req.K, maxDiverseK)
+		replies.Error(w, http.StatusBadRequest, "k=%d exceeds the limit of %d", req.K, maxDiverseK)
 		return
 	}
 	metric, err := resolveOneMetric(req.Metric)
 	if err != nil {
-		replyError(w, http.StatusBadRequest, "%v", err)
+		replies.Error(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 
@@ -360,7 +339,7 @@ func (s *Server) handleDiverse(w http.ResponseWriter, r *http.Request) {
 	var pool []*storedAIG
 	if len(req.AIGs) > 0 {
 		if len(req.AIGs) > maxBatchAIGs {
-			replyError(w, http.StatusBadRequest, "pool of %d AIGs exceeds the limit of %d", len(req.AIGs), maxBatchAIGs)
+			replies.Error(w, http.StatusBadRequest, "pool of %d AIGs exceeds the limit of %d", len(req.AIGs), maxBatchAIGs)
 			return
 		}
 		seen := make(map[string]bool, len(req.AIGs))
@@ -369,9 +348,9 @@ func (s *Server) handleDiverse(w http.ResponseWriter, r *http.Request) {
 				continue
 			}
 			seen[fp] = true
-			e, ok := s.store.get(fp)
-			if !ok {
-				replyError(w, http.StatusNotFound, "unknown fingerprint %q (submit it via POST /v1/aigs first)", fp)
+			e, err := s.lookup(fp)
+			if err != nil {
+				s.replyFailed(w, r, err)
 				return
 			}
 			pool = append(pool, e)
@@ -381,7 +360,7 @@ func (s *Server) handleDiverse(w http.ResponseWriter, r *http.Request) {
 		pool = s.store.snapshot()
 	}
 	if len(pool) < 2 {
-		replyError(w, http.StatusBadRequest, "diverse selection needs a pool of at least 2 AIGs, have %d", len(pool))
+		replies.Error(w, http.StatusBadRequest, "diverse selection needs a pool of at least 2 AIGs, have %d", len(pool))
 		return
 	}
 	k := req.K
@@ -391,19 +370,13 @@ func (s *Server) handleDiverse(w http.ResponseWriter, r *http.Request) {
 
 	ctx := r.Context()
 	resp := DiverseResponse{Metric: metric.Name, K: k, Pool: len(pool)}
-	var serr error
-	_, qspan := trace.Start(ctx, "service/queue_wait")
-	err = s.pool.run(ctx, func() {
-		qspan.End()
+	err = s.pooled(ctx, func() error {
 		sctx, span := trace.Start(ctx, "service/diverse_select")
 		span.Attr("pool", len(pool)).Attr("k", k)
 		defer span.End()
 		score := func(a, b *storedAIG) (float64, error) {
-			scores, perr := s.pairScores(sctx, a, b, []simil.Metric{metric})
-			if perr != nil {
-				return 0, perr
-			}
-			return scores[metric.Name], nil
+			scores, err := s.pairScores(sctx, a, b, []simil.Metric{metric})
+			return scores[metric.Name], err
 		}
 
 		// minDist[i] tracks pool[i]'s minimum dissimilarity to the
@@ -413,10 +386,9 @@ func (s *Server) handleDiverse(w http.ResponseWriter, r *http.Request) {
 		minDist := make([]float64, len(pool))
 		inSet := make([]bool, len(pool))
 		for i := 1; i < len(pool); i++ {
-			v, perr := score(pool[0], pool[i])
-			if perr != nil {
-				serr = perr
-				return
+			v, err := score(pool[0], pool[i])
+			if err != nil {
+				return err
 			}
 			minDist[i] = dissim(metric, v)
 		}
@@ -432,17 +404,16 @@ func (s *Server) handleDiverse(w http.ResponseWriter, r *http.Request) {
 		inSet[seed] = true
 		for i := range pool {
 			if !inSet[i] {
-				v, perr := score(pool[seed], pool[i])
-				if perr != nil {
-					serr = perr
-					return
+				v, err := score(pool[seed], pool[i])
+				if err != nil {
+					return err
 				}
 				minDist[i] = dissim(metric, v)
 			}
 		}
 		for len(chosen) < k {
-			if serr = sctx.Err(); serr != nil {
-				return
+			if err := sctx.Err(); err != nil {
+				return err
 			}
 			best := -1
 			for i := range pool {
@@ -457,10 +428,9 @@ func (s *Server) handleDiverse(w http.ResponseWriter, r *http.Request) {
 			inSet[best] = true
 			for i := range pool {
 				if !inSet[i] {
-					v, perr := score(pool[best], pool[i])
-					if perr != nil {
-						serr = perr
-						return
+					v, err := score(pool[best], pool[i])
+					if err != nil {
+						return err
 					}
 					if d := dissim(metric, v); d < minDist[i] {
 						minDist[i] = d
@@ -480,27 +450,18 @@ func (s *Server) handleDiverse(w http.ResponseWriter, r *http.Request) {
 				if i == j {
 					continue
 				}
-				v, perr := score(pool[chosen[i]], pool[chosen[j]])
-				if perr != nil {
-					serr = perr
-					return
+				v, err := score(pool[chosen[i]], pool[chosen[j]])
+				if err != nil {
+					return err
 				}
 				resp.Matrix[i][j] = v
 			}
 		}
+		return nil
 	})
 	if err != nil {
-		qspan.Fail(err).End()
-		s.replyPoolError(w, r, err)
+		s.replyFailed(w, r, err)
 		return
 	}
-	if serr != nil {
-		if ctx.Err() != nil {
-			s.replyPoolError(w, r, serr)
-			return
-		}
-		replyError(w, http.StatusInternalServerError, "%v", serr)
-		return
-	}
-	reply(w, http.StatusOK, resp)
+	replies.JSON(w, http.StatusOK, resp)
 }

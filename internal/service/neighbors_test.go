@@ -240,7 +240,7 @@ func TestBatchOverCapStructured(t *testing.T) {
 		fps[i] = fmt.Sprintf("f%04d", i) // resolution happens after the cap check
 	}
 	body := fmt.Sprintf(`{"aigs":["%s"]}`, strings.Join(fps, `","`))
-	var capErr batchCapError
+	var capErr BatchCapError
 	if code := d.do(t, "POST", "/v1/metrics/batch", body, &capErr); code != http.StatusBadRequest {
 		t.Fatalf("over-cap batch: status %d, want 400", code)
 	}
@@ -267,7 +267,7 @@ func TestBatchPruned(t *testing.T) {
 	}
 	fps[n-1] = fps[0] // duplicate: must evaluate despite pruning
 	body := fmt.Sprintf(`{"aigs":["%s"],"metrics":["WLKernel"]}`, strings.Join(fps, `","`))
-	var resp batchResponse
+	var resp BatchResponse
 	if code := d.do(t, "POST", "/v1/metrics/batch", body, &resp); code != http.StatusOK {
 		t.Fatalf("batch: status %d", code)
 	}

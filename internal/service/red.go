@@ -12,14 +12,16 @@ import (
 // endpoint's slo_breaches counter.
 const defaultSLOTarget = 500 * time.Millisecond
 
-// redEndpoint holds one route's precomputed RED metric names. The
-// names are built once at startup from the fixed route table, so the
-// per-endpoint metric family cardinality is bounded by the route count
-// — never by traffic — and the hot path passes only stored strings to
-// telemetry (the metricname lint treats field reads as pass-through
-// plumbing from these construction sites).
+// redEndpoint derives one route's RED (Rate, Errors, Duration) families
+// plus an SLO burn counter from the same request spans the trace layer
+// records. The names are built once per route of the fixed route table,
+// so the per-endpoint metric family cardinality is bounded by the route
+// count — never by traffic — and the hot path passes only stored
+// strings to telemetry (the metricname lint treats field reads as
+// pass-through plumbing from these construction sites).
 type redEndpoint struct {
 	path string // route pattern, e.g. "/v1/metrics" — the span's endpoint attribute
+	slo  time.Duration
 
 	requests    string // service/red/<key>/requests
 	errs        string // service/red/<key>/errors
@@ -27,36 +29,19 @@ type redEndpoint struct {
 	sloBreaches string // service/red/<key>/slo_breaches
 }
 
-// redSet derives per-endpoint RED (Rate, Errors, Duration) families
-// plus an SLO burn counter from the same request spans the trace layer
-// records, keyed by route pattern.
-type redSet struct {
-	slo       time.Duration
-	byPattern map[string]*redEndpoint
-}
-
-// newRedSet precomputes metric names for each route pattern of the
-// form "METHOD /path/{wildcards}".
-func newRedSet(slo time.Duration, patterns []string) *redSet {
-	if slo <= 0 {
-		slo = defaultSLOTarget
+// newRedEndpoint precomputes the metric names of a route pattern of
+// the form "METHOD /path/{wildcards}".
+func newRedEndpoint(pattern string, slo time.Duration) *redEndpoint {
+	key := redKey(pattern)
+	_, path, _ := strings.Cut(pattern, " ")
+	return &redEndpoint{
+		path:        path,
+		slo:         slo,
+		requests:    "service/red/" + key + "/requests",
+		errs:        "service/red/" + key + "/errors",
+		seconds:     "service/red/" + key + "/seconds",
+		sloBreaches: "service/red/" + key + "/slo_breaches",
 	}
-	rs := &redSet{slo: slo, byPattern: make(map[string]*redEndpoint, len(patterns))}
-	for _, pat := range patterns {
-		key := redKey(pat)
-		path := pat
-		if i := strings.IndexByte(pat, ' '); i >= 0 {
-			path = pat[i+1:]
-		}
-		rs.byPattern[pat] = &redEndpoint{
-			path:        path,
-			requests:    "service/red/" + key + "/requests",
-			errs:        "service/red/" + key + "/errors",
-			seconds:     "service/red/" + key + "/seconds",
-			sloBreaches: "service/red/" + key + "/slo_breaches",
-		}
-	}
-	return rs
 }
 
 // redKey flattens a route pattern into one snake_case metric segment:
@@ -82,25 +67,16 @@ func redKey(pattern string) string {
 	return strings.TrimSuffix(b.String(), "_")
 }
 
-// endpoint returns the precomputed names for a registered pattern
-// (nil for unknown patterns; callers treat nil as "no RED accounting").
-func (rs *redSet) endpoint(pattern string) *redEndpoint {
-	return rs.byPattern[pattern]
-}
-
 // record folds one finished request into the endpoint's RED families:
 // rate (requests), errors (5xx), duration (seconds histogram), and the
 // latency-objective burn counter.
-func (rs *redSet) record(ep *redEndpoint, status int, d time.Duration) {
-	if ep == nil {
-		return
-	}
+func (ep *redEndpoint) record(status int, d time.Duration) {
 	telemetry.Add(ep.requests, 1)
 	if status >= 500 {
 		telemetry.Add(ep.errs, 1)
 	}
 	telemetry.Observe(ep.seconds, d.Seconds())
-	if d > rs.slo {
+	if d > ep.slo {
 		telemetry.Add(ep.sloBreaches, 1)
 	}
 }

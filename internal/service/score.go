@@ -125,7 +125,7 @@ func (s *Server) pairScores(ctx context.Context, ea, eb *storedAIG, metrics []si
 			p1, p2 = pb, pa
 		}
 		led := false
-		v, cerr, shared := s.flights.do(sctx, key, func() (val float64, err error) {
+		v, cerr, shared := s.flights.Do(sctx, key, func() (val float64, err error) {
 			led = true
 			// Re-check under the flight: a caller that missed the cache
 			// while another flight was mid-fill must not recompute.

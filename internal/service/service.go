@@ -101,6 +101,9 @@ func (c Config) withDefaults() Config {
 	if c.SpillBytes <= 0 {
 		c.SpillBytes = 256 << 10
 	}
+	if c.SLOTarget <= 0 {
+		c.SLOTarget = defaultSLOTarget
+	}
 	return c
 }
 
@@ -111,12 +114,11 @@ type Server struct {
 	store *store
 	cache *resultCache
 
-	flights    *flightGroup
+	flights    *FlightGroup[float64]
 	pool       *pool
 	jobs       *jobManager
 	metricsAdm admission
 	jobsAdm    admission
-	red        *redSet
 
 	// pairRouter and onIntern, when set (SetClusterHooks), splice the
 	// cluster layer into the scoring and submission paths. Written
@@ -156,10 +158,9 @@ func New(cfg Config) *Server {
 		cfg:      cfg,
 		store:    newStore(cfg.StoreEntries),
 		cache:    newResultCache(cfg.CacheEntries),
-		flights:  newFlightGroup(),
+		flights:  NewFlightGroup[float64]("service/singleflight_shared", "service/singleflight_abandoned"),
 		pool:     newPool(cfg.Workers, cfg.QueueDepth),
 		jobs:     newJobManager(cfg.JobHistory, cfg.SpillDir, cfg.SpillBytes),
-		red:      newRedSet(cfg.SLOTarget, routePatterns),
 		baseCtx:  ctx,
 		baseStop: stop,
 	}

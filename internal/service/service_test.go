@@ -303,7 +303,7 @@ func TestCacheHitIsBitIdentical(t *testing.T) {
 	fpB := d.submit(t, testAIG(t, 4)).Fingerprint
 	body := fmt.Sprintf(`{"a":%q,"b":%q}`, fpA, fpB)
 
-	var fresh metricsResponse
+	var fresh MetricsResponse
 	if code := d.do(t, "POST", "/v1/metrics", body, &fresh); code != http.StatusOK {
 		t.Fatalf("first request: status %d", code)
 	}
@@ -314,7 +314,7 @@ func TestCacheHitIsBitIdentical(t *testing.T) {
 	hits0 := d.counter("service/cache_hits")
 
 	// Same pair in swapped operand order: must hit the same cache lines.
-	var cached metricsResponse
+	var cached MetricsResponse
 	swapped := fmt.Sprintf(`{"a":%q,"b":%q}`, fpB, fpA)
 	if code := d.do(t, "POST", "/v1/metrics", swapped, &cached); code != http.StatusOK {
 		t.Fatalf("second request: status %d", code)
@@ -351,7 +351,7 @@ func TestSingleflightStress(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			var resp metricsResponse
+			var resp MetricsResponse
 			codes[i] = d.do(t, "POST", "/v1/metrics", body, &resp)
 			scores[i] = resp.Scores["VEO"]
 		}(i)
@@ -394,7 +394,7 @@ func TestLoadShed(t *testing.T) {
 
 	firstCode := make(chan int, 1)
 	go func() {
-		var resp metricsResponse
+		var resp MetricsResponse
 		firstCode <- d.do(t, "POST", "/v1/metrics", body, &resp)
 	}()
 	<-started // the only admission slot is now held mid-computation
@@ -441,7 +441,7 @@ func TestGracefulDrain(t *testing.T) {
 	fpA := d.submit(t, testAIG(t, 10)).Fingerprint
 	fpB := d.submit(t, testAIG(t, 11)).Fingerprint
 
-	var acc jobAccepted
+	var acc JobAccepted
 	body := fmt.Sprintf(`{"a":%q,"b":%q,"metrics":["VEO"],"flows":["dc2"]}`, fpA, fpB)
 	if code := d.do(t, "POST", "/v1/report", body, &acc); code != http.StatusAccepted {
 		t.Fatalf("submitting report job: status %d", code)
@@ -493,7 +493,7 @@ func TestOptimizeJob(t *testing.T) {
 	d := newTestDaemon(t, Config{})
 	in := d.submit(t, testAIG(t, 12))
 
-	var acc jobAccepted
+	var acc JobAccepted
 	body := fmt.Sprintf(`{"aig":%q,"flow":"dc2"}`, in.Fingerprint)
 	if code := d.do(t, "POST", "/v1/optimize", body, &acc); code != http.StatusAccepted {
 		t.Fatalf("submitting optimize job: status %d", code)
@@ -528,7 +528,7 @@ func TestReportJob(t *testing.T) {
 	fpA := d.submit(t, testAIG(t, 13)).Fingerprint
 	fpB := d.submit(t, testAIG(t, 14)).Fingerprint
 
-	var acc jobAccepted
+	var acc JobAccepted
 	body := fmt.Sprintf(`{"a":%q,"b":%q,"metrics":["VEO","RGC"],"flows":["dc2"]}`, fpA, fpB)
 	if code := d.do(t, "POST", "/v1/report", body, &acc); code != http.StatusAccepted {
 		t.Fatalf("submitting report job: status %d", code)
@@ -569,7 +569,7 @@ func TestJobCancel(t *testing.T) {
 	fpB := d.submit(t, testAIG(t, 16)).Fingerprint
 	body := fmt.Sprintf(`{"a":%q,"b":%q,"metrics":["VEO"],"flows":["dc2"]}`, fpA, fpB)
 
-	var blocker, victim jobAccepted
+	var blocker, victim JobAccepted
 	if code := d.do(t, "POST", "/v1/report", body, &blocker); code != http.StatusAccepted {
 		t.Fatalf("submitting blocker: status %d", code)
 	}
@@ -609,7 +609,7 @@ func TestQueuedCancelReleasesAdmission(t *testing.T) {
 	fpB := d.submit(t, testAIG(t, 28)).Fingerprint
 	body := fmt.Sprintf(`{"a":%q,"b":%q,"metrics":["VEO"],"flows":["dc2"]}`, fpA, fpB)
 
-	var blocker, victim jobAccepted
+	var blocker, victim JobAccepted
 	if code := d.do(t, "POST", "/v1/report", body, &blocker); code != http.StatusAccepted {
 		t.Fatalf("submitting blocker: status %d", code)
 	}
@@ -632,7 +632,7 @@ func TestQueuedCancelReleasesAdmission(t *testing.T) {
 		t.Fatalf("blocker = %+v, want done", v)
 	}
 	// Both slots must be free again: a fresh job is admitted, not shed.
-	var next jobAccepted
+	var next JobAccepted
 	if code := d.do(t, "POST", "/v1/report", body, &next); code != http.StatusAccepted {
 		t.Errorf("post-cancel submission: status %d, want 202 (admission slot leaked)", code)
 	} else if v := d.waitJob(t, next.ID); v.Status != JobDone {
@@ -650,7 +650,7 @@ func TestBatchProfilesOnce(t *testing.T) {
 		fps[i] = d.submit(t, testAIG(t, int64(20+i))).Fingerprint
 	}
 	body := fmt.Sprintf(`{"aigs":[%q,%q,%q]}`, fps[0], fps[1], fps[2])
-	var resp batchResponse
+	var resp BatchResponse
 	if code := d.do(t, "POST", "/v1/metrics/batch", body, &resp); code != http.StatusOK {
 		t.Fatalf("batch: status %d", code)
 	}
@@ -710,7 +710,7 @@ func TestJobSpill(t *testing.T) {
 	d := newTestDaemon(t, Config{SpillDir: dir, SpillBytes: 1})
 	in := d.submit(t, testAIG(t, 26))
 
-	var acc jobAccepted
+	var acc JobAccepted
 	body := fmt.Sprintf(`{"aig":%q,"flow":"dc2"}`, in.Fingerprint)
 	if code := d.do(t, "POST", "/v1/optimize", body, &acc); code != http.StatusAccepted {
 		t.Fatalf("submitting: status %d", code)

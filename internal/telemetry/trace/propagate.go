@@ -79,3 +79,22 @@ func Extract(h http.Header) (SpanContext, bool) {
 	}
 	return sc, true
 }
+
+// StartServer opens the server-side span of one HTTP request: it
+// adopts the caller's traceparent (or roots a fresh trace), starts the
+// span called name under it, and echoes the trace identity in w's
+// TraceIDHeader and traceparent headers, so a request that hops across
+// processes stitches into one trace ID end to end. Nothing is echoed
+// when the span has no valid identity (tracing off).
+func StartServer(w http.ResponseWriter, r *http.Request, name string) (context.Context, *Span) {
+	ctx := r.Context()
+	if sc, ok := Extract(r.Header); ok {
+		ctx = ContextWithRemote(ctx, sc)
+	}
+	ctx, sp := Start(ctx, name)
+	if sc := sp.Context(); sc.Valid() {
+		w.Header().Set(TraceIDHeader, sc.TraceID.String())
+		w.Header().Set(traceparentHeader, Traceparent(sc))
+	}
+	return ctx, sp
+}

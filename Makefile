@@ -10,7 +10,7 @@
 # build a spec's variants concurrently run again at one worker and at
 # four (-cpu 1,4), so both the serial and the parallel path are raced.
 
-.PHONY: tier1 tier2 lint bench fuzz chaos serve smoke
+.PHONY: tier1 tier2 lint bench fuzz chaos serve smoke experiments
 
 tier1:
 	go build ./... && go test ./...
@@ -70,6 +70,18 @@ fuzz:
 chaos:
 	go test -race ./internal/faultinject ./internal/service/client ./internal/cluster
 	go test -race -run '^TestChaos' ./internal/harness ./internal/service
+
+# experiments regenerates the paper-scale artifacts with the commands
+# EXPERIMENTS.md names — Tables I and II with their pair CSV and
+# progress log (98 specs of at most 10 inputs, 2,058 pairs, three
+# flows), Figure 2, and the early-stop example — from the repository
+# root with relative paths, so every file is byte-stable. CI runs it and
+# then `git diff --exit-code`: a change to any paper number shows up as
+# a diff of the committed files.
+experiments:
+	go run ./cmd/repro -v -all -csv results_pairs.csv >results_tables.txt 2>results_progress.log
+	go run ./cmd/repro -figure 2 >results_figure2.txt
+	go run ./examples/earlystop >results_earlystop.txt
 
 # bench runs every benchmark once; the pipeline benchmarks report a
 # telemetry-derived per-stage breakdown (synthesis/profiling/

@@ -305,13 +305,15 @@ func (g *AIG) MFFCSize(id int, refs []int) int {
 // first, bounded by boundary: the walk never descends into a boundary
 // node, which models cut leaves a replacement structure will still use.
 // These are the nodes that die when id is replaced by logic over the
-// boundary; a nil boundary gives the plain MFFC. refs must come from
-// RefCounts and is restored before return.
-func (g *AIG) MFFC(id int, refs []int, boundary []int) []int {
+// boundary; a nil boundary gives the plain MFFC. The nodes are written to
+// buf[:0], so a caller that passes back the previous result allocates
+// only when a cone outgrows it. refs must come from RefCounts and is
+// restored before return.
+func (g *AIG) MFFC(id int, refs []int, boundary []int, buf []int) []int {
+	nodes := buf[:0]
 	if !g.IsAnd(id) {
-		return nil
+		return nodes
 	}
-	var nodes []int
 	g.deref(id, refs, boundary, &nodes)
 	g.reref(id, refs, boundary)
 	return nodes

@@ -201,14 +201,14 @@ func TestMFFCBounded(t *testing.T) {
 	g.AddPO(top)
 	refs := g.RefCounts()
 	before := append([]int(nil), refs...)
-	if got, want := g.MFFC(top.Node(), refs, nil), []int{top.Node(), ab.Node(), bc.Node()}; !slices.Equal(got, want) {
+	if got, want := g.MFFC(top.Node(), refs, nil, nil), []int{top.Node(), ab.Node(), bc.Node()}; !slices.Equal(got, want) {
 		t.Errorf("MFFC(top) = %v, want %v", got, want)
 	}
 	// A boundary node stays alive: the cut {ab, c, b} keeps ab.
-	if got, want := g.MFFC(top.Node(), refs, []int{ab.Node(), b.Node(), c.Node()}), []int{top.Node(), bc.Node()}; !slices.Equal(got, want) {
+	if got, want := g.MFFC(top.Node(), refs, []int{ab.Node(), b.Node(), c.Node()}, nil), []int{top.Node(), bc.Node()}; !slices.Equal(got, want) {
 		t.Errorf("MFFC(top) bounded at ab = %v, want %v", got, want)
 	}
-	if g.MFFC(a.Node(), refs, nil) != nil {
+	if g.MFFC(a.Node(), refs, nil, nil) != nil {
 		t.Error("MFFC of a PI must be empty")
 	}
 	if !slices.Equal(refs, before) {
@@ -305,12 +305,12 @@ func TestSimVectorMatchesSimAll(t *testing.T) {
 	// Pattern k: PI i gets bit i of minterm index; compare 64 minterms.
 	pat := make([]uint64, 6)
 	for i := range pat {
-		pat[i] = tt.Var(i, 6).Words()[0]
+		pat[i] = tt.Var(i, 6).Word(0)
 	}
 	vals := g.SimVector(pat)
 	for id := 0; id < g.NumObjs(); id++ {
-		if vals[id] != tabs[id].Words()[0] {
-			t.Fatalf("node %d: SimVector %x != SimAll %x", id, vals[id], tabs[id].Words()[0])
+		if vals[id] != tabs[id].Word(0) {
+			t.Fatalf("node %d: SimVector %x != SimAll %x", id, vals[id], tabs[id].Word(0))
 		}
 	}
 }

@@ -1,5 +1,7 @@
 package aig
 
+import "slices"
+
 // Cut is a k-feasible cut of a node: a set of leaf node ids (sorted
 // ascending) such that every path from the PIs to the node passes through
 // a leaf. Sign is a 64-bit Bloom signature used for fast dominance tests.
@@ -30,9 +32,10 @@ func (a Cut) dominates(b Cut) bool {
 	return i == len(a.Leaves)
 }
 
-// mergeCuts unions two sorted leaf sets, failing when the result exceeds k.
-func mergeCuts(a, b Cut, k int) (Cut, bool) {
-	leaves := make([]int, 0, k)
+// mergeCuts unions two sorted leaf sets into buf's storage, failing when
+// the result exceeds k; buf needs capacity k.
+func mergeCuts(buf []int, a, b Cut, k int) (Cut, bool) {
+	leaves := buf[:0]
 	i, j := 0, 0
 	for i < len(a.Leaves) || j < len(b.Leaves) {
 		var next int
@@ -78,7 +81,10 @@ func (p CutParams) maxCuts() int {
 // EnumerateCuts computes k-feasible priority cuts for every node. The
 // result is indexed by node id; each node's list begins with its trivial
 // cut {node}. Dominated cuts are filtered and at most MaxCuts non-trivial
-// cuts are kept per node, preferring smaller cuts.
+// cuts are kept per node, preferring smaller cuts. Candidates are merged
+// into scratch reused across nodes; the kept cuts and their leaves are
+// copied into slabs sized from the graph, so the lists share a few large
+// allocations.
 func (g *AIG) EnumerateCuts(p CutParams) [][]Cut {
 	k := p.K
 	if k < 2 {
@@ -86,19 +92,53 @@ func (g *AIG) EnumerateCuts(p CutParams) [][]Cut {
 	}
 	maxCuts := p.maxCuts()
 	all := make([][]Cut, g.NumObjs())
-	trivial := func(id int) Cut {
-		return Cut{Leaves: []int{id}, Sign: cutSign([]int{id})}
+	var cutSlab []Cut
+	var leafSlab []int
+	nCuts, nLeaves := 0, 0
+	// keep copies node id's trivial cut and cuts into the slabs. A full
+	// slab stays with the lists already cut from it; the next is sized
+	// for the remaining nodes at the rate used so far.
+	keep := func(id int, cuts []Cut) {
+		leaves := 1
+		for _, c := range cuts {
+			leaves += len(c.Leaves)
+		}
+		rest := g.NumObjs() - id
+		if len(cutSlab)+1+len(cuts) > cap(cutSlab) {
+			cutSlab = make([]Cut, 0, max(1+len(cuts), rest*(nCuts/(id+1)+1)))
+		}
+		if len(leafSlab)+leaves > cap(leafSlab) {
+			leafSlab = make([]int, 0, max(leaves, rest*(nLeaves/(id+1)+2)))
+		}
+		nCuts, nLeaves = nCuts+1+len(cuts), nLeaves+leaves
+		start := len(cutSlab)
+		for i := -1; i < len(cuts); i++ { // i = -1: the trivial cut {id}
+			n := len(leafSlab)
+			if i < 0 {
+				leafSlab = append(leafSlab, id)
+			} else {
+				leafSlab = append(leafSlab, cuts[i].Leaves...)
+			}
+			c := leafSlab[n:len(leafSlab):len(leafSlab)]
+			cutSlab = append(cutSlab, Cut{Leaves: c, Sign: cutSign(c)})
+		}
+		all[id] = cutSlab[start:len(cutSlab):len(cutSlab)]
 	}
 	for id := 0; id <= g.numPIs; id++ {
-		all[id] = []Cut{trivial(id)}
+		keep(id, nil)
 	}
+	// Every merge of a node gets its own k-slot region of scratch, so its
+	// candidates never overwrite one another.
+	merges := (maxCuts + 1) * (maxCuts + 1)
+	scratch, cuts := make([]int, merges*k), make([]Cut, 0, merges)
 	for id := g.numPIs + 1; id < g.NumObjs(); id++ {
 		c0 := all[g.fanin0[id].Node()]
 		c1 := all[g.fanin1[id].Node()]
-		var cuts []Cut
-		for _, a := range c0 {
-			for _, b := range c1 {
-				m, ok := mergeCuts(a, b, k)
+		cuts = cuts[:0]
+		for i, a := range c0 {
+			for j, b := range c1 {
+				at := (i*len(c1) + j) * k
+				m, ok := mergeCuts(scratch[at:at:at+k], a, b, k)
 				if !ok {
 					continue
 				}
@@ -127,7 +167,7 @@ func (g *AIG) EnumerateCuts(p CutParams) [][]Cut {
 			sortCutsBySize(cuts)
 			cuts = cuts[:maxCuts]
 		}
-		all[id] = append([]Cut{trivial(id)}, cuts...)
+		keep(id, cuts)
 	}
 	return all
 }
@@ -145,11 +185,12 @@ func sortCutsBySize(cuts []Cut) {
 // maxLeaves leaves, in the style of ABC's refactoring: starting from the
 // trivial cut, it repeatedly expands the leaf whose expansion adds the
 // fewest new leaves, preferring expansions that reduce or preserve the
-// leaf count.
+// leaf count. The leaf set and the visited set are small slices, so the
+// returned leaves are its only allocation in the common case.
 func (g *AIG) ReconvCut(root int, maxLeaves int) []int {
-	leaves := []int{root}
-	inCut := map[int]bool{root: true}
-	visited := map[int]bool{root: true}
+	leaves := append(make([]int, 0, max(maxLeaves, 1)+2), root)
+	var visitedBuf [64]int
+	visited := append(visitedBuf[:0], root)
 
 	cost := func(id int) int {
 		// Number of fanins not already visited; PIs cannot be expanded.
@@ -157,10 +198,10 @@ func (g *AIG) ReconvCut(root int, maxLeaves int) []int {
 			return 1 << 30
 		}
 		c := 0
-		if !visited[g.fanin0[id].Node()] {
+		if !slices.Contains(visited, g.fanin0[id].Node()) {
 			c++
 		}
-		if !visited[g.fanin1[id].Node()] {
+		if !slices.Contains(visited, g.fanin1[id].Node()) {
 			c++
 		}
 		return c
@@ -187,21 +228,17 @@ func (g *AIG) ReconvCut(root int, maxLeaves int) []int {
 			}
 		}
 		leaves = kept
-		delete(inCut, best)
-		for _, f := range []Lit{g.fanin0[best], g.fanin1[best]} {
+		for _, f := range [2]Lit{g.fanin0[best], g.fanin1[best]} {
 			fid := f.Node()
-			visited[fid] = true
-			if !inCut[fid] {
-				inCut[fid] = true
+			if !slices.Contains(visited, fid) {
+				visited = append(visited, fid)
+			}
+			if !slices.Contains(leaves, fid) {
 				leaves = append(leaves, fid)
 			}
 		}
 	}
 	// Sort ascending for deterministic downstream use.
-	for i := 1; i < len(leaves); i++ {
-		for j := i; j > 0 && leaves[j] < leaves[j-1]; j-- {
-			leaves[j], leaves[j-1] = leaves[j-1], leaves[j]
-		}
-	}
+	slices.Sort(leaves)
 	return leaves
 }

@@ -107,16 +107,16 @@ func TestCutDominance(t *testing.T) {
 func TestMergeCutsOverflow(t *testing.T) {
 	a := Cut{Leaves: []int{1, 2, 3}, Sign: cutSign([]int{1, 2, 3})}
 	b := Cut{Leaves: []int{4, 5}, Sign: cutSign([]int{4, 5})}
-	if _, ok := mergeCuts(a, b, 4); ok {
+	if _, ok := mergeCuts(nil, a, b, 4); ok {
 		t.Error("merge exceeding K should fail")
 	}
-	m, ok := mergeCuts(a, b, 5)
+	m, ok := mergeCuts(nil, a, b, 5)
 	if !ok || len(m.Leaves) != 5 {
 		t.Error("merge within K should succeed")
 	}
 	// Overlapping merge.
 	c := Cut{Leaves: []int{2, 3, 4}, Sign: cutSign([]int{2, 3, 4})}
-	m2, ok := mergeCuts(a, c, 4)
+	m2, ok := mergeCuts(nil, a, c, 4)
 	if !ok || len(m2.Leaves) != 4 {
 		t.Errorf("overlap merge = %v ok=%v", m2.Leaves, ok)
 	}

@@ -3,6 +3,7 @@ package aig
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/tt"
 )
@@ -181,33 +182,60 @@ func (g *AIG) Eval(input uint64) []bool {
 
 // CutTT computes the local truth table of node root expressed over the
 // given cut leaves (at most tt.MaxVars of them). Leaves are node ids; the
-// i-th leaf becomes variable i.
+// i-th leaf becomes variable i. It collects the cone between root and the
+// leaves, then evaluates it in ascending node id, a topological order,
+// into one word slab that holds the leaves' tables first; a cone of up to
+// 64 nodes over at most 6 leaves needs no heap at all.
 func (g *AIG) CutTT(root int, leaves []int) tt.TT {
-	n := len(leaves)
-	local := make(map[int]tt.TT, len(leaves)*2)
-	for i, leaf := range leaves {
-		local[leaf] = tt.Var(i, n)
-	}
-	var eval func(id int) tt.TT
-	eval = func(id int) tt.TT {
-		if t, ok := local[id]; ok {
-			return t
+	n, nw := len(leaves), tt.WordCount(len(leaves))
+	var coneBuf, stackBuf [64]int
+	cone, stack := coneBuf[:0], append(stackBuf[:0], root)
+	for len(stack) > 0 {
+		id := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if slices.Contains(leaves, id) || slices.Contains(cone, id) {
+			continue
 		}
 		if !g.IsAnd(id) {
 			panic(fmt.Sprintf("aig: CutTT reached non-AND node %d outside the cut", id))
 		}
-		f0, f1 := g.fanin0[id], g.fanin1[id]
-		a := eval(f0.Node())
-		if f0.IsCompl() {
-			a = a.Not()
-		}
-		b := eval(f1.Node())
-		if f1.IsCompl() {
-			b = b.Not()
-		}
-		t := a.And(b)
-		local[id] = t
-		return t
+		cone = append(cone, id)
+		stack = append(stack, g.fanin1[id].Node(), g.fanin0[id].Node())
 	}
-	return eval(root)
+	slices.Sort(cone)
+	// slot is the slab position of a leaf or cone node's table.
+	slot := func(id int) int {
+		if i := slices.Index(leaves, id); i >= 0 {
+			return i * nw
+		}
+		i, _ := slices.BinarySearch(cone, id)
+		return (n + i) * nw
+	}
+	var slabBuf [128]uint64
+	slab := slabBuf[:]
+	if need := (n + len(cone)) * nw; need > len(slab) {
+		slab = make([]uint64, need)
+	}
+	for i := range leaves {
+		v := tt.Var(i, n)
+		for j := 0; j < nw; j++ {
+			slab[i*nw+j] = v.Word(j)
+		}
+	}
+	for k, id := range cone {
+		f0, f1 := g.fanin0[id], g.fanin1[id]
+		a, b, dst := slot(f0.Node()), slot(f1.Node()), (n+k)*nw
+		for j := 0; j < nw; j++ {
+			x, y := slab[a+j], slab[b+j]
+			if f0.IsCompl() {
+				x = ^x
+			}
+			if f1.IsCompl() {
+				y = ^y
+			}
+			slab[dst+j] = x & y
+		}
+	}
+	r := slot(root)
+	return tt.FromWords(n, slab[r:r+nw])
 }

@@ -315,13 +315,19 @@ func (n *Node) StartDrain() error {
 	if !n.reconfiguring.CompareAndSwap(false, true) {
 		return fmt.Errorf("cluster: a membership operation is already in progress")
 	}
-	if !n.state.CompareAndSwap(stateActive, stateDraining) {
+	if n.state.Load() != stateActive {
 		n.reconfiguring.Store(false)
 		if n.state.Load() == stateDraining {
 			return nil // drain is idempotent
 		}
 		return fmt.Errorf("cluster: node is %s, not active", n.State())
 	}
+	// Only StartDrain, under reconfiguring, leaves the active state. The
+	// handoff is marked running, its counters reset, before the flip, so
+	// a Status that sees draining never shows the previous run's
+	// counters; runHandoff sets the total once it knows the plan.
+	n.handoff.begin(0)
+	n.state.Store(stateDraining)
 	telemetry.Add("cluster/drains", 1)
 	n.logMembershipEvent("drain_started", n.table.Epoch(), len(n.view().urls))
 	n.announceAll(client.AnnounceRequest{Node: n.cfg.NodeID, Epoch: n.table.Epoch(), Draining: true})

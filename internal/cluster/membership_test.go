@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/cluster/ring"
+	"repro/internal/faultinject"
 	"repro/internal/service"
 	"repro/internal/service/client"
 )
@@ -434,6 +435,33 @@ func TestClusterDrain(t *testing.T) {
 	// Drain is idempotent.
 	if err := tc.nodes[victim].StartDrain(); err != nil {
 		t.Fatalf("re-drain: %v", err)
+	}
+}
+
+// TestClusterDrainStatusActiveAtOnce: a Status read right after
+// StartDrain returns must already show the pre-copy running, never a
+// draining node with an idle handoff and the previous run's counters
+// (which made aigw drain report 0/0 keys handed off before the copy
+// began). Every transfer stalls, so the handoff cannot finish while the
+// test looks.
+func TestClusterDrainStatusActiveAtOnce(t *testing.T) {
+	resetFaults(t)
+	tc := newTestCluster(t, 3, nil)
+	a, b, _ := tc.warmPair(55, 56)
+	owners, _ := tc.pairRoles(a, b)
+	tc.waitPairCached(a, b)
+	stall := faultinject.Fault{Mode: faultinject.ModeLatency, Latency: 200 * time.Millisecond}
+	faultinject.Arm(PointHandoffAIG, faultinject.Always(), stall)
+	faultinject.Arm(PointHandoffResult, faultinject.Always(), stall)
+	faultinject.Enable()
+
+	victim := tc.nodes[owners[0]]
+	if err := victim.StartDrain(); err != nil {
+		t.Fatal(err)
+	}
+	if st := victim.Status(); st.State != "draining" || !st.Handoff.Active {
+		t.Fatalf("status right after StartDrain: state %q, handoff active %v; want draining with the pre-copy running",
+			st.State, st.Handoff.Active)
 	}
 }
 

@@ -1,7 +1,7 @@
 package opt
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/aig"
 )
@@ -52,8 +52,8 @@ func Balance(g *aig.AIG) *aig.AIG {
 		}
 		// Huffman-style: repeatedly AND the two shallowest operands.
 		for len(mapped) > 1 {
-			sort.SliceStable(mapped, func(i, j int) bool {
-				return ng.Level(mapped[i].Node()) < ng.Level(mapped[j].Node())
+			slices.SortStableFunc(mapped, func(a, b aig.Lit) int {
+				return ng.Level(a.Node()) - ng.Level(b.Node())
 			})
 			mapped = append(mapped[2:], ng.And(mapped[0], mapped[1]))
 		}

@@ -114,25 +114,22 @@ func replacement(g *aig.AIG, id int, leaves, mffc []int, structure func(tt.TT) *
 		return litDecision(leaves[0], f.Equal(tt.Var(0, 1).Not())), len(mffc)
 	}
 	mini := structure(f)
-	leafLits := make([]aig.Lit, len(leaves))
-	for i, leaf := range leaves {
-		leafLits[i] = aig.MakeLit(leaf, false)
+	var litBuf [16]aig.Lit
+	leafLits := litBuf[:0]
+	for _, leaf := range leaves {
+		leafLits = append(leafLits, aig.MakeLit(leaf, false))
 	}
-	blocked := make(map[int]bool, len(mffc))
-	for _, n := range mffc {
-		blocked[n] = true
-	}
-	cost := synth.InstantiateCostBlocked(g, mini, leafLits, blocked)
+	cost := synth.InstantiateCostBlocked(g, mini, leafLits, mffc)
 	return decision{mini: mini, leaves: leaves}, len(mffc) - cost
 }
 
 // compactCut removes cut leaves the function does not depend on and
 // shrinks the truth table accordingly.
 func compactCut(leaves []int, f tt.TT) ([]int, tt.TT) {
-	support := f.Support()
-	if len(support) == len(leaves) {
+	if f.SupportMask() == 1<<len(leaves)-1 {
 		return leaves, f
 	}
+	support := f.Support()
 	kept := make([]int, len(support))
 	perm := make([]int, 0, f.NumVars())
 	for i, v := range support {

@@ -23,6 +23,7 @@ const refactorLeaves = 10
 func RefactorOnce(g *aig.AIG, opts RefactorOptions) *aig.AIG {
 	refs := g.RefCounts()
 	decisions := make(map[int]decision)
+	var mffc []int
 
 	for id := g.NumPIs() + 1; id < g.NumObjs(); id++ {
 		if refs[id] == 0 {
@@ -32,7 +33,7 @@ func RefactorOnce(g *aig.AIG, opts RefactorOptions) *aig.AIG {
 		if len(leaves) < 3 || len(leaves) > refactorLeaves+1 {
 			continue
 		}
-		mffc := g.MFFC(id, refs, leaves)
+		mffc = g.MFFC(id, refs, leaves, mffc)
 		if len(mffc) < 2 && !opts.ZeroCost {
 			continue // nothing worth restructuring
 		}

@@ -64,6 +64,8 @@ func ResubOnce(g *aig.AIG, opts ResubOptions) *aig.AIG {
 	maxDiv := opts.maxDivisors()
 	depth := opts.depth()
 	supp := structuralSupport(g)
+	var divs []int
+	var andList, orList []divisor
 
 	for id := g.NumPIs() + 1; id < g.NumObjs(); id++ {
 		if refs[id] == 0 {
@@ -84,8 +86,8 @@ func ResubOnce(g *aig.AIG, opts ResubOptions) *aig.AIG {
 			continue
 		}
 
-		divs := collectDivisors(id, supp, maxDiv)
-		andList, orList := candidateLists(target, divs, tabs)
+		divs = collectDivisors(id, supp, maxDiv, divs[:0])
+		andList, orList = candidateLists(target, divs, tabs, andList[:0], orList[:0])
 
 		// --- 1-resub: one fresh gate over two divisors (XOR costs 3
 		// AND nodes in an AIG and is gated accordingly).
@@ -94,7 +96,7 @@ func ResubOnce(g *aig.AIG, opts ResubOptions) *aig.AIG {
 			minGain = 0
 		}
 		if mffc-1 >= minGain {
-			if dec, cost, ok := findOneResub(target, divs, andList, orList, tabs); ok && mffc-cost >= minGain {
+			if dec, cost, ok := findOneResub(target, divs, andList, orList, tabs, hashes); ok && mffc-cost >= minGain {
 				decisions[id] = dec
 				continue
 			}
@@ -111,8 +113,8 @@ func ResubOnce(g *aig.AIG, opts ResubOptions) *aig.AIG {
 
 func ttHash(t tt.TT) uint64 {
 	h := uint64(1469598103934665603)
-	for _, w := range t.Words() {
-		h ^= w
+	for i := 0; i < t.NumWords(); i++ {
+		h ^= t.Word(i)
 		h *= 1099511628211
 	}
 	return h
@@ -165,12 +167,11 @@ func structuralSupport(g *aig.AIG) []uint32 {
 	return supp
 }
 
-// collectDivisors gathers up to max divisor nodes for the target:
-// earlier-id nodes (outside the TFO by topological order) whose support
-// is a subset of the target's, most recent first for locality.
-func collectDivisors(id int, supp []uint32, max int) []int {
+// collectDivisors appends to divs up to max divisor nodes for the
+// target: earlier-id nodes (outside the TFO by topological order) whose
+// support is a subset of the target's, most recent first for locality.
+func collectDivisors(id int, supp []uint32, max int, divs []int) []int {
 	targetSupp := supp[id]
-	var divs []int
 	for cand := id - 1; cand > 0 && len(divs) < max; cand-- {
 		if supp[cand]&^targetSupp == 0 && supp[cand] != 0 {
 			divs = append(divs, cand)
@@ -180,28 +181,21 @@ func collectDivisors(id int, supp []uint32, max int) []int {
 }
 
 // findOneResub searches for target == op(d1, d2) over AND/OR (with
-// polarities, from the candidate lists) and XOR (over divs), returning
-// the decision and its cost in fresh AND nodes (1 for AND/OR, 3 for
-// XOR).
-func findOneResub(target tt.TT, divs []int, andList, orList []divisor, tabs []tt.TT) (decision, int, bool) {
+// polarities, from the candidate lists) and XOR (over divs, matched by
+// the per-node table hashes first), returning the decision and its cost
+// in fresh AND nodes (1 for AND/OR, 3 for XOR).
+func findOneResub(target tt.TT, divs []int, andList, orList []divisor, tabs []tt.TT, hashes []uint64) (decision, int, bool) {
 	if dec, ok := matchPairs(target, andList, tabs, true); ok {
 		return dec, 1, true
 	}
 	if dec, ok := matchPairs(target, orList, tabs, false); ok {
 		return dec, 1, true
 	}
-	// XOR: hash map from divisor table to literal.
-	xorIndex := make(map[uint64][]int, len(divs))
-	for _, d := range divs {
-		xorIndex[ttHash(tabs[d])] = append(xorIndex[ttHash(tabs[d])], d)
-	}
 	for _, d1 := range divs {
 		want := tabs[d1].Xor(target)
-		for _, d2 := range xorIndex[ttHash(want)] {
-			if d2 == d1 {
-				continue
-			}
-			if tabs[d2].Equal(want) {
+		h := ttHash(want)
+		for _, d2 := range divs {
+			if hashes[d2] == h && d2 != d1 && tabs[d2].Equal(want) {
 				return gateDecision(gateXor, divisor{d1, false}, divisor{d2, false}), 3, true
 			}
 		}
@@ -209,10 +203,10 @@ func findOneResub(target tt.TT, divs []int, andList, orList []divisor, tabs []tt
 	return decision{}, 0, false
 }
 
-// candidateLists filters the divisor literals for AND and OR shapes:
-// andList holds the literals an AND of divisors implementing target may
-// use, orList those an OR may use.
-func candidateLists(target tt.TT, divs []int, tabs []tt.TT) (andList, orList []divisor) {
+// candidateLists filters the divisor literals for AND and OR shapes,
+// appending to andList the literals an AND of divisors implementing
+// target may use, and to orList those an OR may use.
+func candidateLists(target tt.TT, divs []int, tabs []tt.TT, andList, orList []divisor) ([]divisor, []divisor) {
 	notTarget := target.Not()
 	for _, d := range divs {
 		t := tabs[d]

@@ -33,6 +33,7 @@ func RewriteOnce(g *aig.AIG, opts RewriteOptions) *aig.AIG {
 	cuts := g.EnumerateCuts(aig.CutParams{K: opts.k()})
 	refs := g.RefCounts()
 	decisions := make(map[int]decision)
+	var mffc []int
 
 	for id := g.NumPIs() + 1; id < g.NumObjs(); id++ {
 		if refs[id] == 0 {
@@ -45,7 +46,7 @@ func RewriteOnce(g *aig.AIG, opts RewriteOptions) *aig.AIG {
 			if len(cut.Leaves) < 2 {
 				continue
 			}
-			mffc := g.MFFC(id, refs, cut.Leaves)
+			mffc = g.MFFC(id, refs, cut.Leaves, mffc)
 			dec, gain := replacement(g, id, cut.Leaves, mffc, synth.LibraryStructure)
 			if gain > bestGain || (opts.ZeroCost && !haveBest && gain == bestGain) {
 				bestGain = gain

@@ -6,7 +6,8 @@
 package sop
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"strings"
 
 	"repro/internal/tt"
@@ -117,9 +118,7 @@ func (c Cover) expand(off tt.TT, cache *cubeTTCache) Cover {
 	// Expand larger cubes first: they are more likely to absorb others.
 	order := make([]tt.Cube, len(c.Cubes))
 	copy(order, c.Cubes)
-	sort.SliceStable(order, func(i, j int) bool {
-		return order[i].NumLits() < order[j].NumLits()
-	})
+	slices.SortStableFunc(order, func(a, b tt.Cube) int { return a.NumLits() - b.NumLits() })
 	for _, cube := range order {
 		// Skip cubes already covered by the expanded prefix.
 		if cache.get(cube).AndNot(covered).IsConst0() {
@@ -146,9 +145,7 @@ func (c Cover) expand(off tt.TT, cache *cubeTTCache) Cover {
 func (c Cover) irredundant(on tt.TT, cache *cubeTTCache) Cover {
 	keep := append([]tt.Cube(nil), c.Cubes...)
 	// Try removing in increasing size order (small cubes first).
-	sort.SliceStable(keep, func(i, j int) bool {
-		return keep[i].NumLits() > keep[j].NumLits()
-	})
+	slices.SortStableFunc(keep, func(a, b tt.Cube) int { return b.NumLits() - a.NumLits() })
 	for i := 0; i < len(keep); {
 		rest := tt.New(c.NumVars)
 		for j, cube := range keep {
@@ -386,7 +383,7 @@ func coverFingerprint(co tt.Cube, cov Cover) uint64 {
 	for i, c := range cov.Cubes {
 		cubes[i] = uint64(c.Mask)<<32 | uint64(c.Val)
 	}
-	sort.Slice(cubes, func(i, j int) bool { return cubes[i] < cubes[j] })
+	slices.Sort(cubes)
 	h := uint64(1469598103934665603)
 	mix := func(x uint64) {
 		h ^= x
@@ -423,7 +420,7 @@ func (c Cover) Kernels() []Kernel {
 		for l := range counts {
 			lits = append(lits, l)
 		}
-		sort.Slice(lits, func(i, j int) bool { return lits[i] < lits[j] })
+		slices.Sort(lits)
 		for _, l := range lits {
 			if counts[l] < 2 || l < minLit {
 				continue
@@ -445,17 +442,16 @@ func (c Cover) Kernels() []Kernel {
 		rec(base, tt.Cube{}, 0)
 	}
 	// Deterministic order (cheap numeric ordering, no formatting).
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
+	slices.SortFunc(out, func(a, b Kernel) int {
 		ka := uint64(a.CoKernel.Mask)<<32 | uint64(a.CoKernel.Val)
 		kb := uint64(b.CoKernel.Mask)<<32 | uint64(b.CoKernel.Val)
-		if ka != kb {
-			return ka < kb
+		if c := cmp.Compare(ka, kb); c != 0 {
+			return c
 		}
-		if len(a.Cover.Cubes) != len(b.Cover.Cubes) {
-			return len(a.Cover.Cubes) < len(b.Cover.Cubes)
+		if c := cmp.Compare(len(a.Cover.Cubes), len(b.Cover.Cubes)); c != 0 {
+			return c
 		}
-		return coverFingerprint(tt.Cube{}, a.Cover) < coverFingerprint(tt.Cube{}, b.Cover)
+		return cmp.Compare(coverFingerprint(tt.Cube{}, a.Cover), coverFingerprint(tt.Cube{}, b.Cover))
 	})
 	return out
 }
@@ -470,7 +466,7 @@ func (c Cover) bestLiteral() (litIndex, bool) {
 	for l := range counts {
 		keys = append(keys, l)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
 	for _, l := range keys {
 		if counts[l] > bestCnt {
 			best, bestCnt = l, counts[l]

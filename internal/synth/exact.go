@@ -109,7 +109,7 @@ func ExactStructure3(f tt.TT) (*aig.AIG, bool) {
 			leaves[i] = aig.LitFalse
 		}
 	}
-	out := buildExact3Lit(g, uint8(cf.Words()[0]&0xFF), leaves)
+	out := buildExact3Lit(g, uint8(cf.Word(0)&0xFF), leaves)
 	g.AddPO(out)
 	return g.Cleanup(), true
 }

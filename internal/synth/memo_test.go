@@ -29,9 +29,21 @@ func sameNodes(a, b *aig.AIG) bool {
 	return true
 }
 
+// factoredStructure is FactoredStructure built for f alone, with no
+// memo and no pairing: the oracle the memoized answers must equal.
+func factoredStructure(f tt.TT) *aig.AIG {
+	pos := SynthFactored([]tt.TT{f})
+	neg := SynthFactored([]tt.TT{f.Not()})
+	if neg.NumAnds() < pos.NumAnds() {
+		neg.SetPO(0, neg.PO(0).Not())
+		return neg
+	}
+	return pos
+}
+
 func TestMemoBoundedAndExact(t *testing.T) {
 	const limit = 8
-	c := memo[int]{limit: limit}
+	c := memo[int, *aig.AIG]{limit: limit}
 	builds := 0
 	build := func() *aig.AIG {
 		builds++
@@ -67,6 +79,44 @@ func TestMemoBoundedAndExact(t *testing.T) {
 		if !sameNodes(got, factoredStructure(f)) {
 			t.Errorf("trial %d: memoized structure differs from an uncached build", trial)
 		}
+	}
+
+	// A table over 10 variables has no memo key and is built uncached,
+	// to the same structure: (x0 ∧ x1) ∨ (x2 ∧ x3) ∨ … ∨ x10.
+	wide := tt.Var(10, 11)
+	for v := 0; v < 10; v += 2 {
+		wide = wide.Or(tt.Var(v, 11).And(tt.Var(v+1, 11)))
+	}
+	if got := FactoredStructure(wide); !sameNodes(got, factoredStructure(wide)) {
+		t.Errorf("11-variable structure for %s differs from an uncached build", wide.Hex())
+	}
+}
+
+// TestFactoredPairsMatchUnpaired: a memo entry serves both f and ¬f, and
+// each answer must be node for node the structure an unpaired build of
+// that polarity gives — including the functions whose complement factors
+// strictly smaller, where one polarity takes the other's form.
+func TestFactoredPairsMatchUnpaired(t *testing.T) {
+	r := rand.New(rand.NewSource(93))
+	flipped := 0
+	for trial := 0; trial < 36; trial++ {
+		f := tt.Random(2+trial%7, r)
+		if trial%3 == 0 {
+			// A sparse function, whose complement factors larger.
+			f = f.And(tt.Random(f.NumVars(), r)).And(tt.Random(f.NumVars(), r))
+		}
+		for _, g := range []tt.TT{f, f.Not()} {
+			want := factoredStructure(g)
+			if got := FactoredStructure(g); !sameNodes(got, want) {
+				t.Fatalf("trial %d: paired structure for %s differs from the unpaired build", trial, g.Hex())
+			}
+			if want.NumAnds() < SynthFactored([]tt.TT{g}).NumAnds() {
+				flipped++
+			}
+		}
+	}
+	if flipped == 0 {
+		t.Error("no function took its complement's form; the tie rule went untested")
 	}
 }
 

@@ -1,6 +1,8 @@
 package synth
 
 import (
+	"slices"
+
 	"repro/internal/aig"
 	"repro/internal/tt"
 )
@@ -39,19 +41,27 @@ var (
 	// rewriting queries the same cut functions constantly. Its working
 	// set is 3,111 functions; capped at 1,024 it cost 13% of pipeline
 	// throughput, so 4,096 holds it whole.
-	exactStructures = memo[[2]uint64]{limit: 4096}
+	exactStructures = memo[[2]uint64, *aig.AIG]{limit: 4096}
 	// npnClasses holds the best known structure of each NPN-canonical
 	// function: 124 classes in the pipeline.
-	npnClasses = memo[[2]uint64]{limit: 4096}
-	// factoredStructures holds refactor's structure per compacted cut
-	// function. The pipeline asks 87,837 times for 7,759 functions, but
-	// reuse is local in time: at 1,024 entries it still hits 88.8% of
-	// calls (91.2% unbounded), while an unbounded memo raised pipeline
-	// peak RSS from about 36 to 55 MB.
-	factoredStructures = memo[string]{limit: 1024}
-	// lutStructures holds LUT resynthesis structures of more than 4
-	// inputs: 685 functions in the pipeline.
-	lutStructures = memo[string]{limit: 4096}
+	npnClasses = memo[[2]uint64, *aig.AIG]{limit: 4096}
+	// factoredStructures holds refactor's structures for a compacted cut
+	// function and its complement in one entry, keyed by the smaller of
+	// the two tables. The pipeline asks 87,837 times for 7,759 functions,
+	// but reuse is local in time: at 1,024 entries a pass on one worker
+	// makes 8,720 pair builds, where one entry per function made 9,868
+	// builds of the same two SynthFactored calls, while an unbounded memo
+	// raised pipeline peak RSS from about 36 to 55 MB. In the paper-scale
+	// run 1,024 entries make about 145,000 pair builds and 512 about
+	// 192,000; a full memo retains about 2.5 MB there.
+	// The key holds tables of at most 10 variables. Refactor admits cones
+	// of 11 leaves, as ReconvCut can overshoot its bound, but none of the
+	// pipeline's 87,837 calls or the paper-scale run's 607,124 had more
+	// than 10 variables; a wider table is built uncached.
+	factoredStructures = memo[[17]uint64, [2]*aig.AIG]{limit: 1024}
+	// lutStructures holds LUT resynthesis structures of 5 or 6 inputs:
+	// 685 functions in the pipeline.
+	lutStructures = memo[[2]uint64, *aig.AIG]{limit: 4096}
 )
 
 // LibraryStructure returns a small implementation of f (up to 6 inputs)
@@ -91,32 +101,45 @@ func LibrarySize() int {
 
 // FactoredStructure returns a single-output AIG for f built from the
 // smaller of the factored forms of f and its complement: the structure
-// refactoring tries for a cut. It is memoized on the exact table and
-// shared: callers must only read it.
+// refactoring tries for a cut. It is memoized per complement pair on the
+// exact table and shared: callers must only read it.
 func FactoredStructure(f tt.TT) *aig.AIG {
-	return factoredStructures.get(tableKey(f), func() *aig.AIG { return factoredStructure(f) })
-}
-
-// factoredStructure is FactoredStructure without the memo.
-func factoredStructure(f tt.TT) *aig.AIG {
-	pos := SynthFactored([]tt.TT{f})
-	neg := SynthFactored([]tt.TT{f.Not()})
-	if neg.NumAnds() < pos.NumAnds() {
-		neg.SetPO(0, neg.PO(0).Not())
-		return neg
+	k, ok := tableKey(f)
+	if !ok {
+		return factoredPair(f)[0]
 	}
-	return pos
+	nf := f.Not()
+	if nk, _ := tableKey(nf); slices.Compare(nk[:], k[:]) < 0 {
+		return factoredStructures.get(nk, func() [2]*aig.AIG { return factoredPair(nf) })[1]
+	}
+	return factoredStructures.get(k, func() [2]*aig.AIG { return factoredPair(f) })[0]
 }
 
-// LUTStructure returns the structure LUT resynthesis instantiates for f:
-// the NPN library's at 4 inputs or fewer, else the best of the
-// multi-paradigm recipes, memoized. It is shared: callers must only read
-// it.
+// factoredPair returns FactoredStructure's answers for f and for ¬f from
+// one SynthFactored build per polarity. Each answer takes the other
+// polarity's form, output complemented, only when it is strictly smaller.
+func factoredPair(f tt.TT) [2]*aig.AIG {
+	pos, neg := SynthFactored([]tt.TT{f}), SynthFactored([]tt.TT{f.Not()})
+	pick := func(own, other *aig.AIG) *aig.AIG {
+		if other.NumAnds() >= own.NumAnds() {
+			return own
+		}
+		c := other.Clone()
+		c.SetPO(0, c.PO(0).Not())
+		return c
+	}
+	return [2]*aig.AIG{pick(pos, neg), pick(neg, pos)}
+}
+
+// LUTStructure returns the structure LUT resynthesis instantiates for f
+// (up to 6 inputs, the widest LUT the mapper builds): the NPN library's
+// at 4 inputs or fewer, else the best of the multi-paradigm recipes,
+// memoized. It is shared: callers must only read it.
 func LUTStructure(f tt.TT) *aig.AIG {
 	if f.NumVars() <= 4 {
 		return LibraryStructure(f)
 	}
-	return lutStructures.get(tableKey(f), func() *aig.AIG { return BestStructure(f) })
+	return lutStructures.get(wordKey(f), func() *aig.AIG { return BestStructure(f) })
 }
 
 // Instantiate copies the single-output mini AIG into dst, substituting
@@ -151,12 +174,17 @@ func InstantiateCost(dst *aig.AIG, mini *aig.AIG, leaves []aig.Lit) int {
 
 // InstantiateCostBlocked is InstantiateCost with a set of dst node ids
 // that must not count as shareable — typically the MFFC about to be
-// removed by the replacement whose cost is being estimated.
-func InstantiateCostBlocked(dst *aig.AIG, mini *aig.AIG, leaves []aig.Lit, blocked map[int]bool) int {
+// removed by the replacement whose cost is being estimated. A structure
+// of up to 64 nodes is costed without touching the heap.
+func InstantiateCostBlocked(dst *aig.AIG, mini *aig.AIG, leaves []aig.Lit, blocked []int) int {
 	if mini.NumPIs() != len(leaves) {
 		panic("synth: InstantiateCost leaf count mismatch")
 	}
-	m := make([]aig.Lit, mini.NumObjs())
+	var buf [64]aig.Lit
+	m := buf[:]
+	if mini.NumObjs() > len(buf) {
+		m = make([]aig.Lit, mini.NumObjs())
+	}
 	m[0] = aig.LitFalse
 	for i := 0; i < mini.NumPIs(); i++ {
 		m[i+1] = leaves[i]
@@ -167,7 +195,7 @@ func InstantiateCostBlocked(dst *aig.AIG, mini *aig.AIG, leaves []aig.Lit, block
 		f0, f1 := mini.Fanins(id)
 		a := m[f0.Node()].NotCond(f0.IsCompl())
 		b := m[f1.Node()].NotCond(f1.IsCompl())
-		if l, ok := dst.Lookup(a, b); ok && !blocked[l.Node()] {
+		if l, ok := dst.Lookup(a, b); ok && !slices.Contains(blocked, l.Node()) {
 			m[id] = l
 			continue
 		}

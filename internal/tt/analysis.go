@@ -49,7 +49,7 @@ func (t TT) UnatenessIn(v int) Unateness {
 
 // IsUnate reports whether f is unate in every support variable.
 func (t TT) IsUnate() bool {
-	for v := 0; v < t.nvars; v++ {
+	for v := 0; v < t.NumVars(); v++ {
 		if t.UnatenessIn(v) == Binate {
 			return false
 		}
@@ -73,8 +73,8 @@ func (t TT) SymmetricIn(u, v int) bool {
 // true inputs; if so it also returns the value profile indexed by
 // popcount.
 func (t TT) IsTotallySymmetric() ([]bool, bool) {
-	profile := make([]bool, t.nvars+1)
-	set := make([]bool, t.nvars+1)
+	profile := make([]bool, t.NumVars()+1)
+	set := make([]bool, t.NumVars()+1)
 	for m := 0; m < t.NumBits(); m++ {
 		c := popcountInt(m)
 		v := t.Bit(m)

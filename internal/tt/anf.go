@@ -8,9 +8,9 @@ func (t TT) ANF() []uint32 {
 	g := t.Clone()
 	// Möbius transform: for each variable, XOR the low cofactor into the
 	// high half.
-	for v := 0; v < g.nvars; v++ {
+	for v := 0; v < g.NumVars(); v++ {
 		lo := g.Cofactor(v, false)
-		g = g.Xor(Var(v, g.nvars).And(lo))
+		g = g.Xor(Var(v, g.NumVars()).And(lo))
 	}
 	var monomials []uint32
 	for m := 0; m < g.NumBits(); m++ {

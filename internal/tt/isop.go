@@ -120,7 +120,7 @@ func Isop(L, U TT) []Cube {
 	if !L.AndNot(U).IsConst0() {
 		panic("tt: Isop requires L <= U")
 	}
-	cover, _ := isopRec(L, U, L.nvars)
+	cover, _ := isopRec(L, U, L.NumVars())
 	return cover
 }
 
@@ -132,10 +132,10 @@ func IsopOf(f TT) []Cube { return Isop(f, f) }
 // current recursion branch).
 func isopRec(L, U TT, nv int) ([]Cube, TT) {
 	if L.IsConst0() {
-		return nil, New(L.nvars)
+		return nil, New(L.NumVars())
 	}
 	if U.IsConst1() {
-		return []Cube{{}}, Const(L.nvars, true)
+		return []Cube{{}}, Const(L.NumVars(), true)
 	}
 	// Find the topmost variable on which L or U actually depends.
 	v := nv - 1
@@ -167,7 +167,7 @@ func isopRec(L, U TT, nv int) ([]Cube, TT) {
 	}
 	cover = append(cover, cs...)
 
-	x := Var(v, L.nvars)
+	x := Var(v, L.NumVars())
 	f := fs.Or(x.Not().And(f0)).Or(x.And(f1))
 	return cover, f
 }

@@ -132,13 +132,5 @@ func NPNCanon(t TT) (canon TT, transform NPNTransform) {
 	return best, bestX
 }
 
-// lessTT orders truth tables lexicographically by their words
-// (most-significant word first).
-func lessTT(a, b TT) bool {
-	for i := len(a.words) - 1; i >= 0; i-- {
-		if a.words[i] != b.words[i] {
-			return a.words[i] < b.words[i]
-		}
-	}
-	return false
-}
+// lessTT orders the one-word tables NPNCanon compares.
+func lessTT(a, b TT) bool { return a.w[0] < b.w[0] }

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"strings"
 )
 
@@ -31,12 +32,26 @@ var varMasks = [6]uint64{
 	0xFFFFFFFF00000000,
 }
 
-// TT is a truth table over a fixed number of variables. The zero value is
-// not usable; construct with New, Var, Const, or a parser.
+// TT is a truth table over a fixed number of variables. The variable
+// count alone chooses its form: a table of at most 6 variables is one
+// inline word, so making, copying and combining such tables allocates
+// nothing; a larger table keeps its words in a heap slice. The zero value
+// is the constant-false table over 0 variables.
+//
+// Operations never change their operands. Copies of a large table share
+// its words, so mutate (SetBit) only a table you created with New, Const,
+// Var or Clone and have not copied since.
 type TT struct {
-	nvars int
-	words []uint64
+	w     [1]uint64 // the table when it has at most 6 variables
+	words []uint64  // a larger table's words; see smallShape otherwise
 }
+
+// smallShape gives a table of at most 6 variables its variable count:
+// its words field is an empty slice of smallShape whose capacity is the
+// count. TT so stays four machine words, small enough for the compiler
+// to keep in registers; a separate count field made every table
+// operation go through memory.
+var smallShape [6]uint64
 
 // WordCount returns the number of 64-bit words required for n variables.
 func WordCount(n int) int {
@@ -51,15 +66,27 @@ func New(n int) TT {
 	if n < 0 || n > MaxVars {
 		panic(fmt.Sprintf("tt: variable count %d out of range [0,%d]", n, MaxVars))
 	}
-	return TT{nvars: n, words: make([]uint64, WordCount(n))}
+	if n <= 6 {
+		return TT{words: smallShape[:0:n]}
+	}
+	return TT{words: make([]uint64, WordCount(n))}
+}
+
+// ws returns t's words: its inline word, or its heap slice.
+func (t *TT) ws() []uint64 {
+	if len(t.words) > 0 {
+		return t.words
+	}
+	return t.w[:]
 }
 
 // Const returns the constant table (false or true) over n variables.
 func Const(n int, v bool) TT {
 	t := New(n)
 	if v {
-		for i := range t.words {
-			t.words[i] = ^uint64(0)
+		ws := t.ws()
+		for i := range ws {
+			ws[i] = ^uint64(0)
 		}
 		t.maskTop()
 	}
@@ -72,16 +99,17 @@ func Var(i, n int) TT {
 		panic(fmt.Sprintf("tt: variable %d out of range for %d inputs", i, n))
 	}
 	t := New(n)
+	ws := t.ws()
 	if i < 6 {
-		for w := range t.words {
-			t.words[w] = varMasks[i]
+		for w := range ws {
+			ws[w] = varMasks[i]
 		}
 	} else {
 		// Variable i toggles every 2^(i-6) words.
 		period := 1 << (i - 6)
-		for w := range t.words {
+		for w := range ws {
 			if w&period != 0 {
-				t.words[w] = ^uint64(0)
+				ws[w] = ^uint64(0)
 			}
 		}
 	}
@@ -92,7 +120,7 @@ func Var(i, n int) TT {
 // FromWords builds a table over n variables from raw words (copied).
 func FromWords(n int, words []uint64) TT {
 	t := New(n)
-	copy(t.words, words)
+	copy(t.ws(), words)
 	t.maskTop()
 	return t
 }
@@ -100,19 +128,17 @@ func FromWords(n int, words []uint64) TT {
 // Random returns a uniformly random table over n variables drawn from r.
 func Random(n int, r *rand.Rand) TT {
 	t := New(n)
-	for i := range t.words {
-		t.words[i] = r.Uint64()
+	ws := t.ws()
+	for i := range ws {
+		ws[i] = r.Uint64()
 	}
 	t.maskTop()
 	return t
 }
 
-// maskTop clears the unused high bits of the single word when nvars < 6.
-func (t *TT) maskTop() {
-	if t.nvars < 6 {
-		t.words[0] &= (uint64(1) << (1 << t.nvars)) - 1
-	}
-}
+// maskTop clears the unused high bits of the one word of a table of
+// fewer than 6 variables.
+func (t *TT) maskTop() { t.w[0] &= topMask(t.NumVars()) }
 
 // topMask returns the valid-bit mask for the (single-word) table.
 func topMask(n int) uint64 {
@@ -123,45 +149,69 @@ func topMask(n int) uint64 {
 }
 
 // NumVars returns the number of variables of the table.
-func (t TT) NumVars() int { return t.nvars }
+func (t TT) NumVars() int {
+	if len(t.words) == 0 {
+		return cap(t.words)
+	}
+	return 6 + bits.TrailingZeros(uint(len(t.words)))
+}
 
-// NumBits returns the number of minterm bits (2^nvars).
-func (t TT) NumBits() int { return 1 << t.nvars }
+// NumBits returns the number of minterm bits (2^NumVars).
+func (t TT) NumBits() int { return 1 << t.NumVars() }
 
-// Words returns the backing words (not copied); callers must not modify.
-func (t TT) Words() []uint64 { return t.words }
+// NumWords returns the number of 64-bit words of the table.
+func (t TT) NumWords() int { return WordCount(t.NumVars()) }
 
-// Clone returns a deep copy of t.
+// Word returns word i of the table, 0 <= i < NumWords().
+func (t TT) Word(i int) uint64 { return t.ws()[i] }
+
+// Clone returns a copy of t that shares no words with it.
 func (t TT) Clone() TT {
-	u := TT{nvars: t.nvars, words: make([]uint64, len(t.words))}
-	copy(u.words, t.words)
-	return u
+	if len(t.words) > 0 {
+		w := make([]uint64, len(t.words))
+		copy(w, t.words)
+		t.words = w
+	}
+	return t
 }
 
 // Bit reports the function value on minterm m.
 func (t TT) Bit(m int) bool {
-	return t.words[m>>6]>>(uint(m)&63)&1 == 1
+	return t.ws()[m>>6]>>(uint(m)&63)&1 == 1
 }
 
-// SetBit sets the function value on minterm m.
+// SetBit sets the function value on minterm m. See TT for which tables
+// may be mutated.
 func (t *TT) SetBit(m int, v bool) {
+	ws := t.ws()
 	if v {
-		t.words[m>>6] |= 1 << (uint(m) & 63)
+		ws[m>>6] |= 1 << (uint(m) & 63)
 	} else {
-		t.words[m>>6] &^= 1 << (uint(m) & 63)
+		ws[m>>6] &^= 1 << (uint(m) & 63)
 	}
 }
 
+// sameVars reports whether t and u have the same variable count: large
+// tables of as many words, or small ones of equal shape (see smallShape).
+func (t TT) sameVars(u TT) bool {
+	return len(t.words) == len(u.words) && (len(t.words) > 0 || cap(t.words) == cap(u.words))
+}
+
+// check panics unless t and u have the same variable count. It is cheap
+// enough to inline into every operation.
 func (t TT) check(u TT) {
-	if t.nvars != u.nvars {
-		panic(fmt.Sprintf("tt: mixing tables over %d and %d variables", t.nvars, u.nvars))
+	if !t.sameVars(u) {
+		panic("tt: mixing tables over different variable counts")
 	}
 }
 
 // And returns t AND u.
 func (t TT) And(u TT) TT {
 	t.check(u)
-	r := New(t.nvars)
+	if len(t.words) == 0 {
+		return TT{w: [1]uint64{t.w[0] & u.w[0]}, words: t.words}
+	}
+	r := New(t.NumVars())
 	for i := range r.words {
 		r.words[i] = t.words[i] & u.words[i]
 	}
@@ -171,7 +221,10 @@ func (t TT) And(u TT) TT {
 // Or returns t OR u.
 func (t TT) Or(u TT) TT {
 	t.check(u)
-	r := New(t.nvars)
+	if len(t.words) == 0 {
+		return TT{w: [1]uint64{t.w[0] | u.w[0]}, words: t.words}
+	}
+	r := New(t.NumVars())
 	for i := range r.words {
 		r.words[i] = t.words[i] | u.words[i]
 	}
@@ -181,7 +234,10 @@ func (t TT) Or(u TT) TT {
 // Xor returns t XOR u.
 func (t TT) Xor(u TT) TT {
 	t.check(u)
-	r := New(t.nvars)
+	if len(t.words) == 0 {
+		return TT{w: [1]uint64{t.w[0] ^ u.w[0]}, words: t.words}
+	}
+	r := New(t.NumVars())
 	for i := range r.words {
 		r.words[i] = t.words[i] ^ u.words[i]
 	}
@@ -191,7 +247,10 @@ func (t TT) Xor(u TT) TT {
 // AndNot returns t AND NOT u.
 func (t TT) AndNot(u TT) TT {
 	t.check(u)
-	r := New(t.nvars)
+	if len(t.words) == 0 {
+		return TT{w: [1]uint64{t.w[0] &^ u.w[0]}, words: t.words}
+	}
+	r := New(t.NumVars())
 	for i := range r.words {
 		r.words[i] = t.words[i] &^ u.words[i]
 	}
@@ -200,29 +259,26 @@ func (t TT) AndNot(u TT) TT {
 
 // Not returns the complement of t.
 func (t TT) Not() TT {
-	r := New(t.nvars)
+	if len(t.words) == 0 {
+		return TT{w: [1]uint64{^t.w[0] & topMask(t.NumVars())}, words: t.words}
+	}
+	r := New(t.NumVars())
 	for i := range r.words {
 		r.words[i] = ^t.words[i]
 	}
-	r.maskTop()
 	return r
 }
 
 // Equal reports whether t and u denote the same function.
 func (t TT) Equal(u TT) bool {
-	if t.nvars != u.nvars {
-		return false
-	}
-	for i := range t.words {
-		if t.words[i] != u.words[i] {
-			return false
-		}
-	}
-	return true
+	return t.w == u.w && t.sameVars(u) && slices.Equal(t.words, u.words)
 }
 
 // IsConst0 reports whether t is the constant-false function.
 func (t TT) IsConst0() bool {
+	if t.w[0] != 0 {
+		return false
+	}
 	for _, w := range t.words {
 		if w != 0 {
 			return false
@@ -233,13 +289,11 @@ func (t TT) IsConst0() bool {
 
 // IsConst1 reports whether t is the constant-true function.
 func (t TT) IsConst1() bool {
-	m := topMask(t.nvars)
-	for i, w := range t.words {
-		want := ^uint64(0)
-		if i == 0 && len(t.words) == 1 {
-			want = m
-		}
-		if w != want {
+	if len(t.words) == 0 {
+		return t.w[0] == topMask(t.NumVars())
+	}
+	for _, w := range t.words {
+		if w != ^uint64(0) {
 			return false
 		}
 	}
@@ -248,7 +302,7 @@ func (t TT) IsConst1() bool {
 
 // CountOnes returns the number of satisfying minterms.
 func (t TT) CountOnes() int {
-	n := 0
+	n := bits.OnesCount64(t.w[0])
 	for _, w := range t.words {
 		n += bits.OnesCount64(w)
 	}
@@ -259,20 +313,21 @@ func (t TT) CountOnes() int {
 // The result remains a table over the same variable count; variable v
 // becomes irrelevant in it.
 func (t TT) Cofactor(v int, val bool) TT {
-	if v < 0 || v >= t.nvars {
+	if v < 0 || v >= t.NumVars() {
 		panic(fmt.Sprintf("tt: cofactor variable %d out of range", v))
 	}
 	r := t.Clone()
 	if v < 6 {
 		shift := uint(1) << v
 		mask := varMasks[v]
-		for i, w := range r.words {
+		ws := r.ws()
+		for i, w := range ws {
 			if val {
 				hi := w & mask
-				r.words[i] = hi | hi>>shift
+				ws[i] = hi | hi>>shift
 			} else {
 				lo := w &^ mask
-				r.words[i] = lo | lo<<shift
+				ws[i] = lo | lo<<shift
 			}
 		}
 	} else {
@@ -290,36 +345,67 @@ func (t TT) Cofactor(v int, val bool) TT {
 	return r
 }
 
-// HasVar reports whether the function depends on variable v.
+// HasVar reports whether the function depends on variable v: whether its
+// two cofactors on v differ. It compares the two halves in place.
 func (t TT) HasVar(v int) bool {
-	return !t.Cofactor(v, false).Equal(t.Cofactor(v, true))
+	if v < 0 || v >= t.NumVars() {
+		panic(fmt.Sprintf("tt: variable %d out of range for %d inputs", v, t.NumVars()))
+	}
+	if v < 6 {
+		// Bit m+2^v against bit m, for every m whose bit v is clear.
+		shift, lo := uint(1)<<v, ^varMasks[v]
+		for _, w := range t.ws() {
+			if (w>>shift^w)&lo != 0 {
+				return true
+			}
+		}
+		return false
+	}
+	period := 1 << (v - 6)
+	for base := 0; base < len(t.words); base += 2 * period {
+		if !slices.Equal(t.words[base:base+period], t.words[base+period:base+2*period]) {
+			return true
+		}
+	}
+	return false
+}
+
+// SupportMask returns the support as a bit mask: bit v is set when the
+// function depends on variable v.
+func (t TT) SupportMask() uint32 {
+	var m uint32
+	for v := 0; v < t.NumVars(); v++ {
+		if t.HasVar(v) {
+			m |= 1 << v
+		}
+	}
+	return m
 }
 
 // Support returns the indices of variables the function depends on.
 func (t TT) Support() []int {
 	var s []int
-	for v := 0; v < t.nvars; v++ {
-		if t.HasVar(v) {
-			s = append(s, v)
-		}
+	for m := t.SupportMask(); m != 0; m &= m - 1 {
+		s = append(s, bits.TrailingZeros32(m))
 	}
 	return s
 }
 
 // SupportSize returns the number of variables the function depends on.
-func (t TT) SupportSize() int { return len(t.Support()) }
+func (t TT) SupportSize() int { return bits.OnesCount32(t.SupportMask()) }
 
 // FlipVar returns the table with variable v complemented.
 func (t TT) FlipVar(v int) TT {
-	if v < 0 || v >= t.nvars {
+	if v < 0 || v >= t.NumVars() {
 		panic(fmt.Sprintf("tt: flip variable %d out of range", v))
 	}
 	r := t.Clone()
 	if v < 6 {
 		shift := uint(1) << v
 		mask := varMasks[v]
-		for i, w := range r.words {
-			r.words[i] = (w&mask)>>shift | (w&^mask)<<shift
+		ws := r.ws()
+		for i, w := range ws {
+			ws[i] = (w&mask)>>shift | (w&^mask)<<shift
 		}
 	} else {
 		period := 1 << (v - 6)
@@ -334,7 +420,7 @@ func (t TT) FlipVar(v int) TT {
 
 // SwapAdjacent returns the table with adjacent variables v and v+1 swapped.
 func (t TT) SwapAdjacent(v int) TT {
-	if v < 0 || v+1 >= t.nvars {
+	if v < 0 || v+1 >= t.NumVars() {
 		panic(fmt.Sprintf("tt: swap variable %d out of range", v))
 	}
 	r := t.Clone()
@@ -345,8 +431,9 @@ func (t TT) SwapAdjacent(v int) TT {
 		loMask := varMasks[v] &^ varMasks[v+1] // v=1, v+1=0 bits
 		hiMask := varMasks[v+1] &^ varMasks[v] // v=0, v+1=1 bits
 		keep := ^(loMask | hiMask)
-		for i, w := range r.words {
-			r.words[i] = w&keep | (w&loMask)<<shift | (w&hiMask)>>shift
+		ws := r.ws()
+		for i, w := range ws {
+			ws[i] = w&keep | (w&loMask)<<shift | (w&hiMask)>>shift
 		}
 	case v >= 6:
 		// Both variables select word indices.
@@ -375,10 +462,10 @@ func (t TT) SwapAdjacent(v int) TT {
 // variable i: the result depends on its input i exactly as t depends on
 // input perm[i]. perm must be a permutation of 0..n-1.
 func (t TT) Permute(perm []int) TT {
-	if len(perm) != t.nvars {
+	if len(perm) != t.NumVars() {
 		panic("tt: permutation length mismatch")
 	}
-	r := New(t.nvars)
+	r := New(t.NumVars())
 	for m := 0; m < t.NumBits(); m++ {
 		// Map minterm m of the result to the corresponding minterm of t:
 		// bit perm[i] of the source equals bit i of m.
@@ -395,31 +482,32 @@ func (t TT) Permute(perm []int) TT {
 	return r
 }
 
-// Expand returns an equivalent table over m >= t.nvars variables; the new
+// Expand returns an equivalent table over m >= t.NumVars() variables; the new
 // variables are don't-cares.
 func (t TT) Expand(m int) TT {
-	if m < t.nvars {
+	if m < t.NumVars() {
 		panic("tt: cannot shrink variable count with Expand")
 	}
-	if m == t.nvars {
+	if m == t.NumVars() {
 		return t.Clone()
 	}
 	r := New(m)
-	if t.nvars >= 6 {
-		for i := range r.words {
-			r.words[i] = t.words[i%len(t.words)]
+	tw, rw := t.ws(), r.ws()
+	if t.NumVars() >= 6 {
+		for i := range rw {
+			rw[i] = tw[i%len(tw)]
 		}
 		return r
 	}
 	// Replicate the sub-word pattern across the word, then across words.
-	w := t.words[0]
-	span := 1 << t.nvars
+	w := t.w[0]
+	span := 1 << t.NumVars()
 	for span < 64 {
 		w |= w << uint(span)
 		span <<= 1
 	}
-	for i := range r.words {
-		r.words[i] = w
+	for i := range rw {
+		rw[i] = w
 	}
 	r.maskTop()
 	return r
@@ -429,10 +517,10 @@ func (t TT) Expand(m int) TT {
 // which must include the full support of t (variables >= m must be
 // don't-cares).
 func (t TT) Shrink(m int) TT {
-	if m > t.nvars {
+	if m > t.NumVars() {
 		panic("tt: Shrink target larger than table")
 	}
-	for v := m; v < t.nvars; v++ {
+	for v := m; v < t.NumVars(); v++ {
 		if t.HasVar(v) {
 			panic(fmt.Sprintf("tt: Shrink would drop live variable %d", v))
 		}
@@ -467,7 +555,7 @@ func (t TT) Hex() string {
 	}
 	var b strings.Builder
 	for i := nibbles - 1; i >= 0; i-- {
-		nib := t.words[i/16] >> (uint(i%16) * 4) & 0xF
+		nib := t.Word(i/16) >> (uint(i%16) * 4) & 0xF
 		b.WriteByte("0123456789abcdef"[nib])
 	}
 	return b.String()
@@ -477,6 +565,7 @@ func (t TT) Hex() string {
 // produced by Hex.
 func ParseHex(n int, s string) (TT, error) {
 	t := New(n)
+	ws := t.ws()
 	nibbles := t.NumBits() / 4
 	if nibbles == 0 {
 		nibbles = 1
@@ -497,7 +586,7 @@ func ParseHex(n int, s string) (TT, error) {
 		default:
 			return TT{}, fmt.Errorf("tt: invalid hex digit %q", c)
 		}
-		t.words[i/16] |= v << (uint(i%16) * 4)
+		ws[i/16] |= v << (uint(i%16) * 4)
 	}
 	t.maskTop()
 	return t, nil

@@ -12,7 +12,6 @@ package aig
 
 import (
 	"fmt"
-	"math/bits"
 	"slices"
 )
 
@@ -125,9 +124,6 @@ func (g *AIG) SetPO(i int, l Lit) { g.pos[i] = l }
 
 // IsAnd reports whether node id is an AND node.
 func (g *AIG) IsAnd(id int) bool { return id > g.numPIs }
-
-// IsPI reports whether node id is a primary input.
-func (g *AIG) IsPI(id int) bool { return id >= 1 && id <= g.numPIs }
 
 // Fanins returns the two fanin literals of an AND node.
 func (g *AIG) Fanins(id int) (Lit, Lit) {
@@ -399,49 +395,6 @@ func (g *AIG) Clone() *AIG {
 	return ng
 }
 
-// TFISupport returns, for the cone rooted at literal root, the set of PI
-// indices it transitively depends on.
-func (g *AIG) TFISupport(root Lit) []int {
-	seen := make(map[int]bool)
-	var pis []int
-	var walk func(id int)
-	walk = func(id int) {
-		if seen[id] {
-			return
-		}
-		seen[id] = true
-		if g.IsPI(id) {
-			pis = append(pis, id-1)
-			return
-		}
-		if g.IsAnd(id) {
-			walk(g.fanin0[id].Node())
-			walk(g.fanin1[id].Node())
-		}
-	}
-	walk(root.Node())
-	return pis
-}
-
-// ConeSize returns the number of AND nodes in the transitive fanin cone
-// of literal root.
-func (g *AIG) ConeSize(root Lit) int {
-	seen := make(map[int]bool)
-	n := 0
-	var walk func(id int)
-	walk = func(id int) {
-		if seen[id] || !g.IsAnd(id) {
-			return
-		}
-		seen[id] = true
-		n++
-		walk(g.fanin0[id].Node())
-		walk(g.fanin1[id].Node())
-	}
-	walk(root.Node())
-	return n
-}
-
 // Check validates the structural invariants every synthesis recipe and
 // optimization pass must preserve:
 //
@@ -543,6 +496,3 @@ func (g *AIG) Stat() Stats {
 func (s Stats) String() string {
 	return fmt.Sprintf("i/o = %d/%d  and = %d  lev = %d", s.PIs, s.POs, s.Ands, s.Levels)
 }
-
-// popcount32 is a small helper used by cut handling.
-func popcount32(x uint32) int { return bits.OnesCount32(x) }

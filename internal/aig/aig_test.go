@@ -251,23 +251,6 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestTFISupportAndConeSize(t *testing.T) {
-	g := New(4)
-	n := g.And(g.PI(0), g.PI(2))
-	m := g.And(n, g.PI(3))
-	g.AddPO(m)
-	sup := g.TFISupport(m)
-	if len(sup) != 3 {
-		t.Errorf("TFISupport = %v", sup)
-	}
-	if g.ConeSize(m) != 2 {
-		t.Errorf("ConeSize = %d, want 2", g.ConeSize(m))
-	}
-	if g.ConeSize(g.PI(1)) != 0 {
-		t.Error("PI cone size should be 0")
-	}
-}
-
 func TestCheckDetectsNothingOnValid(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	g := randomAIG(5, 40, r)

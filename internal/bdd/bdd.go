@@ -1,5 +1,5 @@
 // Package bdd implements reduced ordered binary decision diagrams with a
-// shared unique table, memoized ITE, and order search by rebuilding.
+// shared unique table and order search by rebuilding.
 //
 // The manager is deliberately simple: nodes are append-only, terminals are
 // ids 0 (false) and 1 (true), and no complement edges are used. For the
@@ -8,11 +8,7 @@
 // by rebuild-based sifting rather than in-place level swaps.
 package bdd
 
-import (
-	"fmt"
-
-	"repro/internal/tt"
-)
+import "repro/internal/tt"
 
 // Node ids of the terminals.
 const (
@@ -25,8 +21,6 @@ type nodeKey struct {
 	low, high int32
 }
 
-type iteKey struct{ f, g, h int32 }
-
 // Manager owns a shared ROBDD forest over a fixed number of variables.
 // Variable i branches at level i: lower levels are tested first.
 type Manager struct {
@@ -35,7 +29,6 @@ type Manager struct {
 	low    []int32
 	high   []int32
 	unique map[nodeKey]int32
-	iteTab map[iteKey]int32
 }
 
 // NewManager creates a manager for n variables.
@@ -46,13 +39,9 @@ func NewManager(n int) *Manager {
 		low:    []int32{-1, -1},
 		high:   []int32{-1, -1},
 		unique: make(map[nodeKey]int32),
-		iteTab: make(map[iteKey]int32),
 	}
 	return m
 }
-
-// NumVars returns the variable count of the manager.
-func (m *Manager) NumVars() int { return m.nvars }
 
 // mk returns the node (level, low, high), applying the reduction rules.
 func (m *Manager) mk(level, low, high int32) int32 {
@@ -71,118 +60,12 @@ func (m *Manager) mk(level, low, high int32) int32 {
 	return id
 }
 
-// Var returns the BDD of variable v.
-func (m *Manager) Var(v int) int32 {
-	if v < 0 || v >= m.nvars {
-		panic(fmt.Sprintf("bdd: variable %d out of range", v))
-	}
-	return m.mk(int32(v), False, True)
-}
-
 // Level returns the branching level of node f (m.nvars for terminals).
 func (m *Manager) Level(f int32) int { return int(m.level[f]) }
-
-// Cofactors returns the low and high children of f with respect to the
-// topmost level among the given nodes.
-func (m *Manager) topLevel(ids ...int32) int32 {
-	top := int32(m.nvars)
-	for _, id := range ids {
-		if m.level[id] < top {
-			top = m.level[id]
-		}
-	}
-	return top
-}
-
-func (m *Manager) cofactor(f, lvl int32) (lo, hi int32) {
-	if m.level[f] == lvl {
-		return m.low[f], m.high[f]
-	}
-	return f, f
-}
-
-// ITE computes if-then-else(f, g, h), the universal ternary operator.
-func (m *Manager) ITE(f, g, h int32) int32 {
-	// Terminal cases.
-	switch {
-	case f == True:
-		return g
-	case f == False:
-		return h
-	case g == h:
-		return g
-	case g == True && h == False:
-		return f
-	}
-	k := iteKey{f, g, h}
-	if r, ok := m.iteTab[k]; ok {
-		return r
-	}
-	lvl := m.topLevel(f, g, h)
-	f0, f1 := m.cofactor(f, lvl)
-	g0, g1 := m.cofactor(g, lvl)
-	h0, h1 := m.cofactor(h, lvl)
-	r := m.mk(lvl, m.ITE(f0, g0, h0), m.ITE(f1, g1, h1))
-	m.iteTab[k] = r
-	return r
-}
-
-// And returns f AND g.
-func (m *Manager) And(f, g int32) int32 { return m.ITE(f, g, False) }
-
-// Or returns f OR g.
-func (m *Manager) Or(f, g int32) int32 { return m.ITE(f, True, g) }
-
-// Xor returns f XOR g.
-func (m *Manager) Xor(f, g int32) int32 { return m.ITE(f, m.Not(g), g) }
-
-// Not returns the complement of f.
-func (m *Manager) Not(f int32) int32 { return m.ITE(f, False, True) }
 
 // Low and High expose node children for traversals.
 func (m *Manager) Low(f int32) int32  { return m.low[f] }
 func (m *Manager) High(f int32) int32 { return m.high[f] }
-
-// Exists existentially quantifies variable v out of f.
-func (m *Manager) Exists(f int32, v int) int32 {
-	c0 := m.Restrict(f, v, false)
-	c1 := m.Restrict(f, v, true)
-	return m.Or(c0, c1)
-}
-
-// Forall universally quantifies variable v out of f.
-func (m *Manager) Forall(f int32, v int) int32 {
-	c0 := m.Restrict(f, v, false)
-	c1 := m.Restrict(f, v, true)
-	return m.And(c0, c1)
-}
-
-// Restrict fixes variable v to a constant inside f.
-func (m *Manager) Restrict(f int32, v int, val bool) int32 {
-	memo := make(map[int32]int32)
-	var rec func(n int32) int32
-	rec = func(n int32) int32 {
-		if m.level[n] > int32(v) {
-			return n // terminal or below v: v cannot appear
-		}
-		if r, ok := memo[n]; ok {
-			return r
-		}
-		var r int32
-		if m.level[n] == int32(v) {
-			if val {
-				r = m.high[n]
-			} else {
-				r = m.low[n]
-			}
-		} else {
-			r = m.mk(m.level[n], rec(m.low[n]), rec(m.high[n]))
-		}
-		memo[n] = r
-		return r
-	}
-	return rec(f)
-}
 
 // NodeCount returns the number of internal (non-terminal) nodes reachable
 // from f.
@@ -199,42 +82,6 @@ func (m *Manager) NodeCount(f int32) int {
 	}
 	rec(f)
 	return len(seen)
-}
-
-// SatCount returns the number of satisfying assignments of f over all
-// manager variables.
-func (m *Manager) SatCount(f int32) uint64 {
-	memo := map[int32]uint64{}
-	var rec func(n int32) uint64
-	rec = func(n int32) uint64 {
-		if n == False {
-			return 0
-		}
-		if n == True {
-			return 1
-		}
-		if c, ok := memo[n]; ok {
-			return c
-		}
-		lo := rec(m.low[n]) << uint(m.level[m.low[n]]-m.level[n]-1)
-		hi := rec(m.high[n]) << uint(m.level[m.high[n]]-m.level[n]-1)
-		c := lo + hi
-		memo[n] = c
-		return c
-	}
-	return rec(f) << uint(m.level[f])
-}
-
-// Eval evaluates f on the assignment where bit v of input is variable v.
-func (m *Manager) Eval(f int32, input uint64) bool {
-	for f > True {
-		if input>>uint(m.level[f])&1 == 1 {
-			f = m.high[f]
-		} else {
-			f = m.low[f]
-		}
-	}
-	return f == True
 }
 
 // FromTT builds the BDD of a truth table under the identity variable
@@ -265,23 +112,4 @@ func (m *Manager) FromTT(f tt.TT) int32 {
 		return r
 	}
 	return rec(f, 0)
-}
-
-// ToTT expands node f back into a truth table.
-func (m *Manager) ToTT(f int32) tt.TT {
-	memo := map[int32]tt.TT{
-		False: tt.Const(m.nvars, false),
-		True:  tt.Const(m.nvars, true),
-	}
-	var rec func(n int32) tt.TT
-	rec = func(n int32) tt.TT {
-		if t, ok := memo[n]; ok {
-			return t
-		}
-		v := tt.Var(int(m.level[n]), m.nvars)
-		t := v.And(rec(m.high[n])).Or(v.Not().And(rec(m.low[n])))
-		memo[n] = t
-		return t
-	}
-	return rec(f)
 }

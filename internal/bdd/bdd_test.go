@@ -8,13 +8,33 @@ import (
 	"repro/internal/tt"
 )
 
+// ToTT expands node f back into a truth table. The tests use it as the
+// oracle that a built BDD realizes its function.
+func (m *Manager) ToTT(f int32) tt.TT {
+	memo := map[int32]tt.TT{
+		False: tt.Const(m.nvars, false),
+		True:  tt.Const(m.nvars, true),
+	}
+	var rec func(n int32) tt.TT
+	rec = func(n int32) tt.TT {
+		if t, ok := memo[n]; ok {
+			return t
+		}
+		v := tt.Var(int(m.level[n]), m.nvars)
+		t := v.And(rec(m.high[n])).Or(v.Not().And(rec(m.low[n])))
+		memo[n] = t
+		return t
+	}
+	return rec(f)
+}
+
 func TestTerminalsAndVar(t *testing.T) {
 	m := NewManager(3)
-	x := m.Var(1)
+	x := m.FromTT(tt.Var(1, 3))
 	if m.Level(x) != 1 || m.Low(x) != False || m.High(x) != True {
 		t.Error("Var structure wrong")
 	}
-	if m.Var(1) != x {
+	if m.FromTT(tt.Var(1, 3)) != x {
 		t.Error("unique table not shared")
 	}
 	if m.NodeCount(x) != 1 {
@@ -23,51 +43,26 @@ func TestTerminalsAndVar(t *testing.T) {
 	if m.NodeCount(False) != 0 || m.NodeCount(True) != 0 {
 		t.Error("terminal node counts wrong")
 	}
-}
-
-func TestITEAgainstTT(t *testing.T) {
-	r := rand.New(rand.NewSource(61))
-	for trial := 0; trial < 30; trial++ {
-		n := 3 + trial%4
-		m := NewManager(n)
-		f, g, h := tt.Random(n, r), tt.Random(n, r), tt.Random(n, r)
-		bf, bg, bh := m.FromTT(f), m.FromTT(g), m.FromTT(h)
-		got := m.ToTT(m.ITE(bf, bg, bh))
-		want := f.And(g).Or(f.Not().And(h))
-		if !got.Equal(want) {
-			t.Fatalf("trial %d: ITE mismatch", trial)
-		}
-	}
-}
-
-func TestBooleanOps(t *testing.T) {
-	r := rand.New(rand.NewSource(62))
-	n := 5
-	m := NewManager(n)
-	f, g := tt.Random(n, r), tt.Random(n, r)
-	bf, bg := m.FromTT(f), m.FromTT(g)
-	if !m.ToTT(m.And(bf, bg)).Equal(f.And(g)) {
-		t.Error("And wrong")
-	}
-	if !m.ToTT(m.Or(bf, bg)).Equal(f.Or(g)) {
-		t.Error("Or wrong")
-	}
-	if !m.ToTT(m.Xor(bf, bg)).Equal(f.Xor(g)) {
-		t.Error("Xor wrong")
-	}
-	if !m.ToTT(m.Not(bf)).Equal(f.Not()) {
-		t.Error("Not wrong")
+	if m.FromTT(tt.Const(3, false)) != False || m.FromTT(tt.Const(3, true)) != True {
+		t.Error("constants are not the terminals")
 	}
 }
 
 func TestCanonicity(t *testing.T) {
-	// The same function built two different ways must be the same node.
+	// The same function built two different ways must be the same node,
+	// and a subfunction built on its own must be the node the larger
+	// function shares.
 	m := NewManager(4)
-	a, b := m.Var(0), m.Var(1)
-	lhs := m.Not(m.And(a, b))
-	rhs := m.Or(m.Not(a), m.Not(b))
+	a, b := tt.Var(0, 4), tt.Var(1, 4)
+	lhs := m.FromTT(a.And(b).Not())
+	rhs := m.FromTT(a.Not().Or(b.Not()))
 	if lhs != rhs {
 		t.Error("De Morgan forms are different nodes: BDD not canonical")
+	}
+	c, d := tt.Var(2, 4), tt.Var(3, 4)
+	sub := m.FromTT(c.Xor(d))
+	if f := m.FromTT(a.And(c.Xor(d))); m.High(f) != sub {
+		t.Error("shared subfunction is a different node: BDD not canonical")
 	}
 }
 
@@ -80,46 +75,6 @@ func TestFromTTRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestRestrictQuantify(t *testing.T) {
-	r := rand.New(rand.NewSource(63))
-	n := 6
-	m := NewManager(n)
-	f := tt.Random(n, r)
-	bf := m.FromTT(f)
-	for v := 0; v < n; v++ {
-		if !m.ToTT(m.Restrict(bf, v, false)).Equal(f.Cofactor(v, false)) {
-			t.Fatalf("Restrict(%d,0) wrong", v)
-		}
-		if !m.ToTT(m.Restrict(bf, v, true)).Equal(f.Cofactor(v, true)) {
-			t.Fatalf("Restrict(%d,1) wrong", v)
-		}
-		if !m.ToTT(m.Exists(bf, v)).Equal(f.Cofactor(v, false).Or(f.Cofactor(v, true))) {
-			t.Fatalf("Exists(%d) wrong", v)
-		}
-		if !m.ToTT(m.Forall(bf, v)).Equal(f.Cofactor(v, false).And(f.Cofactor(v, true))) {
-			t.Fatalf("Forall(%d) wrong", v)
-		}
-	}
-}
-
-func TestSatCountAndEval(t *testing.T) {
-	r := rand.New(rand.NewSource(64))
-	for trial := 0; trial < 20; trial++ {
-		n := 2 + trial%6
-		f := tt.Random(n, r)
-		m := NewManager(n)
-		bf := m.FromTT(f)
-		if got, want := m.SatCount(bf), uint64(f.CountOnes()); got != want {
-			t.Fatalf("trial %d: SatCount = %d, want %d", trial, got, want)
-		}
-		for inp := 0; inp < 1<<n; inp++ {
-			if m.Eval(bf, uint64(inp)) != f.Bit(inp) {
-				t.Fatalf("trial %d: Eval(%d) wrong", trial, inp)
-			}
-		}
 	}
 }
 

@@ -132,9 +132,6 @@ func New(members []string, vnodes, replicas int) (*Ring, error) {
 // mutate).
 func (r *Ring) Members() []string { return r.members }
 
-// Replication returns the ring's replication factor.
-func (r *Ring) Replication() int { return r.replicas }
-
 // Owners returns the key's owner members in preference order: the
 // first R distinct members clockwise from the key's hash position.
 // Fewer than R members means every member owns every key.
@@ -227,15 +224,10 @@ type Table struct {
 	down atomic.Pointer[map[string]bool]
 }
 
-// NewTable builds a Table at epoch 1 with every member initially
-// alive.
-func NewTable(members []string, vnodes, replicas int) (*Table, error) {
-	return NewTableAt(members, vnodes, replicas, 1)
-}
-
-// NewTableAt builds a Table at an explicit starting epoch — the boot
-// path of a node joining (or rejoining) a cluster that has already
-// advanced past epoch 1.
+// NewTableAt builds a Table at an explicit starting epoch with every
+// member initially alive: epoch 1 for a fresh cluster, a later one on
+// the boot path of a node joining (or rejoining) a cluster that has
+// already advanced past epoch 1.
 func NewTableAt(members []string, vnodes, replicas int, epoch uint64) (*Table, error) {
 	r, err := New(members, vnodes, replicas)
 	if err != nil {

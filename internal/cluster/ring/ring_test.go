@@ -151,7 +151,7 @@ func TestBalance(t *testing.T) {
 // fail over to the next clockwise replicas, surviving assignments do
 // not move, and re-admission restores exactly the original owners.
 func TestTableFailover(t *testing.T) {
-	tab, err := NewTable(members(5), 64, 2)
+	tab, err := NewTableAt(members(5), 64, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestTableFailover(t *testing.T) {
 // under increasing epochs — the epoch-install path a live
 // reconfiguration exercises mid-churn.
 func TestTableConcurrentMembership(t *testing.T) {
-	tab, err := NewTable(members(8), 32, 3)
+	tab, err := NewTableAt(members(8), 32, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +320,7 @@ func TestTableConcurrentMembership(t *testing.T) {
 // untouched, and down-marks for members absent from the new ring are
 // dropped while surviving marks persist.
 func TestTableInstall(t *testing.T) {
-	tab, err := NewTable(members(3), 32, 2)
+	tab, err := NewTableAt(members(3), 32, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -123,9 +123,6 @@ func (n *Net) IsGate(id int) bool { return id > n.numPIs }
 // IsPI reports whether id is an input.
 func (n *Net) IsPI(id int) bool { return id >= 1 && id <= n.numPIs }
 
-// GateKind returns the kind of gate id.
-func (n *Net) GateKind(id int) Kind { return n.kind[id] }
-
 // Fanins returns gate id's fanin literals, two or three by kind. The
 // slice aliases the network's storage and must not be modified.
 func (n *Net) Fanins(id int) []aig.Lit {

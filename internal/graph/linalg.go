@@ -38,26 +38,6 @@ func (m *Matrix) Clone() *Matrix {
 	return c
 }
 
-// Mul returns m * other.
-func (m *Matrix) Mul(other *Matrix) *Matrix {
-	if m.Cols != other.Rows {
-		panic(fmt.Sprintf("graph: matmul dims %dx%d * %dx%d", m.Rows, m.Cols, other.Rows, other.Cols))
-	}
-	out := NewMatrix(m.Rows, other.Cols)
-	for i := 0; i < m.Rows; i++ {
-		for k := 0; k < m.Cols; k++ {
-			a := m.At(i, k)
-			if a == 0 {
-				continue
-			}
-			for j := 0; j < other.Cols; j++ {
-				out.Data[i*out.Cols+j] += a * other.At(k, j)
-			}
-		}
-	}
-	return out
-}
-
 // Inverse computes the matrix inverse by Gauss-Jordan elimination with
 // partial pivoting. Returns an error when the matrix is singular.
 func (m *Matrix) Inverse() (*Matrix, error) {

@@ -1,10 +1,31 @@
 package graph
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 )
+
+// Mul returns m * other. The tests use it to check Inverse.
+func (m *Matrix) Mul(other *Matrix) *Matrix {
+	if m.Cols != other.Rows {
+		panic(fmt.Sprintf("graph: matmul dims %dx%d * %dx%d", m.Rows, m.Cols, other.Rows, other.Cols))
+	}
+	out := NewMatrix(m.Rows, other.Cols)
+	for i := 0; i < m.Rows; i++ {
+		for k := 0; k < m.Cols; k++ {
+			a := m.At(i, k)
+			if a == 0 {
+				continue
+			}
+			for j := 0; j < other.Cols; j++ {
+				out.Data[i*out.Cols+j] += a * other.At(k, j)
+			}
+		}
+	}
+	return out
+}
 
 func TestMatrixBasics(t *testing.T) {
 	m := NewMatrix(2, 3)

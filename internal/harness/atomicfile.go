@@ -23,7 +23,7 @@ const (
 )
 
 // atomicTempMark tags WriteFileAtomic's temp files so a startup sweep
-// (SweepAtomicTemps) can recognize — and quarantine — orphans left by
+// (SweepAtomicTempsList) can recognize — and quarantine — orphans left by
 // a crash between create and rename. The mark is unusual enough that
 // no results artifact collides with it.
 const atomicTempMark = ".atomictmp-"
@@ -80,22 +80,15 @@ func WriteFileAtomic(path string, write func(w io.Writer) error) (err error) {
 	return nil
 }
 
-// SweepAtomicTemps quarantines orphaned WriteFileAtomic temp files in
-// dir: a crash (or kill) between create and rename leaves a
+// SweepAtomicTempsList quarantines orphaned WriteFileAtomic temp files
+// in dir: a crash (or kill) between create and rename leaves a
 // "*.atomictmp-*" file that no process will ever rename, so startup
 // recovery removes it. Completed files never carry the mark, so the
-// sweep cannot touch real artifacts. It returns how many orphans were
-// removed; removal failures are counted and the first is returned
-// after the sweep finishes the remaining entries.
-func SweepAtomicTemps(dir string) (removed int, err error) {
-	names, err := SweepAtomicTempsList(dir)
-	return len(names), err
-}
-
-// SweepAtomicTempsList is SweepAtomicTemps reporting the removed
-// orphans by name (sorted — os.ReadDir order), so callers can put the
-// exact post-crash debris into an operator-auditable log instead of a
-// bare count.
+// sweep cannot touch real artifacts. It reports the removed orphans by
+// name (sorted — os.ReadDir order), so callers can put the exact
+// post-crash debris into an operator-auditable log; removal failures
+// are counted and the first is returned after the sweep finishes the
+// remaining entries.
 func SweepAtomicTempsList(dir string) (removed []string, err error) {
 	entries, rerr := os.ReadDir(dir)
 	if rerr != nil {

@@ -148,12 +148,12 @@ func TestChaosSweepAtomicTemps(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	removed, err := SweepAtomicTemps(dir)
+	removed, err := SweepAtomicTempsList(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if removed != 1 {
-		t.Fatalf("swept %d orphans, want 1", removed)
+	if len(removed) != 1 || removed[0] != filepath.Base(orphan) {
+		t.Fatalf("swept %v, want the one orphan", removed)
 	}
 	if _, err := os.Stat(orphan); !errors.Is(err, os.ErrNotExist) {
 		t.Fatal("orphan temp survived the sweep")

@@ -19,6 +19,7 @@ import (
 	"os"
 
 	"repro/internal/faultinject"
+	"repro/internal/synth"
 )
 
 // Fault-injection points on the checkpoint append path. A fault at
@@ -58,17 +59,13 @@ type checkpointHeader struct {
 // replayed into a run with another: silently mixing configurations
 // would corrupt the correlation analysis.
 func (c Config) fingerprint() (string, error) {
-	recipes, err := c.recipeSet()
-	if err != nil {
-		return "", err
-	}
 	flows, err := c.flowSet()
 	if err != nil {
 		return "", err
 	}
 	h := fnv.New64a()
 	fmt.Fprintf(h, "seed=%d;maxInputs=%d;maxSpecs=%d;", c.Seed, c.maxInputs(), c.MaxSpecs)
-	for _, r := range recipes {
+	for _, r := range synth.Recipes() {
 		fmt.Fprintf(h, "recipe=%s;", r.Name)
 	}
 	for _, f := range flows {

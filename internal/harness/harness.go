@@ -40,9 +40,8 @@ type Config struct {
 	MaxInputs int
 	// MaxSpecs truncates the suite for quick runs (0 = all).
 	MaxSpecs int
-	// Recipes and Flows select subsets by name (nil = all).
-	Recipes []string
-	Flows   []string
+	// Flows selects a subset of the flows by name (nil = all).
+	Flows []string
 	// Progress, when non-nil, receives one line per processed spec.
 	Progress io.Writer
 	// Events, when non-nil, receives one structured JSONL event per
@@ -79,27 +78,6 @@ func (c Config) maxInputs() int {
 		return 10
 	}
 	return c.MaxInputs
-}
-
-func (c Config) recipeSet() ([]synth.Recipe, error) {
-	all := synth.Recipes()
-	if c.Recipes == nil {
-		return all, nil
-	}
-	var out []synth.Recipe
-	for _, name := range c.Recipes {
-		found := false
-		for _, r := range all {
-			if r.Name == name {
-				out = append(out, r)
-				found = true
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("harness: unknown recipe %q (have %v)", name, synth.RecipeNames())
-		}
-	}
-	return out, nil
 }
 
 func (c Config) flowSet() ([]opt.Flow, error) {
@@ -190,16 +168,10 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if cfg.MaxSpecs > 0 && len(specs) > cfg.MaxSpecs {
 		specs = specs[:cfg.MaxSpecs]
 	}
-	recipes, err := cfg.recipeSet()
-	if err != nil {
-		return nil, err
-	}
+	recipes := synth.Recipes()
 	flows, err := cfg.flowSet()
 	if err != nil {
 		return nil, err
-	}
-	if len(recipes) < 2 {
-		return nil, fmt.Errorf("harness: need at least 2 recipes, have %d", len(recipes))
 	}
 	if len(flows) == 0 {
 		return nil, fmt.Errorf("harness: no flows selected")

@@ -107,14 +107,9 @@ func TestFigure2(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	cfg := quickConfig()
-	cfg.Recipes = []string{"sop"}
-	if _, err := RunContext(context.Background(), cfg); err == nil {
-		t.Error("single recipe should error")
-	}
-	cfg = quickConfig()
-	cfg.Flows = []string{"nope"}
-	if _, err := RunContext(context.Background(), cfg); err == nil {
-		t.Error("unknown flow should error")
+	cfg.Flows = []string{"dc2", "warp"}
+	if _, err := RunContext(context.Background(), cfg); err == nil || !strings.Contains(err.Error(), `unknown flow "warp"`) {
+		t.Errorf("unknown flow error = %v", err)
 	}
 }
 

@@ -162,16 +162,3 @@ func TestProgressAndEventsAgree(t *testing.T) {
 		t.Errorf("progress and event lines diverge:\n%v\nvs\n%v", progressLines, eventLines)
 	}
 }
-
-func TestUnknownRecipeAndFlowErrors(t *testing.T) {
-	cfg := quickConfig()
-	cfg.Recipes = []string{"sop", "nope"}
-	if _, err := RunContext(context.Background(), cfg); err == nil || !strings.Contains(err.Error(), `unknown recipe "nope"`) {
-		t.Errorf("unknown recipe error = %v", err)
-	}
-	cfg = quickConfig()
-	cfg.Flows = []string{"dc2", "warp"}
-	if _, err := RunContext(context.Background(), cfg); err == nil || !strings.Contains(err.Error(), `unknown flow "warp"`) {
-		t.Errorf("unknown flow error = %v", err)
-	}
-}

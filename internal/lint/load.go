@@ -315,8 +315,3 @@ func (l *loader) Import(path string) (*types.Package, error) {
 	}
 	return l.std.Import(path)
 }
-
-// PackageByPath returns a loaded package, or nil.
-func (p *Program) PackageByPath(path string) *Package {
-	return p.byPath[path]
-}

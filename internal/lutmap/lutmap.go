@@ -47,9 +47,6 @@ type Mapping struct {
 	RootOf map[int]int
 }
 
-// NumLUTs returns the mapped LUT count (the area).
-func (m Mapping) NumLUTs() int { return len(m.LUTs) }
-
 // Map covers the AIG with k-input LUTs using area-flow-guided priority
 // cuts: every node selects its best cut over a few refinement rounds, and
 // a cover is extracted from the outputs.

@@ -15,7 +15,7 @@ func TestMapCoversOutputs(t *testing.T) {
 	g := synth.SynthSOP(spec)
 	for _, k := range []int{3, 4, 6} {
 		m := Map(g, Options{K: k})
-		if m.NumLUTs() == 0 {
+		if len(m.LUTs) == 0 {
 			t.Fatalf("k=%d: empty mapping", k)
 		}
 		for _, lut := range m.LUTs {
@@ -47,8 +47,8 @@ func TestMapFewerLUTsThanNodes(t *testing.T) {
 	r := rand.New(rand.NewSource(112))
 	g := synth.SynthSOP([]tt.TT{tt.Random(7, r)})
 	m := Map(g, Options{K: 4})
-	if m.NumLUTs() >= g.NumAnds() {
-		t.Errorf("mapping should compress: %d LUTs for %d nodes", m.NumLUTs(), g.NumAnds())
+	if len(m.LUTs) >= g.NumAnds() {
+		t.Errorf("mapping should compress: %d LUTs for %d nodes", len(m.LUTs), g.NumAnds())
 	}
 }
 
@@ -91,8 +91,8 @@ func TestMapTinyGraphs(t *testing.T) {
 	g := aig.New(2)
 	g.AddPO(g.And(g.PI(0), g.PI(1)))
 	m := Map(g, Options{K: 4})
-	if m.NumLUTs() != 1 {
-		t.Errorf("single AND maps to %d LUTs", m.NumLUTs())
+	if len(m.LUTs) != 1 {
+		t.Errorf("single AND maps to %d LUTs", len(m.LUTs))
 	}
 	ng := RoundTrip(g, Options{K: 4})
 	if idx, _ := aig.Equivalent(g, ng); idx != -1 {

@@ -16,10 +16,12 @@
 //     than burning the caller's deadline asleep;
 //   - a per-endpoint circuit breaker so a dead daemon costs one
 //     cooldown per endpoint, not one timeout per call;
-//   - idempotency keys on job submissions (drawn from a seeded
-//     generator) so a retried POST /v1/optimize that actually reached
-//     the daemon the first time dedups server-side instead of
-//     double-spending an admission slot and creating a duplicate job.
+//   - idempotency keys on job submissions, so a retried POST
+//     /v1/optimize that actually reached the daemon the first time
+//     dedups server-side instead of double-spending an admission slot
+//     and creating a duplicate job. Each client draws its keys from a
+//     generator seeded from crypto/rand, so two clients never send the
+//     same key.
 //
 // Only "try again later" answers are retried: 429, 503, and transport
 // failures. 4xx contract errors are returned immediately as *APIError.
@@ -71,16 +73,15 @@ type Config struct {
 	BaseBackoff time.Duration
 	MaxBackoff  time.Duration
 	// Seed feeds the jitter and idempotency-key generator; a fixed
-	// seed replays the exact retry schedule (default 1).
+	// seed replays the exact retry schedule. The default draws a seed
+	// from crypto/rand: clients sharing a seed would send the same
+	// keys, and the daemon refuses a reused key on a different request.
 	Seed int64
 
 	// BreakerThreshold consecutive service failures open an endpoint's
 	// breaker for BreakerCooldown (defaults 5 and 10s).
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
-
-	// PollInterval paces Await's job polling (default 50ms).
-	PollInterval time.Duration
 
 	// Headers, when set, decorates every attempt's request headers.
 	// The cluster layer and the gateway use it to stamp the membership
@@ -104,16 +105,13 @@ func (c Config) withDefaults() Config {
 		c.MaxBackoff = 5 * time.Second
 	}
 	if c.Seed == 0 {
-		c.Seed = 1
+		c.Seed = trace.CryptoSeed()
 	}
 	if c.BreakerThreshold <= 0 {
 		c.BreakerThreshold = 5
 	}
 	if c.BreakerCooldown <= 0 {
 		c.BreakerCooldown = 10 * time.Second
-	}
-	if c.PollInterval <= 0 {
-		c.PollInterval = 50 * time.Millisecond
 	}
 	return c
 }
@@ -498,12 +496,8 @@ func (c *Client) Job(ctx context.Context, id string) (service.JobView, error) {
 	return v, err
 }
 
-// Cancel requests job cancellation.
-func (c *Client) Cancel(ctx context.Context, id string) (service.JobView, error) {
-	var v service.JobView
-	err := c.do(ctx, "jobs", http.MethodDelete, "/v1/jobs/"+id, "", nil, "", &v)
-	return v, err
-}
+// pollInterval paces Await's job polling.
+const pollInterval = 50 * time.Millisecond
 
 // Await polls a job until it reaches a terminal state or ctx expires.
 // A failed or canceled job is returned with a nil error — the JobView
@@ -519,7 +513,7 @@ func (c *Client) Await(ctx context.Context, id string) (service.JobView, error) 
 		case service.JobDone, service.JobFailed, service.JobCanceled:
 			return v, nil
 		}
-		if err := c.sleep(ctx, c.cfg.PollInterval); err != nil {
+		if err := c.sleep(ctx, pollInterval); err != nil {
 			return service.JobView{}, fmt.Errorf("awaiting job %s: %w", id, err)
 		}
 	}

@@ -176,6 +176,31 @@ func TestClientRetriesThenSucceeds(t *testing.T) {
 	}
 }
 
+// TestDefaultClientsDrawDistinctKeys: two clients built without a Seed
+// submit different optimize jobs to one daemon. The daemon refuses a
+// reused Idempotency-Key on a different request with 422, so both
+// submissions are accepted only if the clients draw different keys.
+func TestDefaultClientsDrawDistinctKeys(t *testing.T) {
+	_, ts, _ := newDaemon(t, service.Config{Workers: 2})
+	ctx := context.Background()
+	var ids []string
+	for i := int64(1); i <= 2; i++ {
+		c, _ := newClient(t, Config{BaseURL: ts.URL})
+		v, err := c.SubmitAIG(ctx, testAIG(t, i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		id, err := c.Optimize(ctx, v.Fingerprint, "", 7)
+		if err != nil {
+			t.Fatalf("client %d: optimize refused: %v", i, err)
+		}
+		ids = append(ids, id)
+	}
+	if ids[0] == ids[1] {
+		t.Fatalf("two different jobs share the id %s", ids[0])
+	}
+}
+
 // TestClientBackoffDeterminism: same seed, same jitter schedule.
 func TestClientBackoffDeterminism(t *testing.T) {
 	draw := func(seed int64) []time.Duration {

@@ -15,7 +15,7 @@ import (
 // This file is the surface internal/cluster composes a multi-node
 // daemon from. The contract every method leans on: scoring is a pure
 // function of (fingerprint pair, metric) — profiles are seeded from
-// the structural fingerprint (see profileSeed), so any node computes
+// the structural fingerprint (see simil.ProfileSeed), so any node computes
 // bit-identical scores for the same pair. That is what makes peer
 // cache fill and replica failover sound: a value computed anywhere can
 // be installed in any node's cache without violating the

@@ -6,19 +6,12 @@ import (
 	"net/http"
 	"sort"
 
-	"repro/internal/faultinject"
 	"repro/internal/harness"
 	"repro/internal/simil"
 	"repro/internal/sketch"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/trace"
 )
-
-// PointSketchRebuild is the fault-injection point on sketch index
-// rebuild. A fault here fails the rebuild before the index is touched:
-// the old index stays intact and keeps serving, which is the
-// degradation the chaos suite pins.
-const PointSketchRebuild = "sketch/rebuild"
 
 // maxNeighborsK bounds one k-NN request; like the batch cap this keeps
 // a single JSON body from pinning a worker arbitrarily long.
@@ -35,7 +28,7 @@ const maxDiverseK = 64
 // failure the entry still serves (profiles rebuild lazily in
 // profileFor); it just never enters the sketch index.
 func (s *Server) prepareEntry(ctx context.Context, e *storedAIG) {
-	p, err := harness.SafeProfile(ctx, e.g, simil.ProfileOptions{Seed: profileSeed(e.fp)}, simil.NeedSketch)
+	p, err := harness.SafeProfile(ctx, e.g, simil.ProfileOptions{Seed: simil.ProfileSeed(e.fp)}, simil.NeedSketch)
 	if err != nil {
 		telemetry.Add("sketch/prepare_errors", 1)
 		return
@@ -43,20 +36,6 @@ func (s *Server) prepareEntry(ctx context.Context, e *storedAIG) {
 	telemetry.Add("service/profile_builds", 1)
 	e.profile = p
 	e.sig = p.Sketch()
-}
-
-// RebuildSketchIndex reconstructs the sketch index from current store
-// membership — the recovery path for a suspected index/store
-// divergence. It returns the number of indexed fingerprints. Under an
-// injected fault the rebuild fails without touching the live index.
-func (s *Server) RebuildSketchIndex() (int, error) {
-	if err := faultinject.Hit(PointSketchRebuild); err != nil {
-		telemetry.Add("sketch/rebuild_errors", 1)
-		return 0, err
-	}
-	n := s.store.rebuildIndex()
-	telemetry.Add("sketch/rebuilds", 1)
-	return n, nil
 }
 
 // --- wire types --------------------------------------------------------

@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"repro/internal/aiger"
-	"repro/internal/faultinject"
 	"repro/internal/synth"
 	"repro/internal/tt"
 )
@@ -392,43 +391,5 @@ func TestIndexStoreConsistency(t *testing.T) {
 	}
 	if len(live) != 12 {
 		t.Errorf("store holds %d entries, want its cap of 12", len(live))
-	}
-}
-
-// TestRebuildSketchIndex: a rebuild reproduces exactly the live
-// membership; under an injected fault it fails without touching the
-// index.
-func TestRebuildSketchIndex(t *testing.T) {
-	d := newTestDaemon(t, Config{StoreEntries: 8})
-	for i := 0; i < 12; i++ { // 4 evictions
-		d.submit(t, testAIG(t, int64(700+i)))
-	}
-	before := d.svc.store.index.Fingerprints()
-	if len(before) != 8 {
-		t.Fatalf("index holds %d entries, want 8", len(before))
-	}
-
-	armChaos(t, PointSketchRebuild, faultinject.Always(), faultinject.Fault{Mode: faultinject.ModeError})
-	if _, err := d.svc.RebuildSketchIndex(); err == nil {
-		t.Fatal("rebuild under injected fault reported success")
-	}
-	if got := d.svc.store.index.Fingerprints(); !reflect.DeepEqual(got, before) {
-		t.Fatal("failed rebuild modified the index")
-	}
-	if d.counter("sketch/rebuild_errors") != 1 {
-		t.Errorf("sketch/rebuild_errors = %d, want 1", d.counter("sketch/rebuild_errors"))
-	}
-	faultinject.Disable()
-	faultinject.Reset()
-
-	n, err := d.svc.RebuildSketchIndex()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 8 {
-		t.Errorf("rebuild indexed %d entries, want 8", n)
-	}
-	if got := d.svc.store.index.Fingerprints(); !reflect.DeepEqual(got, before) {
-		t.Fatalf("rebuild changed membership:\nbefore %v\nafter %v", before, got)
 	}
 }

@@ -17,7 +17,7 @@ import (
 //
 //   - atomicfile temp files ("*.atomictmp-*"): a crash landed between
 //     create and rename, so the file is a possibly-torn orphan no
-//     process will ever complete — quarantined by harness.SweepAtomicTemps;
+//     process will ever complete — quarantined by harness.SweepAtomicTempsList;
 //   - stale spill files ("job-*.json"): their jobs lived only in the
 //     dead process's memory, so no poll can ever reference them again —
 //     removed so the directory cannot grow without bound across

@@ -3,24 +3,12 @@ package service
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 
 	"repro/internal/harness"
 	"repro/internal/simil"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/trace"
 )
-
-// profileSeed derives the per-graph profile seed deterministically from
-// the structural fingerprint. This is what makes cache hits bit-
-// identical to fresh computation: two identical structures always get
-// the same Lanczos starting vector, so the same spectrum, so the same
-// ASD — no matter which request computed them first.
-func profileSeed(fp string) int64 {
-	h := fnv.New64a()
-	h.Write([]byte(fp))
-	return int64(h.Sum64() & 0x7FFFFFFFFFFFFFFF)
-}
 
 // profileFor returns e's profile carrying at least the needed artifact
 // families, building or extending it under the per-graph mutex. The
@@ -30,7 +18,7 @@ func profileSeed(fp string) int64 {
 func (s *Server) profileFor(ctx context.Context, e *storedAIG, needs simil.Artifacts) (*simil.Profile, error) {
 	e.profMu.Lock()
 	defer e.profMu.Unlock()
-	opts := simil.ProfileOptions{Seed: profileSeed(e.fp)}
+	opts := simil.ProfileOptions{Seed: simil.ProfileSeed(e.fp)}
 	if e.profile == nil {
 		p, err := harness.SafeProfile(ctx, e.g, opts, needs)
 		if err != nil {
@@ -91,7 +79,7 @@ func resolveMetrics(names []string) ([]simil.Metric, error) {
 // once per graph (coalesced), then per metric a cache lookup, a
 // singleflighted compute on miss, and a cache fill. The invariant the
 // cache rests on: a hit is bit-identical to what a fresh computation
-// would produce (deterministic profiles via profileSeed, symmetric
+// would produce (deterministic profiles via simil.ProfileSeed, symmetric
 // metrics in canonical operand order).
 //
 // The whole pair is one "service/pair_scores" span; each metric's

@@ -147,20 +147,3 @@ func (s *store) snapshot() []*storedAIG {
 	sort.Slice(out, func(i, j int) bool { return out[i].fp < out[j].fp })
 	return out
 }
-
-// rebuildIndex atomically reconstructs the sketch index from current
-// membership. Running under mu means no intern or evict can interleave
-// with the rebuild: the new index is an exact mirror of the LRU at one
-// instant.
-func (s *store) rebuildIndex() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sigs := make(map[string]*sketch.Signature, s.order.Len())
-	for el := s.order.Front(); el != nil; el = el.Next() {
-		if e := el.Value.(*storedAIG); e.sig != nil {
-			sigs[e.fp] = e.sig
-		}
-	}
-	s.index.Reset(sigs)
-	return len(sigs)
-}

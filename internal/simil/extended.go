@@ -156,13 +156,3 @@ func ExtendedMetrics() []ExtendedMetric {
 		{"GEDApprox", false, func(a, b *ExtendedProfile) float64 { return GEDApprox(a.G, b.G) }},
 	}
 }
-
-// NormalizedGED scales a GED value into [0, 1) for reporting alongside
-// the bounded metrics: ged / (ged + totalSize).
-func NormalizedGED(ged float64, a, b *ExtendedProfile) float64 {
-	size := float64(a.G.N + b.G.N + a.G.NumEdges() + b.G.NumEdges())
-	if size == 0 {
-		return 0
-	}
-	return ged / (ged + size)
-}

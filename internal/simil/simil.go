@@ -8,6 +8,7 @@
 package simil
 
 import (
+	"hash/fnv"
 	"math"
 
 	"repro/internal/aig"
@@ -48,8 +49,10 @@ type Profile struct {
 	// has records which artifact families were computed.
 	has Artifacts
 
-	// Traditional-metric artifacts over the undirected skeleton.
-	vertices map[int]bool
+	// Traditional-metric artifacts over the undirected skeleton. The
+	// vertex set is always the node ids 1..vertices, so it is stored as
+	// its size.
+	vertices int
 	edges    map[[2]int]bool
 	features [35]float64 // NetSimile signature: 7 features x 5 aggregates
 	wlHist   map[string]int
@@ -68,6 +71,17 @@ type Profile struct {
 type ProfileOptions struct {
 	// Seed feeds the Lanczos starting vector.
 	Seed int64
+}
+
+// ProfileSeed derives a graph's profile seed from its structural
+// fingerprint (aig.Fingerprint). Two identical structures then always
+// get the same Lanczos starting vector, so the same spectrum and an
+// ASD of zero between them, and aigd's cache hits are bit-identical to
+// fresh computation no matter which request computed them first.
+func ProfileSeed(fp string) int64 {
+	h := fnv.New64a()
+	h.Write([]byte(fp))
+	return int64(h.Sum64() & 0x7FFFFFFFFFFFFFFF)
 }
 
 // Profile construction constants: the number of adjacency eigenvalues
@@ -116,11 +130,8 @@ func (p *Profile) add(a *aig.AIG, opts ProfileOptions, needs Artifacts) {
 
 	if needs&NeedOverlap != 0 {
 		// Vertex and edge sets under the consistent node numbering.
-		p.vertices = make(map[int]bool)
+		p.vertices = a.NumObjs() - 1
 		p.edges = make(map[[2]int]bool)
-		for id := 1; id < a.NumObjs(); id++ {
-			p.vertices[id] = true
-		}
 		for _, e := range und.Edges() {
 			p.edges[e] = true
 		}
@@ -201,19 +212,15 @@ func (p *Profile) Reductions() [3]float64 { return p.reductions }
 // 2*(|V∩V'| + |E∩E'|) / (|V|+|V'|+|E|+|E'|). 1 means identical, 0 fully
 // disjoint. Higher = more similar.
 func VEO(p1, p2 *Profile) float64 {
-	sharedV := 0
-	for v := range p1.vertices {
-		if p2.vertices[v] {
-			sharedV++
-		}
-	}
+	// Both vertex sets start at id 1, so the smaller one is shared.
+	sharedV := min(p1.vertices, p2.vertices)
 	sharedE := 0
 	for e := range p1.edges {
 		if p2.edges[e] {
 			sharedE++
 		}
 	}
-	den := len(p1.vertices) + len(p2.vertices) + len(p1.edges) + len(p2.edges)
+	den := p1.vertices + p2.vertices + len(p1.edges) + len(p2.edges)
 	if den == 0 {
 		return 1
 	}

@@ -1,7 +1,6 @@
 package simil
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -303,9 +302,9 @@ func TestSketchArtifact(t *testing.T) {
 	if full.Sketch() == nil {
 		t.Fatal("AllArtifacts profile has nil signature")
 	}
-	want := direct.Sketch().Encode()
+	want := *direct.Sketch()
 	for name, p := range map[string]*Profile{"staged": staged, "full": full} {
-		if !bytes.Equal(p.Sketch().Encode(), want) {
+		if *p.Sketch() != want {
 			t.Errorf("%s build produced a different signature", name)
 		}
 	}

@@ -16,7 +16,7 @@ type Candidate struct {
 
 // Index is the in-memory locality-sensitive index: signatures keyed by
 // fingerprint plus one bucket map per band of each sketch family.
-// Membership mutations (Insert/Remove/Reset) are O(bands); queries
+// Membership mutations (Insert/Remove) are O(bands); queries
 // touch only the buckets the query signature lands in, falling back to
 // a linear sketch scan only when banding surfaces fewer candidates
 // than the caller's budget. Safe for concurrent use.
@@ -37,21 +37,6 @@ func NewIndex() *Index {
 		ix.feat[b] = make(map[uint64]map[string]struct{})
 	}
 	return ix
-}
-
-// Len returns the number of indexed fingerprints.
-func (ix *Index) Len() int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return len(ix.sigs)
-}
-
-// Signature returns the indexed signature for a fingerprint.
-func (ix *Index) Signature(fp string) (*Signature, bool) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	s, ok := ix.sigs[fp]
-	return s, ok
 }
 
 // Fingerprints returns the indexed fingerprints in sorted order.
@@ -91,25 +76,6 @@ func (ix *Index) Remove(fp string) {
 	ix.unbucket(fp, sig)
 	delete(ix.sigs, fp)
 	telemetry.Add("sketch/index_removes", 1)
-}
-
-// Reset atomically replaces the whole index content — the rebuild
-// path. Queries see either the old population or the new one, never a
-// mix.
-func (ix *Index) Reset(sigs map[string]*Signature) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	ix.sigs = make(map[string]*Signature, len(sigs))
-	for b := range ix.wl {
-		ix.wl[b] = make(map[uint64]map[string]struct{})
-	}
-	for b := range ix.feat {
-		ix.feat[b] = make(map[uint64]map[string]struct{})
-	}
-	for fp, sig := range sigs {
-		ix.sigs[fp] = sig
-		ix.bucket(fp, sig)
-	}
 }
 
 func (ix *Index) bucket(fp string, sig *Signature) {

@@ -24,23 +24,20 @@
 // Determinism contract: the hash family, the permutation parameters,
 // and the projection hyperplanes are all derived from fixed
 // compile-time seeds, never from process state. A given WL histogram
-// and feature vector therefore always produces the same signature
-// bytes — on every node of a cluster, across restarts, and across
-// encode/decode round trips. The service's cache and replication
-// invariants (a hit is bit-identical to fresh computation) extend to
-// sketches only because of this.
+// and feature vector therefore always produces the same signature —
+// on every node of a cluster and across restarts. The service's cache
+// and replication invariants (a hit is bit-identical to fresh
+// computation) extend to sketches only because of this.
 package sketch
 
 import (
-	"encoding/binary"
-	"fmt"
 	"hash/fnv"
 	"math"
 )
 
-// Sketch geometry. These are part of the signature wire format: two
-// processes can compare or exchange signatures only when they agree on
-// all of them, which is why they are constants and not options.
+// Sketch geometry. Two signatures are comparable only when they were
+// built under the same geometry, which is why these are constants and
+// not options.
 const (
 	// MinHashK is the number of MinHash permutations. 128 slots put the
 	// standard error of the Jaccard estimate around 1/sqrt(128) ≈ 0.09.
@@ -62,13 +59,6 @@ const (
 	featBandBits = 8
 	// FeatBands is the number of feature banding buckets per signature.
 	FeatBands = FeatBits / featBandBits
-
-	// SignatureVersion tags the binary encoding.
-	SignatureVersion = 1
-	// EncodedLen is the exact length of an encoded signature: a version
-	// byte, MinHashK big-endian uint32 minima, featWords big-endian
-	// uint64 bit words.
-	EncodedLen = 1 + 4*MinHashK + 8*featWords
 )
 
 // familySeed roots every derived hash parameter. Fixed by design: see
@@ -221,45 +211,4 @@ func (s *Signature) featBandKey(band int) uint64 {
 	word := s.Feat[(band*featBandBits)/64]
 	shift := uint((band * featBandBits) % 64)
 	return (word >> shift) & 0xff
-}
-
-// Encode serializes the signature into its canonical EncodedLen-byte
-// form: a version byte, the MinHash minima big-endian, the feature
-// words big-endian. The encoding is bijective — Decode(Encode(s)) == s
-// and Encode(Decode(b)) == b for every well-formed b.
-func (s *Signature) Encode() []byte {
-	out := make([]byte, EncodedLen)
-	out[0] = SignatureVersion
-	off := 1
-	for i := 0; i < MinHashK; i++ {
-		binary.BigEndian.PutUint32(out[off:], s.WL[i])
-		off += 4
-	}
-	for w := 0; w < featWords; w++ {
-		binary.BigEndian.PutUint64(out[off:], s.Feat[w])
-		off += 8
-	}
-	return out
-}
-
-// Decode parses a canonical signature encoding. Any deviation — wrong
-// length, unknown version — is an error, never a partial signature.
-func Decode(b []byte) (*Signature, error) {
-	if len(b) != EncodedLen {
-		return nil, fmt.Errorf("sketch: encoded signature is %d bytes, want %d", len(b), EncodedLen)
-	}
-	if b[0] != SignatureVersion {
-		return nil, fmt.Errorf("sketch: unknown signature version %d", b[0])
-	}
-	s := &Signature{}
-	off := 1
-	for i := 0; i < MinHashK; i++ {
-		s.WL[i] = binary.BigEndian.Uint32(b[off:])
-		off += 4
-	}
-	for w := 0; w < featWords; w++ {
-		s.Feat[w] = binary.BigEndian.Uint64(b[off:])
-		off += 8
-	}
-	return s, nil
 }

@@ -20,11 +20,6 @@ type Cover struct {
 	Cubes   []tt.Cube
 }
 
-// NewCover wraps cubes into a cover.
-func NewCover(nvars int, cubes []tt.Cube) Cover {
-	return Cover{NumVars: nvars, Cubes: cubes}
-}
-
 // FromTT computes an initial (ISOP) cover of f.
 func FromTT(f tt.TT) Cover {
 	return Cover{NumVars: f.NumVars(), Cubes: tt.IsopOf(f)}
@@ -355,11 +350,6 @@ func (c Cover) commonCube() tt.Cube {
 		common.Val &= mask
 	}
 	return common
-}
-
-// IsCubeFree reports whether no single literal divides every cube.
-func (c Cover) IsCubeFree() bool {
-	return len(c.Cubes) > 0 && c.commonCube().Mask == 0
 }
 
 // MakeCubeFree divides out the common cube.

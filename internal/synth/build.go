@@ -6,8 +6,6 @@
 package synth
 
 import (
-	"sort"
-
 	"repro/internal/aig"
 	"repro/internal/sop"
 	"repro/internal/tt"
@@ -146,11 +144,4 @@ func mostBinateVar(f tt.TT) int {
 		}
 	}
 	return best
-}
-
-// supportSorted returns the support of f, ascending.
-func supportSorted(f tt.TT) []int {
-	s := f.Support()
-	sort.Ints(s)
-	return s
 }

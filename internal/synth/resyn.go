@@ -94,11 +94,6 @@ func LibraryStructure(f tt.TT) *aig.AIG {
 	})
 }
 
-// LibrarySize reports how many canonical classes the library holds.
-func LibrarySize() int {
-	return npnClasses.len()
-}
-
 // FactoredStructure returns a single-output AIG for f built from the
 // smaller of the factored forms of f and its complement: the structure
 // refactoring tries for a cut. It is memoized per complement pair on the
@@ -163,22 +158,17 @@ func Instantiate(dst *aig.AIG, mini *aig.AIG, leaves []aig.Lit) aig.Lit {
 	return m[po.Node()].NotCond(po.IsCompl())
 }
 
-// InstantiateCost reports how many new AND nodes Instantiate would create
-// in dst, without modifying dst: existing shared structure is free. Nodes
-// that would be fresh are modeled with virtual ids beyond dst's range so
-// that downstream lookups correctly miss while constant folding still
-// applies.
-func InstantiateCost(dst *aig.AIG, mini *aig.AIG, leaves []aig.Lit) int {
-	return InstantiateCostBlocked(dst, mini, leaves, nil)
-}
-
-// InstantiateCostBlocked is InstantiateCost with a set of dst node ids
-// that must not count as shareable — typically the MFFC about to be
-// removed by the replacement whose cost is being estimated. A structure
-// of up to 64 nodes is costed without touching the heap.
+// InstantiateCostBlocked reports how many new AND nodes Instantiate
+// would create in dst, without modifying dst: existing shared structure
+// is free, except for the dst node ids in blocked — typically the MFFC
+// about to be removed by the replacement whose cost is being estimated.
+// Nodes that would be fresh are modeled with virtual ids beyond dst's
+// range so that downstream lookups correctly miss while constant
+// folding still applies. A structure of up to 64 nodes is costed
+// without touching the heap.
 func InstantiateCostBlocked(dst *aig.AIG, mini *aig.AIG, leaves []aig.Lit, blocked []int) int {
 	if mini.NumPIs() != len(leaves) {
-		panic("synth: InstantiateCost leaf count mismatch")
+		panic("synth: InstantiateCostBlocked leaf count mismatch")
 	}
 	var buf [64]aig.Lit
 	m := buf[:]

@@ -165,18 +165,18 @@ func TestLibraryStructure(t *testing.T) {
 			t.Fatalf("trial %d: library structure wrong for %s", trial, f.Hex())
 		}
 	}
-	if LibrarySize() == 0 {
+	if npnClasses.len() == 0 {
 		t.Error("library should have cached classes")
 	}
 	// NPN-equivalent functions share one cache entry: library size grows
 	// slower than call count.
-	before := LibrarySize()
+	before := npnClasses.len()
 	f := tt.Var(0, 3).And(tt.Var(1, 3)).Or(tt.Var(2, 3))
 	xf := tt.NPNTransform{Perm: []int{2, 0, 1}, Flips: 0b101, OutFlip: true}
 	_ = LibraryStructure(f)
-	mid := LibrarySize()
+	mid := npnClasses.len()
 	_ = LibraryStructure(xf.Apply(f))
-	if LibrarySize() != mid {
+	if npnClasses.len() != mid {
 		t.Error("NPN-equivalent function created a new library entry")
 	}
 	_ = before
@@ -194,7 +194,7 @@ func TestInstantiateMatchesCost(t *testing.T) {
 		dst.And(leaves[0], leaves[1])
 		dst.And(dst.And(leaves[0], leaves[1]), leaves[2])
 		before := dst.NumAnds()
-		predicted := InstantiateCost(dst, mini, leaves)
+		predicted := InstantiateCostBlocked(dst, mini, leaves, nil)
 		out := Instantiate(dst, mini, leaves)
 		added := dst.NumAnds() - before
 		if predicted != added {

@@ -139,9 +139,6 @@ func (c *Counter) Add(delta int64) {
 	}
 }
 
-// Inc adds one.
-func (c *Counter) Inc() { c.Add(1) }
-
 // Value reads the current count (0 on nil).
 func (c *Counter) Value() int64 {
 	if c == nil {

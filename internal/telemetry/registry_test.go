@@ -10,7 +10,7 @@ import (
 func TestCounterGaugeBasics(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("a/b")
-	c.Inc()
+	c.Add(1)
 	c.Add(4)
 	if got := r.Counter("a/b").Value(); got != 5 {
 		t.Fatalf("counter = %d, want 5", got)
@@ -92,7 +92,7 @@ func TestConcurrentUpdates(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				r.Counter("c").Inc()
+				r.Counter("c").Add(1)
 				r.Gauge("g").Set(float64(i))
 				r.Histogram("h").Observe(float64(i%7) + 0.5)
 				r.RecordSpan("s", time.Duration(i%5+1)*time.Millisecond)

@@ -35,16 +35,6 @@ func (r *Registry) spanHistogram(name string) *Histogram {
 	return h
 }
 
-// SpanNames lists all recorded span names, sorted.
-func (r *Registry) SpanNames() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return names(r.spans)
-}
-
 // SpanStats returns the duration distribution recorded under a span
 // name (zero-count snapshot if the name is unknown).
 func (r *Registry) SpanStats(name string) HistogramSnapshot {

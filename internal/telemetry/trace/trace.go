@@ -93,13 +93,16 @@ func (sc SpanContext) Valid() bool { return !sc.TraceID.IsZero() && !sc.SpanID.I
 var idSource = struct {
 	mu  sync.Mutex
 	rng *rand.Rand
-}{rng: rand.New(rand.NewSource(cryptoSeed()))}
+}{rng: rand.New(rand.NewSource(CryptoSeed()))}
 
-func cryptoSeed() int64 {
+// CryptoSeed draws a math/rand seed from crypto/rand, so generators in
+// different processes (or different clients of one process) never
+// share a sequence.
+func CryptoSeed() int64 {
 	var b [8]byte
 	if _, err := crand.Read(b[:]); err != nil {
 		// Entropy exhaustion is effectively unreachable; degrade to a
-		// fixed seed rather than failing instrumentation.
+		// fixed seed rather than fail the caller.
 		return 1
 	}
 	return int64(binary.LittleEndian.Uint64(b[:]) & 0x7FFFFFFFFFFFFFFF)
@@ -144,9 +147,6 @@ func SetCollector(s *Store) {
 	}
 	collector.Store(s)
 }
-
-// Collector returns the installed store, or nil when tracing is off.
-func Collector() *Store { return collector.Load() }
 
 // --- context plumbing --------------------------------------------------
 

@@ -106,9 +106,6 @@ func TestOperationsLeaveOperandsUnchanged(t *testing.T) {
 		results := []TT{a.And(b), a.Or(b), a.Xor(b), a.AndNot(b), a.Not(), a.Clone(), a.Permute(perm), a.Expand(n + 1)}
 		for v := 0; v < n; v++ {
 			results = append(results, a.Cofactor(v, false), a.Cofactor(v, true), a.FlipVar(v))
-			if v+1 < n {
-				results = append(results, a.SwapAdjacent(v))
-			}
 			a.HasVar(v)
 		}
 		a.SupportMask()

@@ -36,11 +36,6 @@ func (c Cube) WithLit(v int, positive bool) Cube {
 	return c
 }
 
-// Contains reports whether minterm m satisfies the cube.
-func (c Cube) Contains(m int) bool {
-	return uint32(m)&c.Mask == c.Val&c.Mask
-}
-
 // TT expands the cube into a truth table over n variables.
 func (c Cube) TT(n int) TT {
 	t := Const(n, true)

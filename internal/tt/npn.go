@@ -31,24 +31,6 @@ func (x NPNTransform) Apply(t TT) TT {
 	return r
 }
 
-// Inverse returns the transform mapping the canonical form back to the
-// original function.
-func (x NPNTransform) Inverse() NPNTransform {
-	inv := NPNTransform{Perm: make([]int, len(x.Perm)), OutFlip: x.OutFlip}
-	// x maps original var p=Perm[i] to canonical var i (after flipping
-	// original inputs). The inverse permutes canonical var i back to p and
-	// then flips, but since flips commute with renaming when re-indexed we
-	// fold them: inverse flips act on canonical variable i when original
-	// variable Perm[i] was flipped.
-	for i, p := range x.Perm {
-		inv.Perm[p] = i
-		if x.Flips>>uint(p)&1 == 1 {
-			inv.Flips |= 1 << uint(i)
-		}
-	}
-	return inv
-}
-
 // permutations returns all permutations of 0..n-1.
 func permutations(n int) [][]int {
 	if n == 0 {
@@ -96,8 +78,7 @@ func allPerms(n int) [][]int {
 // intended for small functions (<= 6 variables; the 4-variable case used
 // by rewriting enumerates 768 transforms).
 //
-// The returned transform satisfies canon == transform.Apply(t) and
-// t == transform.Inverse().Apply(canon).
+// The returned transform satisfies canon == transform.Apply(t).
 func NPNCanon(t TT) (canon TT, transform NPNTransform) {
 	n := t.NumVars()
 	if n > 6 {

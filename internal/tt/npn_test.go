@@ -15,6 +15,24 @@ func randTransform(n int, r *rand.Rand) NPNTransform {
 	}
 }
 
+// Inverse returns the transform mapping the canonical form back to the
+// original function. The tests use it to check NPNCanon's transforms.
+func (x NPNTransform) Inverse() NPNTransform {
+	inv := NPNTransform{Perm: make([]int, len(x.Perm)), OutFlip: x.OutFlip}
+	// x maps original var p=Perm[i] to canonical var i (after flipping
+	// original inputs). The inverse permutes canonical var i back to p and
+	// then flips, but since flips commute with renaming when re-indexed we
+	// fold them: inverse flips act on canonical variable i when original
+	// variable Perm[i] was flipped.
+	for i, p := range x.Perm {
+		inv.Perm[p] = i
+		if x.Flips>>uint(p)&1 == 1 {
+			inv.Flips |= 1 << uint(i)
+		}
+	}
+	return inv
+}
+
 func TestNPNTransformInverse(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
 	for n := 1; n <= 6; n++ {

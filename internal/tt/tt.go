@@ -418,46 +418,6 @@ func (t TT) FlipVar(v int) TT {
 	return r
 }
 
-// SwapAdjacent returns the table with adjacent variables v and v+1 swapped.
-func (t TT) SwapAdjacent(v int) TT {
-	if v < 0 || v+1 >= t.NumVars() {
-		panic(fmt.Sprintf("tt: swap variable %d out of range", v))
-	}
-	r := t.Clone()
-	switch {
-	case v+1 < 6:
-		// Both variables live inside each word.
-		shift := uint(1) << v
-		loMask := varMasks[v] &^ varMasks[v+1] // v=1, v+1=0 bits
-		hiMask := varMasks[v+1] &^ varMasks[v] // v=0, v+1=1 bits
-		keep := ^(loMask | hiMask)
-		ws := r.ws()
-		for i, w := range ws {
-			ws[i] = w&keep | (w&loMask)<<shift | (w&hiMask)>>shift
-		}
-	case v >= 6:
-		// Both variables select word indices.
-		pv, pw := 1<<(v-6), 1<<(v+1-6)
-		for i := range r.words {
-			// Swap words where bit for v is set and bit for v+1 clear
-			// with the word where v clear and v+1 set.
-			if i&pv != 0 && i&pw == 0 {
-				j := i&^pv | pw
-				r.words[i], r.words[j] = r.words[j], r.words[i]
-			}
-		}
-	default:
-		// v == 5, v+1 == 6: variable 5 is the word's high half,
-		// variable 6 selects odd/even words.
-		for i := 0; i < len(r.words); i += 2 {
-			lo, hi := r.words[i], r.words[i+1]
-			r.words[i] = lo&0x00000000FFFFFFFF | hi<<32
-			r.words[i+1] = hi&0xFFFFFFFF00000000 | lo>>32
-		}
-	}
-	return r
-}
-
 // Permute returns the table with original variable perm[i] renamed to
 // variable i: the result depends on its input i exactly as t depends on
 // input perm[i]. perm must be a permutation of 0..n-1.
@@ -589,24 +549,5 @@ func ParseHex(n int, s string) (TT, error) {
 		ws[i/16] |= v << (uint(i%16) * 4)
 	}
 	t.maskTop()
-	return t, nil
-}
-
-// ParseBinary parses a binary truth-table string (minterm 2^n-1 first).
-func ParseBinary(n int, s string) (TT, error) {
-	t := New(n)
-	if len(s) != t.NumBits() {
-		return TT{}, fmt.Errorf("tt: binary string has %d bits, want %d", len(s), t.NumBits())
-	}
-	for i, c := range s {
-		m := t.NumBits() - 1 - i
-		switch c {
-		case '1':
-			t.SetBit(m, true)
-		case '0':
-		default:
-			return TT{}, fmt.Errorf("tt: invalid binary digit %q", c)
-		}
-	}
 	return t, nil
 }

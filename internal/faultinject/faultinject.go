@@ -55,7 +55,9 @@ const (
 	// reach the file, exactly like a kill or power cut mid-write.
 	ModeTornWrite
 	// ModeLatency stalls the hit for Fault.Latency, then proceeds
-	// without error.
+	// without error. Under HitCtx the stall ends early when the
+	// context does, and the hit returns the context's error; Hit and
+	// WrapWriter always stall in full.
 	ModeLatency
 	// ModeDeadline injects an error wrapping context.DeadlineExceeded.
 	ModeDeadline
@@ -283,7 +285,9 @@ func hitSlow(name string) error {
 // HitCtx is Hit with request attribution: when the point fires and a
 // fire hook is installed, the hook sees (ctx, name, mode) before the
 // fault takes effect — so a trace span in ctx records exactly which
-// request the injected failure landed on. Semantics are otherwise
+// request the injected failure landed on. An injected latency ends when
+// ctx does, and HitCtx then returns ctx.Err(), so a stalled request
+// frees its handler once its caller gives up. Semantics are otherwise
 // identical to Hit, including the single-atomic-load disabled path.
 func HitCtx(ctx context.Context, name string) error {
 	if !enabled.Load() {
@@ -305,8 +309,14 @@ func hitSlowCtx(ctx context.Context, name string) error {
 		(*hook)(ctx, name, f.Mode)
 	}
 	if f.Mode == ModeLatency {
-		time.Sleep(f.Latency)
-		return nil
+		stall := time.NewTimer(f.Latency)
+		defer stall.Stop()
+		select {
+		case <-stall.C:
+			return nil
+		case <-ctx.Done():
+			return ctx.Err()
+		}
 	}
 	return injectedError(name, f.Mode)
 }

@@ -121,6 +121,22 @@ func TestLatencyModeStallsWithoutError(t *testing.T) {
 	}
 }
 
+func TestLatencyModeEndsWithContext(t *testing.T) {
+	Reset()
+	defer Reset()
+	Arm("p/slow_ctx", Always(), Fault{Mode: ModeLatency, Latency: 10 * time.Second})
+	Enable()
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	if err := HitCtx(ctx, "p/slow_ctx"); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("latency fault under an expired context = %v, want context.DeadlineExceeded", err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("latency fault outlived its context's 20ms deadline by stalling %v", d)
+	}
+}
+
 func TestWrapWriterShortAndTorn(t *testing.T) {
 	Reset()
 	defer Reset()

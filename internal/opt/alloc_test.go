@@ -33,3 +33,20 @@ func TestPassAllocationBudget(t *testing.T) {
 		}
 	}
 }
+
+// TestResubAllocationBudget pins how many heap allocations one
+// resubstitution pass makes over a fixed 8-input AIG (the root package's
+// benchmark AIG), whose SimAll tables take four words each. The budget
+// sits about 25% above the measured count (2,338; 2,357 with Go's
+// classic map, GOEXPERIMENT=noswissmap); matchers that built a table
+// per candidate made 560,937.
+func TestResubAllocationBudget(t *testing.T) {
+	r := rand.New(rand.NewSource(42))
+	g := synth.SynthSOP([]tt.TT{tt.Random(8, r), tt.Random(8, r)})
+	const budget = 2925
+	allocs := testing.AllocsPerRun(3, func() { ResubOnce(g, ResubOptions{}) })
+	t.Logf("ResubOnce over %d ANDs: %v allocations", g.NumAnds(), allocs)
+	if allocs > budget {
+		t.Errorf("ResubOnce over %d ANDs made %v allocations, budget %v", g.NumAnds(), allocs, budget)
+	}
+}

@@ -48,6 +48,7 @@ func ResubOnce(g *aig.AIG, opts ResubOptions) *aig.AIG {
 		return g
 	}
 	tabs := g.SimAll()
+	used := usedBits(g.NumPIs())
 	refs := g.RefCounts()
 	decisions := make(map[int]decision)
 
@@ -56,8 +57,8 @@ func ResubOnce(g *aig.AIG, opts ResubOptions) *aig.AIG {
 	hashes := make([]uint64, g.NumObjs())
 	notHashes := make([]uint64, g.NumObjs())
 	for id := 0; id < g.NumObjs(); id++ {
-		hashes[id] = ttHash(tabs[id])
-		notHashes[id] = ttHash(tabs[id].Not())
+		hashes[id] = ttHash(tabs[id], 0)
+		notHashes[id] = ttHash(tabs[id], used)
 		hashIndex[hashes[id]] = append(hashIndex[hashes[id]], id)
 	}
 
@@ -75,7 +76,7 @@ func ResubOnce(g *aig.AIG, opts ResubOptions) *aig.AIG {
 		mffc := g.MFFCSize(id, refs)
 
 		// --- 0-resub: an existing node already computes the function.
-		if dec, ok := findZeroResub(g, id, target, hashes, notHashes, hashIndex, tabs); ok {
+		if dec, ok := findZeroResub(id, target, used, hashes, notHashes, hashIndex, tabs); ok {
 			decisions[id] = dec
 			continue
 		}
@@ -87,7 +88,7 @@ func ResubOnce(g *aig.AIG, opts ResubOptions) *aig.AIG {
 		}
 
 		divs = collectDivisors(id, supp, maxDiv, divs[:0])
-		andList, orList = candidateLists(target, divs, tabs, andList[:0], orList[:0])
+		andList, orList = candidateLists(target, used, divs, tabs, andList[:0], orList[:0])
 
 		// --- 1-resub: one fresh gate over two divisors (XOR costs 3
 		// AND nodes in an AIG and is gated accordingly).
@@ -96,14 +97,14 @@ func ResubOnce(g *aig.AIG, opts ResubOptions) *aig.AIG {
 			minGain = 0
 		}
 		if mffc-1 >= minGain {
-			if dec, cost, ok := findOneResub(target, divs, andList, orList, tabs, hashes); ok && mffc-cost >= minGain {
+			if dec, cost, ok := findOneResub(target, used, divs, andList, orList, tabs, hashes); ok && mffc-cost >= minGain {
 				decisions[id] = dec
 				continue
 			}
 		}
 		// --- 2-resub: AND3 / OR3 shapes (two fresh gates).
 		if depth >= 2 && mffc-2 >= minGain {
-			if dec, ok := findTripleResub(target, andList, orList, tabs); ok {
+			if dec, ok := findTripleResub(target, used, andList, orList, tabs); ok {
 				decisions[id] = dec
 			}
 		}
@@ -111,16 +112,56 @@ func ResubOnce(g *aig.AIG, opts ResubOptions) *aig.AIG {
 	return keepSmaller(g, rebuild(g, decisions), true)
 }
 
-func ttHash(t tt.TT) uint64 {
+// The matchers below read the words of the SimAll tables in place and
+// build no table: a complement is a word XORed with the table's used
+// bits (usedBits), which is what tt's Not computes.
+
+// usedBits returns the bits a table over n variables uses in each word:
+// all of them from 6 variables on, the low 2^n below.
+func usedBits(n int) uint64 { return tt.Const(n, true).Word(0) }
+
+// ttHash hashes t's words (FNV-1a), each XORed with flip: t's own hash
+// for flip 0, its complement's for flip the used bits.
+func ttHash(t tt.TT, flip uint64) uint64 {
 	h := uint64(1469598103934665603)
 	for i := 0; i < t.NumWords(); i++ {
-		h ^= t.Word(i)
+		h ^= t.Word(i) ^ flip
 		h *= 1099511628211
 	}
 	return h
 }
 
-func findZeroResub(g *aig.AIG, id int, target tt.TT, hashes, notHashes []uint64, index map[uint64][]int, tabs []tt.TT) (decision, bool) {
+// xorHash is ttHash(a XOR b, 0).
+func xorHash(a, b tt.TT) uint64 {
+	h := uint64(1469598103934665603)
+	for i := 0; i < a.NumWords(); i++ {
+		h ^= a.Word(i) ^ b.Word(i)
+		h *= 1099511628211
+	}
+	return h
+}
+
+// isNot reports whether t is the complement of u.
+func isNot(t, u tt.TT, used uint64) bool {
+	for i := 0; i < t.NumWords(); i++ {
+		if t.Word(i) != u.Word(i)^used {
+			return false
+		}
+	}
+	return true
+}
+
+// isXor reports whether t is a XOR b.
+func isXor(t, a, b tt.TT) bool {
+	for i := 0; i < t.NumWords(); i++ {
+		if t.Word(i) != a.Word(i)^b.Word(i) {
+			return false
+		}
+	}
+	return true
+}
+
+func findZeroResub(id int, target tt.TT, used uint64, hashes, notHashes []uint64, index map[uint64][]int, tabs []tt.TT) (decision, bool) {
 	for _, cand := range index[hashes[id]] {
 		if cand >= id {
 			break
@@ -133,7 +174,7 @@ func findZeroResub(g *aig.AIG, id int, target tt.TT, hashes, notHashes []uint64,
 		if cand >= id {
 			break
 		}
-		if tabs[cand].Equal(target.Not()) {
+		if isNot(tabs[cand], target, used) {
 			return litDecision(cand, true), true
 		}
 	}
@@ -150,6 +191,15 @@ func findZeroResub(g *aig.AIG, id int, target tt.TT, hashes, notHashes []uint64,
 type divisor struct {
 	node  int
 	compl bool
+}
+
+// word returns word i of the divisor's table, complemented when compl.
+func (d divisor) word(tabs []tt.TT, i int, used uint64) uint64 {
+	w := tabs[d.node].Word(i)
+	if d.compl {
+		w ^= used
+	}
+	return w
 }
 
 // structuralSupport computes per-node PI-support bitmasks by fanin union
@@ -184,18 +234,17 @@ func collectDivisors(id int, supp []uint32, max int, divs []int) []int {
 // polarities, from the candidate lists) and XOR (over divs, matched by
 // the per-node table hashes first), returning the decision and its cost
 // in fresh AND nodes (1 for AND/OR, 3 for XOR).
-func findOneResub(target tt.TT, divs []int, andList, orList []divisor, tabs []tt.TT, hashes []uint64) (decision, int, bool) {
-	if dec, ok := matchPairs(target, andList, tabs, true); ok {
+func findOneResub(target tt.TT, used uint64, divs []int, andList, orList []divisor, tabs []tt.TT, hashes []uint64) (decision, int, bool) {
+	if dec, ok := matchPairs(target, used, andList, tabs, true); ok {
 		return dec, 1, true
 	}
-	if dec, ok := matchPairs(target, orList, tabs, false); ok {
+	if dec, ok := matchPairs(target, used, orList, tabs, false); ok {
 		return dec, 1, true
 	}
 	for _, d1 := range divs {
-		want := tabs[d1].Xor(target)
-		h := ttHash(want)
+		h := xorHash(tabs[d1], target)
 		for _, d2 := range divs {
-			if hashes[d2] == h && d2 != d1 && tabs[d2].Equal(want) {
+			if hashes[d2] == h && d2 != d1 && isXor(tabs[d2], tabs[d1], target) {
 				return gateDecision(gateXor, divisor{d1, false}, divisor{d2, false}), 3, true
 			}
 		}
@@ -206,49 +255,74 @@ func findOneResub(target tt.TT, divs []int, andList, orList []divisor, tabs []tt
 // candidateLists filters the divisor literals for AND and OR shapes,
 // appending to andList the literals an AND of divisors implementing
 // target may use, and to orList those an OR may use.
-func candidateLists(target tt.TT, divs []int, tabs []tt.TT, andList, orList []divisor) ([]divisor, []divisor) {
-	notTarget := target.Not()
+func candidateLists(target tt.TT, used uint64, divs []int, tabs []tt.TT, andList, orList []divisor) ([]divisor, []divisor) {
 	for _, d := range divs {
 		t := tabs[d]
-		if target.AndNot(t).IsConst0() { // target ⊆ t
+		// The bits of target t lacks, of t target lacks, and of neither.
+		var targetOnly, tOnly, neither uint64
+		for i := 0; i < t.NumWords(); i++ {
+			a, b := target.Word(i), t.Word(i)
+			targetOnly |= a &^ b
+			tOnly |= b &^ a
+			neither |= ^(a | b) & used
+		}
+		if targetOnly == 0 { // target ⊆ t
 			andList = append(andList, divisor{d, false})
 		}
 		// This admits ~t when t ⊆ target, where an AND operand needs
 		// target ⊆ ~t. Matches are verified, so it costs only search
 		// quality; the recorded results depend on it as written.
-		if notTarget.AndNot(t.Not()).IsConst0() {
+		if tOnly == 0 {
 			andList = append(andList, divisor{d, true})
 		}
-		if t.AndNot(target).IsConst0() { // t ⊆ target
+		if tOnly == 0 { // t ⊆ target
 			orList = append(orList, divisor{d, false})
 		}
-		if t.Not().AndNot(target).IsConst0() { // ~t ⊆ target
+		if neither == 0 { // ~t ⊆ target
 			orList = append(orList, divisor{d, true})
 		}
 	}
 	return andList, orList
 }
 
+// gate returns a AND b when isAnd, a OR b otherwise.
+func gate(isAnd bool, a, b uint64) uint64 {
+	if isAnd {
+		return a & b
+	}
+	return a | b
+}
+
+// combines reports whether the gate over the divisors' tables equals
+// target. Callers compare the first words themselves, which rules out
+// most candidates, so it starts at the second.
+func combines(target tt.TT, used uint64, tabs []tt.TT, isAnd bool, ds ...divisor) bool {
+	for i := 1; i < target.NumWords(); i++ {
+		w := ds[0].word(tabs, i, used)
+		for _, d := range ds[1:] {
+			w = gate(isAnd, w, d.word(tabs, i, used))
+		}
+		if w != target.Word(i) {
+			return false
+		}
+	}
+	return true
+}
+
 // matchPairs finds d1 op d2 == target within a pre-filtered literal list.
-func matchPairs(target tt.TT, list []divisor, tabs []tt.TT, isAnd bool) (decision, bool) {
+func matchPairs(target tt.TT, used uint64, list []divisor, tabs []tt.TT, isAnd bool) (decision, bool) {
 	const capPairs = 60
 	if len(list) > capPairs {
 		list = list[:capPairs]
 	}
+	t0 := target.Word(0)
 	for i := 0; i < len(list); i++ {
-		ti := divTT(tabs, list[i])
+		wi := list[i].word(tabs, 0, used)
 		for j := i + 1; j < len(list); j++ {
 			if list[i].node == list[j].node {
 				continue
 			}
-			tj := divTT(tabs, list[j])
-			var combined tt.TT
-			if isAnd {
-				combined = ti.And(tj)
-			} else {
-				combined = ti.Or(tj)
-			}
-			if combined.Equal(target) {
+			if gate(isAnd, wi, list[j].word(tabs, 0, used)) == t0 && combines(target, used, tabs, isAnd, list[i], list[j]) {
 				if isAnd {
 					return gateDecision(gateAnd, list[i], list[j]), true
 				}
@@ -260,7 +334,7 @@ func matchPairs(target tt.TT, list []divisor, tabs []tt.TT, isAnd bool) (decisio
 }
 
 // findTripleResub searches AND3 / OR3 shapes over the candidate lists.
-func findTripleResub(target tt.TT, andList, orList []divisor, tabs []tt.TT) (decision, bool) {
+func findTripleResub(target tt.TT, used uint64, andList, orList []divisor, tabs []tt.TT) (decision, bool) {
 	const capTriples = 24
 	if len(andList) > capTriples {
 		andList = andList[:capTriples]
@@ -268,35 +342,26 @@ func findTripleResub(target tt.TT, andList, orList []divisor, tabs []tt.TT) (dec
 	if len(orList) > capTriples {
 		orList = orList[:capTriples]
 	}
-	if dec, ok := matchTriples(target, andList, tabs, true); ok {
+	if dec, ok := matchTriples(target, used, andList, tabs, true); ok {
 		return dec, true
 	}
-	return matchTriples(target, orList, tabs, false)
+	return matchTriples(target, used, orList, tabs, false)
 }
 
-func matchTriples(target tt.TT, list []divisor, tabs []tt.TT, isAnd bool) (decision, bool) {
+func matchTriples(target tt.TT, used uint64, list []divisor, tabs []tt.TT, isAnd bool) (decision, bool) {
+	t0 := target.Word(0)
 	for i := 0; i < len(list); i++ {
-		ti := divTT(tabs, list[i])
+		wi := list[i].word(tabs, 0, used)
 		for j := i + 1; j < len(list); j++ {
-			tj := divTT(tabs, list[j])
-			var tij tt.TT
-			if isAnd {
-				tij = ti.And(tj)
-			} else {
-				tij = ti.Or(tj)
+			if list[i].node == list[j].node {
+				continue
 			}
+			wij := gate(isAnd, wi, list[j].word(tabs, 0, used))
 			for k := j + 1; k < len(list); k++ {
-				if list[i].node == list[j].node || list[j].node == list[k].node || list[i].node == list[k].node {
+				if list[j].node == list[k].node || list[i].node == list[k].node {
 					continue
 				}
-				tk := divTT(tabs, list[k])
-				var combined tt.TT
-				if isAnd {
-					combined = tij.And(tk)
-				} else {
-					combined = tij.Or(tk)
-				}
-				if combined.Equal(target) {
+				if gate(isAnd, wij, list[k].word(tabs, 0, used)) == t0 && combines(target, used, tabs, isAnd, list[i], list[j], list[k]) {
 					kind := gateAnd3
 					if !isAnd {
 						kind = gateOr3
@@ -307,13 +372,6 @@ func matchTriples(target tt.TT, list []divisor, tabs []tt.TT, isAnd bool) (decis
 		}
 	}
 	return decision{}, false
-}
-
-func divTT(tabs []tt.TT, d divisor) tt.TT {
-	if d.compl {
-		return tabs[d.node].Not()
-	}
-	return tabs[d.node]
 }
 
 type gateKind int

@@ -211,7 +211,8 @@ func factorCubeFree(c Cover) *Expr {
 
 // bestKernelDivisor picks the kernel giving the best literal savings when
 // used as a divisor. Kernels identical to the whole cover are skipped
-// (dividing by them makes no progress).
+// (dividing by them makes no progress). A kernel is scored by counting
+// the literals of its quotient and remainder, which are not built.
 func bestKernelDivisor(c Cover) (Cover, bool) {
 	kernels := c.Kernels()
 	const maxKernels = 64
@@ -222,17 +223,27 @@ func bestKernelDivisor(c Cover) (Cover, bool) {
 	var best Cover
 	found := false
 	selfKey := coverFingerprint(tt.Cube{}, c)
+	lits := c.NumLits()
+	var buf [64]tt.Cube
 	for _, k := range kernels {
-		if len(k.Cover.Cubes) == len(c.Cubes) && coverFingerprint(tt.Cube{}, k.Cover) == selfKey {
+		if len(k.Cover.Cubes) == len(c.Cubes) && k.fp == selfKey {
 			continue
 		}
-		quot, rem := c.Divide(k.Cover)
-		if len(quot.Cubes) == 0 {
+		quot := c.quotient(k.Cover.Cubes, buf[:0])
+		if len(quot) == 0 {
 			continue
 		}
 		// Literal savings of writing c = D*Q + R instead of flat.
-		gain := c.NumLits() - (k.Cover.NumLits() + quot.NumLits() + rem.NumLits())
-		if gain > bestGain {
+		cost := k.Cover.NumLits()
+		for _, q := range quot {
+			cost += q.NumLits()
+		}
+		for _, cube := range c.Cubes {
+			if !produced(cube, quot, k.Cover.Cubes) {
+				cost += cube.NumLits()
+			}
+		}
+		if gain := lits - cost; gain > bestGain {
 			bestGain, best, found = gain, k.Cover, true
 		}
 	}

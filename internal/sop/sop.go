@@ -7,6 +7,7 @@ package sop
 
 import (
 	"cmp"
+	"math/bits"
 	"slices"
 	"strings"
 
@@ -53,47 +54,32 @@ func (c Cover) String() string {
 	return strings.Join(parts, " + ")
 }
 
-// cubeTT caches cube truth tables during minimization.
-type cubeTTCache struct {
-	nvars int
-	m     map[tt.Cube]tt.TT
-}
-
-func newCubeTTCache(nvars int) *cubeTTCache {
-	return &cubeTTCache{nvars: nvars, m: make(map[tt.Cube]tt.TT)}
-}
-
-func (cc *cubeTTCache) get(c tt.Cube) tt.TT {
-	if t, ok := cc.m[c]; ok {
-		return t
-	}
-	t := c.TT(cc.nvars)
-	cc.m[c] = t
-	return t
-}
-
 // Minimize runs an espresso-style expand / irredundant / reduce loop on
-// the onset f with don't-care set dc (may be the zero-variable table
+// the onset f with don't-care set dc (may be the constant-false table
 // tt.New(n) for none), returning a prime, irredundant cover. The loop
 // stops when a full round fails to improve the literal count.
+//
+// No table is built per cube: tt's cube primitives test cubes against
+// the off-set and against the on-set's complement with the other cubes
+// added, which each step builds in place.
 func Minimize(f, dc tt.TT) Cover {
 	n := f.NumVars()
 	on := f.AndNot(dc)
 	off := f.Or(dc).Not()
+	notOn := on.Not()
 	cover := Cover{NumVars: n, Cubes: tt.Isop(on, f.Or(dc))}
-	cache := newCubeTTCache(n)
 
 	best := cover.Clone()
 	bestCost := cover.cost()
 	for round := 0; round < 8; round++ {
-		cover = cover.expand(off, cache)
-		cover = cover.irredundant(on, cache)
+		cover = cover.expand(off)
+		cover = cover.irredundant(notOn)
 		if cost := cover.cost(); cost < bestCost {
 			best, bestCost = cover.Clone(), cost
 		} else {
 			break
 		}
-		cover = cover.reduce(on, cache)
+		cover = cover.reduce(notOn)
 	}
 	return best
 }
@@ -107,7 +93,7 @@ func (c Cover) cost() int { return c.NumCubes()<<16 + c.NumLits() }
 // expand lifts every cube to a prime implicant against the offset: each
 // literal whose removal keeps the cube disjoint from off is dropped.
 // Cubes that become covered by earlier expanded cubes are removed.
-func (c Cover) expand(off tt.TT, cache *cubeTTCache) Cover {
+func (c Cover) expand(off tt.TT) Cover {
 	out := Cover{NumVars: c.NumVars}
 	covered := tt.New(c.NumVars)
 	// Expand larger cubes first: they are more likely to absorb others.
@@ -116,7 +102,7 @@ func (c Cover) expand(off tt.TT, cache *cubeTTCache) Cover {
 	slices.SortStableFunc(order, func(a, b tt.Cube) int { return a.NumLits() - b.NumLits() })
 	for _, cube := range order {
 		// Skip cubes already covered by the expanded prefix.
-		if cache.get(cube).AndNot(covered).IsConst0() {
+		if covered.CoversCube(cube) {
 			continue
 		}
 		for v := 0; v < c.NumVars; v++ {
@@ -126,29 +112,23 @@ func (c Cover) expand(off tt.TT, cache *cubeTTCache) Cover {
 			cand := cube
 			cand.Mask &^= 1 << uint(v)
 			cand.Val &^= 1 << uint(v)
-			if cache.get(cand).And(off).IsConst0() {
+			if off.DisjointCube(cand) {
 				cube = cand
 			}
 		}
 		out.Cubes = append(out.Cubes, cube)
-		covered = covered.Or(cache.get(cube))
+		covered.OrCube(cube)
 	}
 	return out
 }
 
 // irredundant removes cubes whose onset minterms are covered by the rest.
-func (c Cover) irredundant(on tt.TT, cache *cubeTTCache) Cover {
+func (c Cover) irredundant(notOn tt.TT) Cover {
 	keep := append([]tt.Cube(nil), c.Cubes...)
 	// Try removing in increasing size order (small cubes first).
 	slices.SortStableFunc(keep, func(a, b tt.Cube) int { return b.NumLits() - a.NumLits() })
 	for i := 0; i < len(keep); {
-		rest := tt.New(c.NumVars)
-		for j, cube := range keep {
-			if j != i {
-				rest = rest.Or(cache.get(cube))
-			}
-		}
-		if on.AndNot(rest).IsConst0() {
+		if others(notOn, keep, i).IsConst1() {
 			keep = append(keep[:i], keep[i+1:]...)
 		} else {
 			i++
@@ -159,33 +139,43 @@ func (c Cover) irredundant(on tt.TT, cache *cubeTTCache) Cover {
 
 // reduce shrinks each cube to the smallest cube covering the onset
 // minterms only it covers, enabling different expansions next round.
-func (c Cover) reduce(on tt.TT, cache *cubeTTCache) Cover {
+func (c Cover) reduce(notOn tt.TT) Cover {
 	out := Cover{NumVars: c.NumVars}
 	for i, cube := range c.Cubes {
-		rest := tt.New(c.NumVars)
-		for j, other := range c.Cubes {
-			if j != i {
-				rest = rest.Or(cache.get(other))
-			}
-		}
-		essential := cache.get(cube).And(on).AndNot(rest)
-		if essential.IsConst0() {
+		rest := others(notOn, c.Cubes, i)
+		if rest.CoversCube(cube) {
 			// Fully overlapped; keep as-is (irredundant will handle it).
 			out.Cubes = append(out.Cubes, cube)
 			continue
 		}
-		out.Cubes = append(out.Cubes, smallestCubeContaining(essential, cube))
+		out.Cubes = append(out.Cubes, smallestCubeContaining(cube, rest))
 	}
 	return out
 }
 
-// smallestCubeContaining returns the smallest cube containing set that is
-// itself contained in the bounding cube bound (set must imply bound).
-func smallestCubeContaining(set tt.TT, bound tt.Cube) tt.Cube {
+// others returns notOn with every cube but cubes[i] added: the on-set
+// minterms it lacks are those cubes[i] alone covers, if any.
+func others(notOn tt.TT, cubes []tt.Cube, i int) tt.TT {
+	rest := notOn.Clone()
+	for j, cube := range cubes {
+		if j != i {
+			rest.OrCube(cube)
+		}
+	}
+	return rest
+}
+
+// smallestCubeContaining returns the smallest cube containing the
+// minterms of c that rest lacks; there must be at least one.
+func smallestCubeContaining(c tt.Cube, rest tt.TT) tt.Cube {
 	out := tt.Cube{}
-	for v := 0; v < set.NumVars(); v++ {
-		c0 := set.Cofactor(v, true).IsConst0()  // no minterm with v=1
-		c1 := set.Cofactor(v, false).IsConst0() // no minterm with v=0
+	for v := 0; v < rest.NumVars(); v++ {
+		if c.HasVar(v) {
+			out = out.WithLit(v, c.Phase(v))
+			continue
+		}
+		c0 := rest.CoversCube(c.WithLit(v, true))  // none with v=1
+		c1 := rest.CoversCube(c.WithLit(v, false)) // none with v=0
 		switch {
 		case c0 && !c1:
 			out = out.WithLit(v, false)
@@ -225,14 +215,14 @@ func cubeRemoveLit(c tt.Cube, l litIndex) tt.Cube {
 	return c
 }
 
-// litCounts returns how many cubes contain each literal.
-func (c Cover) litCounts() map[litIndex]int {
-	counts := make(map[litIndex]int)
+// litCounts returns how many cubes contain each literal, indexed by
+// litIndex over the 32 variables a cube can hold.
+func (c Cover) litCounts() (counts [64]int) {
+	vars := uint32(1)<<c.NumVars - 1
 	for _, cube := range c.Cubes {
-		for v := 0; v < c.NumVars; v++ {
-			if cube.HasVar(v) {
-				counts[litOf(v, cube.Phase(v))]++
-			}
+		for m := cube.Mask & vars; m != 0; m &= m - 1 {
+			v := bits.TrailingZeros32(m)
+			counts[litOf(v, cube.Phase(v))]++
 		}
 	}
 	return counts
@@ -277,49 +267,52 @@ func (c Cover) Divide(d Cover) (quot, rem Cover) {
 	if len(d.Cubes) == 0 {
 		return Cover{NumVars: c.NumVars}, c.Clone()
 	}
-	// Quotient candidates from dividing by the first divisor cube.
-	var candidates []tt.Cube
+	quot = Cover{NumVars: c.NumVars, Cubes: c.quotient(d.Cubes, nil)}
+	rem = Cover{NumVars: c.NumVars}
 	for _, cube := range c.Cubes {
-		if cubeContainsCube(cube, d.Cubes[0]) {
-			candidates = append(candidates, cubeDiff(cube, d.Cubes[0]))
+		if !produced(cube, quot.Cubes, d.Cubes) {
+			rem.Cubes = append(rem.Cubes, cube)
 		}
 	}
-	// Keep candidates that work for every divisor cube.
-	var quotCubes []tt.Cube
-	cubeSet := make(map[tt.Cube]bool, len(c.Cubes))
+	return quot, rem
+}
+
+// quotient appends to q the cubes of the quotient c / d, d non-empty:
+// each cube of c containing d's first cube, less that cube's literals,
+// whose product with every cube of d is a cube of c. Covers hold tens of
+// cubes, so scanning them beats building a set.
+func (c Cover) quotient(d, q []tt.Cube) []tt.Cube {
 	for _, cube := range c.Cubes {
-		cubeSet[cube] = true
-	}
-	for _, q := range candidates {
+		if !cubeContainsCube(cube, d[0]) {
+			continue
+		}
+		cand := cubeDiff(cube, d[0])
 		ok := true
-		for _, dc := range d.Cubes {
-			prod, valid := cubeProduct(q, dc)
-			if !valid || !cubeSet[prod] {
+		for _, dc := range d {
+			prod, valid := cubeProduct(cand, dc)
+			if !valid || !slices.Contains(c.Cubes, prod) {
 				ok = false
 				break
 			}
 		}
 		if ok {
-			quotCubes = append(quotCubes, q)
+			q = append(q, cand)
 		}
 	}
-	quot = Cover{NumVars: c.NumVars, Cubes: quotCubes}
-	// Remainder: cubes of c not produced by quot*d.
-	produced := make(map[tt.Cube]bool)
-	for _, q := range quotCubes {
-		for _, dc := range d.Cubes {
-			if prod, valid := cubeProduct(q, dc); valid {
-				produced[prod] = true
+	return q
+}
+
+// produced reports whether cube is the product of a quotient cube and a
+// divisor cube: whether division leaves it out of the remainder.
+func produced(cube tt.Cube, quot, d []tt.Cube) bool {
+	for _, q := range quot {
+		for _, dc := range d {
+			if prod, valid := cubeProduct(q, dc); valid && prod == cube {
+				return true
 			}
 		}
 	}
-	rem = Cover{NumVars: c.NumVars}
-	for _, cube := range c.Cubes {
-		if !produced[cube] {
-			rem.Cubes = append(rem.Cubes, cube)
-		}
-	}
-	return quot, rem
+	return false
 }
 
 // cubeProduct multiplies two cubes; invalid when they clash (x and !x).
@@ -335,6 +328,7 @@ func cubeProduct(a, b tt.Cube) (tt.Cube, bool) {
 type Kernel struct {
 	CoKernel tt.Cube
 	Cover    Cover
+	fp       uint64 // coverFingerprint(tt.Cube{}, Cover), the last sort key
 }
 
 // commonCube returns the largest cube dividing every cube of the cover:
@@ -365,101 +359,139 @@ func (c Cover) MakeCubeFree() (Cover, tt.Cube) {
 	return out, cc
 }
 
-// coverFingerprint hashes a cover (as a cube multiset, order-independent)
-// together with a co-kernel cube. Used to deduplicate kernels cheaply:
-// formatting covers as strings dominated whole-experiment CPU profiles.
-func coverFingerprint(co tt.Cube, cov Cover) uint64 {
-	cubes := make([]uint64, len(cov.Cubes))
-	for i, c := range cov.Cubes {
-		cubes[i] = uint64(c.Mask)<<32 | uint64(c.Val)
+// cubeKey orders cubes by mask, then value.
+func cubeKey(c tt.Cube) uint64 { return uint64(c.Mask)<<32 | uint64(c.Val) }
+
+// sortedKeys appends the keys of cubes to keys and sorts them: the cube
+// multiset in an order independent of the cover's.
+func sortedKeys(cubes []tt.Cube, keys []uint64) []uint64 {
+	for _, c := range cubes {
+		keys = append(keys, cubeKey(c))
 	}
-	slices.Sort(cubes)
+	slices.Sort(keys)
+	return keys
+}
+
+// hashKeys hashes sorted cube keys together with a co-kernel cube.
+func hashKeys(co tt.Cube, keys []uint64) uint64 {
 	h := uint64(1469598103934665603)
 	mix := func(x uint64) {
 		h ^= x
 		h *= 1099511628211
 	}
-	mix(uint64(co.Mask)<<32 | uint64(co.Val))
-	for _, c := range cubes {
-		mix(c)
+	mix(cubeKey(co))
+	for _, k := range keys {
+		mix(k)
 	}
 	return h
 }
 
+// coverFingerprint hashes a cover (as a cube multiset, order-independent)
+// together with a co-kernel cube. Used to deduplicate kernels cheaply:
+// formatting covers as strings dominated whole-experiment CPU profiles.
+func coverFingerprint(co tt.Cube, cov Cover) uint64 {
+	var buf [64]uint64
+	return hashKeys(co, sortedKeys(cov.Cubes, buf[:0]))
+}
+
+// kernelFinder holds one kernel enumeration's state. Each quotient is
+// built in a window of arena and made cube-free there, and the kernels
+// keep their windows: a full arena is replaced, never grown.
+type kernelFinder struct {
+	nvars int
+	arena []tt.Cube
+	keys  []uint64 // scratch for fingerprints
+	seen  map[uint64]bool
+	out   []Kernel
+}
+
+// arenaCubes is the size of one kernel arena.
+const arenaCubes = 512
+
 // Kernels enumerates all kernels of the cover (including the cover itself
-// when cube-free) using the classic recursive literal-cofactor procedure.
+// when cube-free) using the classic recursive literal-cofactor procedure,
+// sorted by co-kernel, size and fingerprint.
 func (c Cover) Kernels() []Kernel {
-	var out []Kernel
-	seen := make(map[uint64]bool)
 	base, _ := c.MakeCubeFree()
-	var rec func(cov Cover, co tt.Cube, minLit litIndex)
-	rec = func(cov Cover, co tt.Cube, minLit litIndex) {
-		key := coverFingerprint(co, cov)
-		if seen[key] {
-			return
-		}
-		seen[key] = true
-		if len(cov.Cubes) > 1 {
-			out = append(out, Kernel{CoKernel: co, Cover: cov})
-		}
-		// Iterate literals in sorted order: the seen-fingerprint dedup
-		// prunes by first visit, so map-order iteration would change
-		// which co-kernels get expanded from run to run.
-		counts := cov.litCounts()
-		lits := make([]litIndex, 0, len(counts))
-		for l := range counts {
-			lits = append(lits, l)
-		}
-		slices.Sort(lits)
-		for _, l := range lits {
-			if counts[l] < 2 || l < minLit {
-				continue
-			}
-			quot, _ := cov.DivideByLiteral(l.variable(), l.positive())
-			free, cc := quot.MakeCubeFree()
-			newCo, ok := cubeProduct(co, tt.Cube{}.WithLit(l.variable(), l.positive()))
-			if !ok {
-				continue
-			}
-			newCo, ok = cubeProduct(newCo, cc)
-			if !ok {
-				continue
-			}
-			rec(free, newCo, l+1)
-		}
+	if len(base.Cubes) == 0 {
+		return nil
 	}
-	if len(base.Cubes) > 0 {
-		rec(base, tt.Cube{}, 0)
-	}
-	// Deterministic order (cheap numeric ordering, no formatting).
-	slices.SortFunc(out, func(a, b Kernel) int {
-		ka := uint64(a.CoKernel.Mask)<<32 | uint64(a.CoKernel.Val)
-		kb := uint64(b.CoKernel.Mask)<<32 | uint64(b.CoKernel.Val)
-		if c := cmp.Compare(ka, kb); c != 0 {
+	kf := kernelFinder{nvars: c.NumVars, seen: make(map[uint64]bool)}
+	kf.rec(base.Cubes, tt.Cube{}, 0)
+	slices.SortFunc(kf.out, func(a, b Kernel) int {
+		if c := cmp.Compare(cubeKey(a.CoKernel), cubeKey(b.CoKernel)); c != 0 {
 			return c
 		}
 		if c := cmp.Compare(len(a.Cover.Cubes), len(b.Cover.Cubes)); c != 0 {
 			return c
 		}
-		return cmp.Compare(coverFingerprint(tt.Cube{}, a.Cover), coverFingerprint(tt.Cube{}, b.Cover))
+		return cmp.Compare(a.fp, b.fp)
 	})
-	return out
+	return kf.out
+}
+
+// rec records the cube-free cover cov with co-kernel co unless it has
+// been seen, then recurses into its quotients by every literal from
+// minLit on that at least two of its cubes contain.
+func (kf *kernelFinder) rec(cov []tt.Cube, co tt.Cube, minLit litIndex) {
+	kf.keys = sortedKeys(cov, kf.keys[:0])
+	key := hashKeys(co, kf.keys)
+	if kf.seen[key] {
+		return
+	}
+	kf.seen[key] = true
+	if len(cov) > 1 {
+		kf.out = append(kf.out, Kernel{co, Cover{NumVars: kf.nvars, Cubes: cov}, hashKeys(tt.Cube{}, kf.keys)})
+	}
+	// Literals in index order: the seen-fingerprint dedup prunes by
+	// first visit, so the order decides which co-kernels get expanded.
+	counts := Cover{NumVars: kf.nvars, Cubes: cov}.litCounts()
+	for l := minLit; int(l) < len(counts); l++ {
+		if counts[l] < 2 {
+			continue
+		}
+		quot := kf.quotient(cov, l, counts[l])
+		cc := Cover{Cubes: quot}.commonCube()
+		if cc.Mask != 0 {
+			for i := range quot {
+				quot[i] = cubeDiff(quot[i], cc)
+			}
+		}
+		newCo, ok := cubeProduct(co, tt.Cube{}.WithLit(l.variable(), l.positive()))
+		if !ok {
+			continue
+		}
+		newCo, ok = cubeProduct(newCo, cc)
+		if !ok {
+			continue
+		}
+		kf.rec(quot, newCo, l+1)
+	}
+}
+
+// quotient builds cov's quotient by literal l, which n of its cubes
+// contain, in a fresh window of the arena.
+func (kf *kernelFinder) quotient(cov []tt.Cube, l litIndex, n int) []tt.Cube {
+	if cap(kf.arena)-len(kf.arena) < n {
+		kf.arena = make([]tt.Cube, 0, max(arenaCubes, n))
+	}
+	start := len(kf.arena)
+	for _, cube := range cov {
+		if cubeHasLit(cube, l) {
+			kf.arena = append(kf.arena, cubeRemoveLit(cube, l))
+		}
+	}
+	return kf.arena[start:len(kf.arena):len(kf.arena)]
 }
 
 // bestLiteral returns the most frequent literal, breaking ties toward the
 // lowest index for determinism. Returns ok=false when no literal appears
 // in two or more cubes.
 func (c Cover) bestLiteral() (litIndex, bool) {
-	counts := c.litCounts()
 	best, bestCnt := litIndex(-1), 1
-	keys := make([]litIndex, 0, len(counts))
-	for l := range counts {
-		keys = append(keys, l)
-	}
-	slices.Sort(keys)
-	for _, l := range keys {
-		if counts[l] > bestCnt {
-			best, bestCnt = l, counts[l]
+	for l, cnt := range c.litCounts() {
+		if cnt > bestCnt {
+			best, bestCnt = litIndex(l), cnt
 		}
 	}
 	return best, best >= 0

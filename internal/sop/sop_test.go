@@ -92,10 +92,20 @@ func TestSmallestCubeContaining(t *testing.T) {
 	set := tt.New(n)
 	set.SetBit(0b0101, true)
 	set.SetBit(0b0111, true)
-	c := smallestCubeContaining(set, tt.Cube{})
+	c := smallestCubeContaining(tt.Cube{}, set.Not())
 	want, _ := tt.ParseCube(4, "1-10")
 	if c != want {
 		t.Errorf("got %v, want %v", c, want)
+	}
+	// Only the minterms within the cube count: within x2 & !x3 the set
+	// is the same, and 0001, added below, lies outside it.
+	within, _ := tt.ParseCube(4, "--10")
+	if c := smallestCubeContaining(within, set.Not()); c != want {
+		t.Errorf("within %v: got %v, want %v", within, c, want)
+	}
+	set.SetBit(0b0001, true)
+	if c := smallestCubeContaining(within, set.Not()); c != want {
+		t.Errorf("within %v, with 0001 outside it: got %v, want %v", within, c, want)
 	}
 }
 

@@ -52,6 +52,64 @@ func (c Cube) TT(n int) TT {
 	return t
 }
 
+// span returns what the cube selects in a table over n variables: in,
+// its minterms within one word (its literals on variables 0-5), and the
+// words it meets, those whose index i has i&mask == val (its literals on
+// variables 6 and up). Literals on variables n and up are ignored, as
+// TT ignores them.
+func (c Cube) span(n int) (in uint64, mask, val int) {
+	lits := c.Mask & (1<<n - 1)
+	in = topMask(n)
+	for m := lits & 63; m != 0; m &= m - 1 {
+		v := bits.TrailingZeros32(m)
+		if c.Val>>v&1 == 1 {
+			in &= varMasks[v]
+		} else {
+			in &^= varMasks[v]
+		}
+	}
+	mask = int(lits >> 6)
+	return in, mask, int(c.Val>>6) & mask
+}
+
+// nextWord returns the word index after i whose bits under mask equal
+// val: it counts through the free bits alone.
+func nextWord(i, mask, val int) int { return ((i|mask)+1)&^mask | val }
+
+// DisjointCube reports whether no minterm of cube c is in t.
+func (t TT) DisjointCube(c Cube) bool {
+	in, mask, val := c.span(t.NumVars())
+	ws := t.ws()
+	for i := val; i < len(ws); i = nextWord(i, mask, val) {
+		if ws[i]&in != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// CoversCube reports whether every minterm of cube c is in t.
+func (t TT) CoversCube(c Cube) bool {
+	in, mask, val := c.span(t.NumVars())
+	ws := t.ws()
+	for i := val; i < len(ws); i = nextWord(i, mask, val) {
+		if ws[i]&in != in {
+			return false
+		}
+	}
+	return true
+}
+
+// OrCube adds the minterms of cube c to t. See TT for which tables may be
+// mutated.
+func (t *TT) OrCube(c Cube) {
+	in, mask, val := c.span(t.NumVars())
+	ws := t.ws()
+	for i := val; i < len(ws); i = nextWord(i, mask, val) {
+		ws[i] |= in
+	}
+}
+
 // String renders the cube in the conventional espresso input-plane form:
 // one character per variable (variable 0 first), '1' positive, '0'
 // negative, '-' absent.
@@ -126,6 +184,12 @@ func IsopOf(f TT) []Cube { return Isop(f, f) }
 // the first nv variables (all higher variables are constant within the
 // current recursion branch).
 func isopRec(L, U TT, nv int) ([]Cube, TT) {
+	if nv <= 6 && len(L.words) > 0 {
+		// Variables 6 and up are constant here, so every word is the
+		// same: recurse on one-word tables, which allocate nothing.
+		cover, f := isopRec(L.firstWord(), U.firstWord(), nv)
+		return cover, f.Expand(L.NumVars())
+	}
 	if L.IsConst0() {
 		return nil, New(L.NumVars())
 	}

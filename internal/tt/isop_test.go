@@ -2,6 +2,7 @@ package tt
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -149,5 +150,87 @@ func TestIsopQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestCubePrimitivesMatchCubeTT checks DisjointCube, CoversCube and
+// OrCube against the cube's own table on random cubes and tables of 0 to
+// 10 variables, and against cubes carrying literals beyond the table.
+func TestCubePrimitivesMatchCubeTT(t *testing.T) {
+	r := rand.New(rand.NewSource(12))
+	for n := 0; n <= 10; n++ {
+		for trial := 0; trial < 200; trial++ {
+			var c Cube
+			for v := 0; v < n+2; v++ {
+				switch r.Intn(3) {
+				case 1:
+					c = c.WithLit(v, true)
+				case 2:
+					c = c.WithLit(v, false)
+				}
+			}
+			ct := c.TT(n)
+			f := Random(n, r)
+			if trial%4 == 0 {
+				f = f.Or(ct) // covering tables are rare among random ones
+			}
+			if got, want := f.DisjointCube(c), f.And(ct).IsConst0(); got != want {
+				t.Fatalf("n=%d cube %v table %s: DisjointCube %v, want %v", n, c, f.Hex(), got, want)
+			}
+			if got, want := f.CoversCube(c), ct.AndNot(f).IsConst0(); got != want {
+				t.Fatalf("n=%d cube %v table %s: CoversCube %v, want %v", n, c, f.Hex(), got, want)
+			}
+			g := f.Clone()
+			g.OrCube(c)
+			if want := f.Or(ct); !g.Equal(want) {
+				t.Fatalf("n=%d cube %v table %s: OrCube %s, want %s", n, c, f.Hex(), g.Hex(), want.Hex())
+			}
+		}
+	}
+}
+
+// isopRecOracle is isopRec without the one-word recursion: every level
+// works on tables of the full variable count.
+func isopRecOracle(L, U TT, nv int) ([]Cube, TT) {
+	if L.IsConst0() {
+		return nil, New(L.NumVars())
+	}
+	if U.IsConst1() {
+		return []Cube{{}}, Const(L.NumVars(), true)
+	}
+	v := nv - 1
+	for v >= 0 && !L.HasVar(v) && !U.HasVar(v) {
+		v--
+	}
+	L0, L1 := L.Cofactor(v, false), L.Cofactor(v, true)
+	U0, U1 := U.Cofactor(v, false), U.Cofactor(v, true)
+	c0, f0 := isopRecOracle(L0.AndNot(U1), U0, v)
+	c1, f1 := isopRecOracle(L1.AndNot(U0), U1, v)
+	cs, fs := isopRecOracle(L0.AndNot(f0).Or(L1.AndNot(f1)), U0.And(U1), v)
+	var cover []Cube
+	for _, c := range c0 {
+		cover = append(cover, c.WithLit(v, false))
+	}
+	for _, c := range c1 {
+		cover = append(cover, c.WithLit(v, true))
+	}
+	cover = append(cover, cs...)
+	x := Var(v, L.NumVars())
+	return cover, fs.Or(x.Not().And(f0)).Or(x.And(f1))
+}
+
+// TestIsopMatchesOracle requires the same cubes, in the same order, as
+// the full-width recursion on random intervals of 0 to 10 variables.
+func TestIsopMatchesOracle(t *testing.T) {
+	r := rand.New(rand.NewSource(13))
+	for n := 0; n <= 10; n++ {
+		for trial := 0; trial < 20; trial++ {
+			L := Random(n, r).And(Random(n, r))
+			U := L.Or(Random(n, r))
+			want, _ := isopRecOracle(L, U, n)
+			if got := Isop(L, U); !slices.Equal(got, want) {
+				t.Fatalf("n=%d L=%s U=%s: Isop %v, oracle %v", n, L.Hex(), U.Hex(), got, want)
+			}
+		}
 	}
 }

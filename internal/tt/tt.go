@@ -39,8 +39,8 @@ var varMasks = [6]uint64{
 // is the constant-false table over 0 variables.
 //
 // Operations never change their operands. Copies of a large table share
-// its words, so mutate (SetBit) only a table you created with New, Const,
-// Var or Clone and have not copied since.
+// its words, so mutate (SetBit, OrCube) only a table you created with
+// New, Const, Var or Clone and have not copied since.
 type TT struct {
 	w     [1]uint64 // the table when it has at most 6 variables
 	words []uint64  // a larger table's words; see smallShape otherwise
@@ -164,6 +164,9 @@ func (t TT) NumWords() int { return WordCount(t.NumVars()) }
 
 // Word returns word i of the table, 0 <= i < NumWords().
 func (t TT) Word(i int) uint64 { return t.ws()[i] }
+
+// firstWord returns the table over 6 variables that is t's first word.
+func (t TT) firstWord() TT { return TT{w: [1]uint64{t.ws()[0]}, words: smallShape[:0:6]} }
 
 // Clone returns a copy of t that shares no words with it.
 func (t TT) Clone() TT {

@@ -9,10 +9,35 @@ import (
 	"repro/internal/tt"
 )
 
-// The oracles below are the straightforward kernels CutTT, EnumerateCuts
-// and ReconvCut replaced: a map and a recursive closure per cone, a
-// fresh slice per merged cut, and map-based leaf and visited sets. The
-// production kernels must answer exactly as they do.
+// The oracles below are the straightforward kernels CutTT, EnumerateCuts,
+// ReconvCut and SimAll replaced: a map and a recursive closure per cone,
+// a fresh slice per merged cut, map-based leaf and visited sets, and a
+// table per complemented fanin. The production kernels must answer
+// exactly as they do.
+
+// simAllOracle simulates every node by complementing each fanin's table
+// with Not before the And.
+func simAllOracle(g *AIG) []tt.TT {
+	n := g.numPIs
+	tabs := make([]tt.TT, g.NumObjs())
+	tabs[0] = tt.New(n)
+	for i := 1; i <= n; i++ {
+		tabs[i] = tt.Var(i-1, n)
+	}
+	for id := n + 1; id < g.NumObjs(); id++ {
+		f0, f1 := g.fanin0[id], g.fanin1[id]
+		a := tabs[f0.Node()]
+		if f0.IsCompl() {
+			a = a.Not()
+		}
+		b := tabs[f1.Node()]
+		if f1.IsCompl() {
+			b = b.Not()
+		}
+		tabs[id] = a.And(b)
+	}
+	return tabs
+}
 
 // cutTTOracle evaluates the cone of root over leaves through a memo map.
 func cutTTOracle(g *AIG, root int, leaves []int) tt.TT {
@@ -216,6 +241,22 @@ func TestKernelsMatchOracles(t *testing.T) {
 				t.Fatalf("trial %d node %d: ReconvCut %v, oracle %v", trial, id, leaves, want)
 			}
 			checkTT(id, leaves)
+		}
+	}
+}
+
+// TestSimAllMatchesOracle compares SimAll with its oracle, table for
+// table, on random AIGs of 1 to 12 inputs: one-word tables up to 6
+// inputs, multi-word ones above.
+func TestSimAllMatchesOracle(t *testing.T) {
+	r := rand.New(rand.NewSource(73))
+	for pis := 1; pis <= 12; pis++ {
+		g := randomAIG(pis, 20*pis, r)
+		got, want := g.SimAll(), simAllOracle(g)
+		for id := range want {
+			if !got[id].Equal(want[id]) {
+				t.Fatalf("%d inputs, node %d: SimAll %s, oracle %s", pis, id, got[id].Hex(), want[id].Hex())
+			}
 		}
 	}
 }

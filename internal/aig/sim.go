@@ -24,15 +24,7 @@ func (g *AIG) SimAll() []tt.TT {
 	}
 	for id := n + 1; id < g.NumObjs(); id++ {
 		f0, f1 := g.fanin0[id], g.fanin1[id]
-		a := tabs[f0.Node()]
-		if f0.IsCompl() {
-			a = a.Not()
-		}
-		b := tabs[f1.Node()]
-		if f1.IsCompl() {
-			b = b.Not()
-		}
-		tabs[id] = a.And(b)
+		tabs[id] = tabs[f0.Node()].AndCompl(f0.IsCompl(), tabs[f1.Node()], f1.IsCompl())
 	}
 	return tabs
 }

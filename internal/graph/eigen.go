@@ -6,69 +6,13 @@ import (
 	"sort"
 )
 
-// JacobiEigenvalues computes all eigenvalues of a dense symmetric matrix
-// by cyclic Jacobi rotations. Intended for small matrices (tests,
-// graphs of a few hundred nodes).
-func JacobiEigenvalues(a [][]float64) []float64 {
-	n := len(a)
-	// Work on a copy.
-	m := make([][]float64, n)
-	for i := range m {
-		m[i] = append([]float64(nil), a[i]...)
-	}
-	for sweep := 0; sweep < 64; sweep++ {
-		off := 0.0
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				off += m[i][j] * m[i][j]
-			}
-		}
-		if off < 1e-20 {
-			break
-		}
-		for p := 0; p < n; p++ {
-			for q := p + 1; q < n; q++ {
-				if math.Abs(m[p][q]) < 1e-15 {
-					continue
-				}
-				theta := (m[q][q] - m[p][p]) / (2 * m[p][q])
-				t := math.Copysign(1, theta) / (math.Abs(theta) + math.Sqrt(theta*theta+1))
-				c := 1 / math.Sqrt(t*t+1)
-				s := t * c
-				for k := 0; k < n; k++ {
-					mkp, mkq := m[k][p], m[k][q]
-					m[k][p] = c*mkp - s*mkq
-					m[k][q] = s*mkp + c*mkq
-				}
-				for k := 0; k < n; k++ {
-					mpk, mqk := m[p][k], m[q][k]
-					m[p][k] = c*mpk - s*mqk
-					m[q][k] = s*mpk + c*mqk
-				}
-			}
-		}
-	}
-	eig := make([]float64, n)
-	for i := 0; i < n; i++ {
-		eig[i] = m[i][i]
-	}
-	sort.Sort(sort.Reverse(sort.Float64Slice(eig)))
-	return eig
-}
-
-// AdjacencyMatrix returns the dense adjacency matrix of the graph.
-func (g *Graph) AdjacencyMatrix() [][]float64 {
-	m := make([][]float64, g.N)
-	for i := range m {
-		m[i] = make([]float64, g.N)
-	}
-	for u := 0; u < g.N; u++ {
-		for _, v := range g.adj[u] {
-			m[u][v] = 1
-		}
-	}
-	return m
-}
+// MaxDenseNodes is the largest graph whose spectrum TopEigenvalues takes
+// from the exact dense solver. Above it a seeded Lanczos iteration
+// approximates the top of the spectrum: its cost grows with the edges
+// rather than with n³, and on random graphs of two edges per node it
+// overtakes the dense solver between 256 and 300 nodes
+// (BenchmarkDenseVsLanczos).
+const MaxDenseNodes = 256
 
 // matVec computes the adjacency-matrix product y = A x.
 func (g *Graph) matVec(x, y []float64) {
@@ -81,40 +25,125 @@ func (g *Graph) matVec(x, y []float64) {
 	}
 }
 
-// TopEigenvalues approximates the k largest-magnitude adjacency
-// eigenvalues using Lanczos iteration with full reorthogonalization,
-// returning them in descending algebraic order. For tiny graphs it falls
-// back to the exact dense solver.
+// TopEigenvalues returns the k largest adjacency eigenvalues by value,
+// in descending order, as NetComp's λ-distance ranks them; a graph of
+// fewer than k nodes yields all n. Graphs of at most MaxDenseNodes nodes
+// get the exact spectrum, so the seed is unused there; larger graphs get
+// Ritz values from a Lanczos iteration started from a vector drawn from
+// seed.
 func (g *Graph) TopEigenvalues(k int, seed int64) []float64 {
-	n := g.N
-	if k > n {
-		k = n
-	}
-	if k == 0 || n == 0 {
+	k = min(k, g.N)
+	if k <= 0 {
 		return nil
 	}
-	if n <= 128 {
-		eig := JacobiEigenvalues(g.AdjacencyMatrix())
-		return topByMagnitude(eig, k)
+	var eig []float64
+	if g.N <= MaxDenseNodes {
+		eig = g.denseEigenvalues()
+	} else {
+		eig = g.lanczosEigenvalues(k, seed)
 	}
-	steps := 8*k + 40
-	if steps > n {
-		steps = n
+	return append([]float64(nil), eig[:min(k, len(eig))]...)
+}
+
+// denseEigenvalues returns every adjacency eigenvalue in descending
+// order: Householder reduction to a symmetric tridiagonal matrix, then
+// tql1. The matrix lives in one packed lower triangle (row i holds
+// columns 0..i and starts at i(i+1)/2), so every inner loop reads and
+// writes contiguous memory.
+func (g *Graph) denseEigenvalues() []float64 {
+	n := g.N
+	a := make([]float64, n*(n+1)/2)
+	for u := 0; u < n; u++ {
+		for _, v := range g.adj[u] {
+			if v < u {
+				a[u*(u+1)/2+v] = 1
+			}
+		}
 	}
+	d := make([]float64, n)
+	e := make([]float64, n) // e[i] couples rows i-1 and i
+	p := make([]float64, n)
+	for i := n - 1; i > 0; i-- {
+		// Reflect row i's part left of the diagonal, u = a[i][0..i-1],
+		// onto its last entry.
+		u := a[i*(i+1)/2 : i*(i+1)/2+i]
+		scale := 0.0
+		for _, x := range u {
+			scale += math.Abs(x)
+		}
+		if scale == 0 {
+			continue // already reduced (an isolated node's row, say)
+		}
+		h := 0.0
+		for k := range u {
+			u[k] /= scale
+			h += u[k] * u[k]
+		}
+		f := u[i-1]
+		s := -math.Copysign(math.Sqrt(h), f)
+		e[i] = scale * s
+		h -= f * s
+		u[i-1] = f - s
+		// p = A u / h over the leading i×i block, row by row: row j's
+		// entries left of the diagonal serve both p[j] and, by symmetry,
+		// p[0..j-1].
+		clear(p[:i])
+		for j := 0; j < i; j++ {
+			row := a[j*(j+1)/2 : j*(j+1)/2+j]
+			uu, pp := u[:len(row)], p[:len(row)]
+			uj, pj := u[j], 0.0
+			for k, x := range row {
+				pj += x * uu[k]
+				pp[k] += x * uj
+			}
+			p[j] += pj + a[j*(j+1)/2+j]*uj
+		}
+		f = 0
+		for j := 0; j < i; j++ {
+			p[j] /= h
+			f += p[j] * u[j]
+		}
+		// q = p - (uᵀp / 2h) u, then A -= u qᵀ + q uᵀ on the lower
+		// triangle.
+		hh := f / (h + h)
+		for j := 0; j < i; j++ {
+			p[j] -= hh * u[j]
+		}
+		for j := 0; j < i; j++ {
+			row := a[j*(j+1)/2 : j*(j+1)/2+j+1]
+			uu, qq := u[:len(row)], p[:len(row)]
+			uj, qj := u[j], p[j]
+			for k := range row {
+				row[k] -= uj*qq[k] + qj*uu[k]
+			}
+		}
+	}
+	for i := range d {
+		d[i] = a[i*(i+1)/2+i]
+	}
+	return tridiagEigenvalues(d, e[1:])
+}
+
+// lanczosEigenvalues returns the Ritz values, in descending order, of a
+// Lanczos iteration with full reorthogonalization: 8k+40 steps (at most
+// n) from a random start vector drawn from seed.
+func (g *Graph) lanczosEigenvalues(k int, seed int64) []float64 {
+	n := g.N
+	steps := min(8*k+40, n)
 	r := rand.New(rand.NewSource(seed))
-	// Lanczos vectors.
-	V := make([][]float64, 0, steps)
+	// basis holds the Lanczos vectors, vector j at basis[j*n:(j+1)*n].
+	basis := make([]float64, steps*n)
 	alpha := make([]float64, 0, steps)
 	beta := make([]float64, 0, steps) // beta[j] couples v_j and v_{j+1}
 
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = r.NormFloat64()
+	start := basis[:n]
+	for i := range start {
+		start[i] = r.NormFloat64()
 	}
-	normalize(v)
+	normalize(start)
 	w := make([]float64, n)
 	for j := 0; j < steps; j++ {
-		V = append(V, append([]float64(nil), v...))
+		v := basis[j*n : (j+1)*n]
 		g.matVec(v, w)
 		a := dot(w, v)
 		alpha = append(alpha, a)
@@ -124,41 +153,30 @@ func (g *Graph) TopEigenvalues(k int, seed int64) []float64 {
 		}
 		if j > 0 {
 			b := beta[j-1]
-			prev := V[j-1]
+			prev := basis[(j-1)*n : j*n]
 			for i := range w {
 				w[i] -= b * prev[i]
 			}
 		}
 		// Full reorthogonalization for numerical robustness.
-		for _, u := range V {
+		for t := 0; t <= j; t++ {
+			u := basis[t*n : (t+1)*n]
 			d := dot(w, u)
 			for i := range w {
 				w[i] -= d * u[i]
 			}
 		}
 		b := math.Sqrt(dot(w, w))
-		if b < 1e-12 {
+		if b < 1e-12 || j+1 == steps {
 			break
 		}
 		beta = append(beta, b)
+		next := basis[(j+1)*n : (j+2)*n]
 		for i := range w {
-			v[i] = w[i] / b
+			next[i] = w[i] / b
 		}
 	}
-	eig := tridiagEigenvalues(alpha, beta[:len(alpha)-1])
-	return topByMagnitude(eig, k)
-}
-
-// topByMagnitude selects the k largest-|λ| eigenvalues and returns them
-// in descending algebraic order.
-func topByMagnitude(eig []float64, k int) []float64 {
-	s := append([]float64(nil), eig...)
-	sort.Slice(s, func(i, j int) bool { return math.Abs(s[i]) > math.Abs(s[j]) })
-	if k < len(s) {
-		s = s[:k]
-	}
-	sort.Sort(sort.Reverse(sort.Float64Slice(s)))
-	return s
+	return tridiagEigenvalues(alpha, beta[:len(alpha)-1])
 }
 
 func dot(a, b []float64) float64 {
@@ -181,19 +199,28 @@ func normalize(v []float64) {
 
 // tridiagEigenvalues computes all eigenvalues of a symmetric tridiagonal
 // matrix (diagonal d, off-diagonal e) with the implicit QL algorithm
-// (the classic tql1 routine).
+// (the classic tql1 routine), in descending order.
 func tridiagEigenvalues(d, e []float64) []float64 {
 	n := len(d)
 	dd := append([]float64(nil), d...)
 	ee := make([]float64, n)
 	copy(ee, e)
+	// An off-diagonal element splits the matrix when it is negligible
+	// against its two diagonal neighbours or against norm, a bound on
+	// every entry. Householder leaves chains of rounding-level entries
+	// where rows are zero up to rounding, and between diagonal entries
+	// as small the local test alone never splits them.
+	norm := 0.0
+	for i := range dd {
+		norm = max(norm, math.Abs(dd[i])+math.Abs(ee[i]))
+	}
 
 	for l := 0; l < n; l++ {
 		for iter := 0; iter < 50; iter++ {
 			// Find a small off-diagonal element to split at.
 			m := l
 			for ; m < n-1; m++ {
-				s := math.Abs(dd[m]) + math.Abs(dd[m+1])
+				s := max(norm, math.Abs(dd[m])+math.Abs(dd[m+1]))
 				if math.Abs(ee[m]) <= 1e-14*s {
 					break
 				}
@@ -206,6 +233,7 @@ func tridiagEigenvalues(d, e []float64) []float64 {
 			g = dd[m] - dd[l] + ee[l]/(g+math.Copysign(r, g))
 			s, c := 1.0, 1.0
 			p := 0.0
+			underflow := false
 			for i := m - 1; i >= l; i-- {
 				f := s * ee[i]
 				b := c * ee[i]
@@ -214,6 +242,7 @@ func tridiagEigenvalues(d, e []float64) []float64 {
 				if r == 0 {
 					dd[i+1] -= p
 					ee[m] = 0
+					underflow = true
 					break
 				}
 				s = f / r
@@ -224,7 +253,10 @@ func tridiagEigenvalues(d, e []float64) []float64 {
 				dd[i+1] = g + p
 				g = c*r - b
 			}
-			if r == 0 && m-1 >= l {
+			// Only an underflow restarts the sweep. A full sweep can end
+			// with r exactly 0 too, as it does on the zero diagonal of an
+			// adjacency matrix, and must still update d[l] and e[l].
+			if underflow {
 				continue
 			}
 			dd[l] -= p

@@ -1,7 +1,9 @@
 // Package graph provides the undirected-graph machinery behind the
 // traditional similarity metrics: AIG-to-undirected conversion, local
-// structure features (degrees, clustering, egonets), and symmetric
-// eigensolvers (dense Jacobi and sparse Lanczos) for spectral distances.
+// structure features (degrees, clustering, egonets), and the top of the
+// adjacency spectrum for spectral distances: exact from Householder
+// tridiagonalization and QL up to MaxDenseNodes nodes, from a seeded
+// Lanczos iteration above.
 package graph
 
 import (

@@ -1,8 +1,10 @@
 package graph
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/aig"
@@ -98,6 +100,112 @@ func TestNetSimileFeatures(t *testing.T) {
 	}
 }
 
+// JacobiEigenvalues computes all eigenvalues of a dense symmetric matrix
+// by cyclic Jacobi rotations, in descending order. It shares no code
+// with the solvers TopEigenvalues uses, so the tests check those against
+// it.
+func JacobiEigenvalues(a [][]float64) []float64 {
+	n := len(a)
+	// Work on a copy.
+	m := make([][]float64, n)
+	for i := range m {
+		m[i] = append([]float64(nil), a[i]...)
+	}
+	for sweep := 0; sweep < 64; sweep++ {
+		off := 0.0
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				off += m[i][j] * m[i][j]
+			}
+		}
+		if off < 1e-20 {
+			break
+		}
+		for p := 0; p < n; p++ {
+			for q := p + 1; q < n; q++ {
+				if math.Abs(m[p][q]) < 1e-15 {
+					continue
+				}
+				theta := (m[q][q] - m[p][p]) / (2 * m[p][q])
+				t := math.Copysign(1, theta) / (math.Abs(theta) + math.Sqrt(theta*theta+1))
+				c := 1 / math.Sqrt(t*t+1)
+				s := t * c
+				for k := 0; k < n; k++ {
+					mkp, mkq := m[k][p], m[k][q]
+					m[k][p] = c*mkp - s*mkq
+					m[k][q] = s*mkp + c*mkq
+				}
+				for k := 0; k < n; k++ {
+					mpk, mqk := m[p][k], m[q][k]
+					m[p][k] = c*mpk - s*mqk
+					m[q][k] = s*mpk + c*mqk
+				}
+			}
+		}
+	}
+	eig := make([]float64, n)
+	for i := 0; i < n; i++ {
+		eig[i] = m[i][i]
+	}
+	sort.Sort(sort.Reverse(sort.Float64Slice(eig)))
+	return eig
+}
+
+// AdjacencyMatrix returns the dense adjacency matrix of the graph.
+func (g *Graph) AdjacencyMatrix() [][]float64 {
+	m := make([][]float64, g.N)
+	for i := range m {
+		m[i] = make([]float64, g.N)
+	}
+	for u := 0; u < g.N; u++ {
+		for _, v := range g.adj[u] {
+			m[u][v] = 1
+		}
+	}
+	return m
+}
+
+// randomGraph returns a graph of n nodes and up to m random edges.
+func randomGraph(r *rand.Rand, n, m int) *Graph {
+	g := New(n)
+	for i := 0; i < m; i++ {
+		g.AddEdge(r.Intn(n), r.Intn(n))
+	}
+	return g
+}
+
+// randomSkeleton returns the skeleton of a random AIG with the given
+// inputs and up to ands AND nodes. Node 0 and any input no AND reads are
+// isolated, as in the skeletons the similarity metrics see.
+func randomSkeleton(r *rand.Rand, inputs, ands int) *Graph {
+	a := aig.New(inputs)
+	lits := make([]aig.Lit, inputs)
+	for i := range lits {
+		lits[i] = a.PI(i)
+	}
+	for i := 0; i < ands; i++ {
+		x := lits[r.Intn(len(lits))].NotCond(r.Intn(2) == 0)
+		y := lits[r.Intn(len(lits))].NotCond(r.Intn(2) == 0)
+		lits = append(lits, a.And(x, y))
+	}
+	a.AddPO(lits[len(lits)-1])
+	return FromAIG(a)
+}
+
+// sameSpectrum fails t unless got and want agree entry by entry within
+// tol.
+func sameSpectrum(t *testing.T, what string, got, want []float64, tol float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d eigenvalues, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if math.Abs(got[i]-want[i]) > tol {
+			t.Fatalf("%s: eig[%d] = %.15g, want %.15g", what, i, got[i], want[i])
+		}
+	}
+}
+
 func TestJacobiKnownSpectra(t *testing.T) {
 	// Triangle (K3): eigenvalues 2, -1, -1.
 	eig := JacobiEigenvalues(triangle().AdjacencyMatrix())
@@ -150,25 +258,71 @@ func TestTridiagAgainstJacobi(t *testing.T) {
 	}
 }
 
-func TestLanczosAgainstJacobi(t *testing.T) {
-	// Random sparse graph big enough to trigger Lanczos (n > 128).
+// TestDenseAgainstJacobi checks the Householder solver's full spectrum
+// against the Jacobi oracle on random graphs of 1 to MaxDenseNodes nodes
+// and on random AIG skeletons, whose isolated nodes give zero rows.
+func TestDenseAgainstJacobi(t *testing.T) {
+	r := rand.New(rand.NewSource(123))
+	var graphs []*Graph
+	for n := 1; n < MaxDenseNodes; n = 2*n + 1 {
+		graphs = append(graphs, New(n), randomGraph(r, n, r.Intn(3*n+1)))
+	}
+	// Skeletons of up to 1+8+247 = MaxDenseNodes nodes.
+	for _, size := range [][2]int{{1, 1}, {3, 4}, {6, 40}, {10, 120}, {8, 247}} {
+		graphs = append(graphs, randomSkeleton(r, size[0], size[1]))
+	}
+	// Sparse graphs FuzzSpectrum found. Their tridiagonal forms carry
+	// chains of rounding-level entries between zero diagonal entries,
+	// where tql1 lost eigenvalues: its split test was only local, and it
+	// mistook a sweep that ended with r == 0 for an underflow.
+	for _, c := range []struct {
+		n     int
+		edges [][2]int
+	}{
+		{254, [][2]int{{10, 184}, {119, 144}, {144, 147}, {145, 153}, {145, 163}, {146, 217}, {153, 185}, {160, 185}}},
+		{152, [][2]int{{0, 52}, {8, 69}, {24, 68}, {25, 48}, {25, 69}, {25, 122}, {46, 52}, {46, 122}, {48, 93}, {49, 52}, {68, 96}, {80, 111}}},
+		{254, [][2]int{{10, 146}, {34, 185}, {144, 153}, {144, 185}, {145, 153}, {147, 163}, {160, 184}}},
+	} {
+		g := New(c.n)
+		for _, e := range c.edges {
+			g.AddEdge(e[0], e[1])
+		}
+		graphs = append(graphs, g)
+	}
+	for _, g := range graphs {
+		what := fmt.Sprintf("%d nodes, %d edges", g.N, g.NumEdges())
+		sameSpectrum(t, what, g.denseEigenvalues(), JacobiEigenvalues(g.AdjacencyMatrix()), 1e-9)
+	}
+}
+
+// TestLanczosAgainstDense checks the Lanczos path, which TopEigenvalues
+// takes above MaxDenseNodes, against the exact top of the dense spectrum
+// under two seeds.
+func TestLanczosAgainstDense(t *testing.T) {
 	r := rand.New(rand.NewSource(122))
-	n := 200
-	g := New(n)
-	for i := 0; i < 3*n; i++ {
-		g.AddEdge(r.Intn(n), r.Intn(n))
-	}
-	k := 10
-	got := g.TopEigenvalues(k, 1)
-	want := topByMagnitude(JacobiEigenvalues(g.AdjacencyMatrix()), k)
-	if len(got) != k {
-		t.Fatalf("got %d eigenvalues", len(got))
-	}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-6*math.Max(1, math.Abs(want[i])) {
-			t.Errorf("top eig[%d]: lanczos %f vs jacobi %f", i, got[i], want[i])
+	const k = 20
+	for _, n := range []int{MaxDenseNodes + 1, 300, 400} {
+		g := randomGraph(r, n, 3*n)
+		want := g.denseEigenvalues()[:k]
+		for _, seed := range []int64{11, 22} {
+			what := fmt.Sprintf("%d nodes, seed %d", n, seed)
+			sameSpectrum(t, what, g.TopEigenvalues(k, seed), want, 1e-6)
 		}
 	}
+}
+
+// TestTopEigenvaluesByValue takes the top k by value, not by magnitude:
+// K3,4 has eigenvalues ±√12 and five zeros, so its top two are √12 and
+// 0, where ranking by magnitude kept −√12.
+func TestTopEigenvaluesByValue(t *testing.T) {
+	g := New(7)
+	for u := 0; u < 3; u++ {
+		for v := 3; v < 7; v++ {
+			g.AddEdge(u, v)
+		}
+	}
+	sameSpectrum(t, "K3,4 top 2", g.TopEigenvalues(2, 1), []float64{math.Sqrt(12), 0}, 1e-9)
+	sameSpectrum(t, "K3,4 top 7", g.TopEigenvalues(7, 1), []float64{math.Sqrt(12), 0, 0, 0, 0, 0, -math.Sqrt(12)}, 1e-9)
 }
 
 func TestTopEigenvaluesSmallFallback(t *testing.T) {
@@ -186,5 +340,58 @@ func TestTopEigenvaluesSmallFallback(t *testing.T) {
 	empty := New(0)
 	if got := empty.TopEigenvalues(3, 1); got != nil {
 		t.Error("empty graph should yield nil")
+	}
+}
+
+// TestTopEigenvaluesCountAndOrder checks that TopEigenvalues returns
+// min(k, n) values in descending order on both solver paths.
+func TestTopEigenvaluesCountAndOrder(t *testing.T) {
+	r := rand.New(rand.NewSource(124))
+	for _, n := range []int{1, 5, 19, 20, 21, 100, MaxDenseNodes, MaxDenseNodes + 1} {
+		g := randomGraph(r, n, 2*n)
+		for _, k := range []int{1, 20, 50} {
+			eig := g.TopEigenvalues(k, 7)
+			if len(eig) != min(k, n) {
+				t.Errorf("%d nodes, k=%d: %d values, want %d", n, k, len(eig), min(k, n))
+			}
+			if !sort.IsSorted(sort.Reverse(sort.Float64Slice(eig))) {
+				t.Errorf("%d nodes, k=%d: not descending: %v", n, k, eig)
+			}
+		}
+	}
+}
+
+// spectrumSink keeps the benchmarks' results live.
+var spectrumSink []float64
+
+// BenchmarkTopEigenvalues times the top 20 of random graphs with two
+// edges per node: dense up to MaxDenseNodes, Lanczos at 512.
+func BenchmarkTopEigenvalues(b *testing.B) {
+	for _, n := range []int{64, 128, 256, 512} {
+		g := randomGraph(rand.New(rand.NewSource(int64(n))), n, 2*n)
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				spectrumSink = g.TopEigenvalues(20, 1)
+			}
+		})
+	}
+}
+
+// BenchmarkDenseVsLanczos times both solvers on the same random graphs
+// around MaxDenseNodes, the measurement that placed the bound.
+func BenchmarkDenseVsLanczos(b *testing.B) {
+	for _, n := range []int{128, 200, 256, 300, 400, 611} {
+		g := randomGraph(rand.New(rand.NewSource(int64(n))), n, 2*n)
+		b.Run(fmt.Sprintf("dense/n=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				spectrumSink = g.denseEigenvalues()
+			}
+		})
+		b.Run(fmt.Sprintf("lanczos/n=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				spectrumSink = g.lanczosEigenvalues(20, 1)
+			}
+		})
 	}
 }

@@ -45,8 +45,10 @@ type SpecRecord struct {
 }
 
 // checkpointFormat names the checkpoint layout; bump on breaking
-// changes so stale files are rejected instead of misread.
-const checkpointFormat = "aig-repro-checkpoint/v1"
+// changes so stale files are rejected instead of misread. v2: ASD ranks
+// the top eigenvalues by value, so a v1 file's pairs would mix two
+// definitions in one CSV.
+const checkpointFormat = "aig-repro-checkpoint/v2"
 
 type checkpointHeader struct {
 	Format      string `json:"format"`

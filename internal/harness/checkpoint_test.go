@@ -3,6 +3,7 @@ package harness
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -217,6 +218,31 @@ func TestCheckpointFingerprintStable(t *testing.T) {
 	}
 	if want := "174aa05f3489cf59"; fp != want {
 		t.Errorf("fingerprint = %s, want %s", fp, want)
+	}
+}
+
+// TestCheckpointRefusesV1 refuses a checkpoint of the previous format
+// even under a matching fingerprint: v1 runs ranked ASD's eigenvalues by
+// magnitude, so resuming one would mix both definitions in one CSV.
+func TestCheckpointRefusesV1(t *testing.T) {
+	cfg := quickConfig()
+	fp, err := cfg.fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr, err := json.Marshal(checkpointHeader{Format: "aig-repro-checkpoint/v1", Fingerprint: fp, Seed: cfg.Seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "v1.ckpt")
+	if err := os.WriteFile(path, append(hdr, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := LoadCheckpoint(path, cfg); err == nil || !strings.Contains(err.Error(), checkpointFormat) {
+		t.Errorf("v1 load error = %v, want one naming %s", err, checkpointFormat)
+	}
+	if _, _, err := OpenCheckpoint(path, cfg, true); err == nil {
+		t.Error("resuming a v1 checkpoint should error")
 	}
 }
 

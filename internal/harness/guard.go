@@ -165,7 +165,9 @@ func (c Config) buildVariant(ctx context.Context, spec workload.Spec, rec synth.
 		Levels:    g.NumLevels(),
 		FlowGates: make(map[string]int, len(flows)),
 	}
-	popts := simil.ProfileOptions{Seed: specSeed(c.Seed, spec.Name, rec.Name)}
+	// Seeded by structure, as aigd seeds it: identical AIGs get
+	// identical spectra, whichever spec and recipe built them.
+	popts := simil.ProfileOptions{Seed: simil.ProfileSeed(g.Fingerprint())}
 	if v.Profile, err = SafeProfile(ctx, g, popts, simil.AllArtifacts); err != nil {
 		return fail("", err.Error())
 	}

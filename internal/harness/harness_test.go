@@ -220,7 +220,7 @@ func TestPinnedCSVDigest(t *testing.T) {
 	if andsAfter != 5266 {
 		t.Errorf("ands_after = %d, want 5266", andsAfter)
 	}
-	const want = "105b6a014df6bb3f34bbd9fd5bfb7967dedfa1d5ac10270977b1aec7734258da"
+	const want = "7e2f3453936b84bbdb0c80b0fede99ce7e9cfb6ef80ca2e1e582738e4123239c"
 	if got := fmt.Sprintf("%x", sha256.Sum256(csv.Bytes())); got != want {
 		t.Errorf("CSV sha256 = %s, want %s", got, want)
 	}

@@ -37,16 +37,30 @@ func TestPassAllocationBudget(t *testing.T) {
 // TestResubAllocationBudget pins how many heap allocations one
 // resubstitution pass makes over a fixed 8-input AIG (the root package's
 // benchmark AIG), whose SimAll tables take four words each. The budget
-// sits about 25% above the measured count (2,338; 2,357 with Go's
-// classic map, GOEXPERIMENT=noswissmap); matchers that built a table
-// per candidate made 560,937.
+// sits about 25% above the measured count (2,163; 2,183 with Go's
+// classic map, GOEXPERIMENT=noswissmap); a SimAll that built a table per
+// complemented fanin made 2,338, and matchers that built a table per
+// candidate 560,937.
 func TestResubAllocationBudget(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	g := synth.SynthSOP([]tt.TT{tt.Random(8, r), tt.Random(8, r)})
-	const budget = 2925
+	const budget = 2730
 	allocs := testing.AllocsPerRun(3, func() { ResubOnce(g, ResubOptions{}) })
 	t.Logf("ResubOnce over %d ANDs: %v allocations", g.NumAnds(), allocs)
 	if allocs > budget {
 		t.Errorf("ResubOnce over %d ANDs made %v allocations, budget %v", g.NumAnds(), allocs, budget)
+	}
+}
+
+// TestSimAllAllocations pins SimAll on the same 8-input AIG to one
+// allocation per node table plus the slice that holds them; building
+// each complemented fanin's table with Not made 522.
+func TestSimAllAllocations(t *testing.T) {
+	r := rand.New(rand.NewSource(42))
+	g := synth.SynthSOP([]tt.TT{tt.Random(8, r), tt.Random(8, r)})
+	allocs := testing.AllocsPerRun(3, func() { g.SimAll() })
+	t.Logf("SimAll over %d nodes: %v allocations", g.NumObjs(), allocs)
+	if want := float64(g.NumObjs() + 1); allocs > want {
+		t.Errorf("SimAll over %d nodes made %v allocations, want at most %v", g.NumObjs(), allocs, want)
 	}
 }

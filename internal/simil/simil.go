@@ -69,7 +69,8 @@ type Profile struct {
 
 // ProfileOptions tunes profile construction.
 type ProfileOptions struct {
-	// Seed feeds the Lanczos starting vector.
+	// Seed feeds the Lanczos starting vector, which only graphs of more
+	// than graph.MaxDenseNodes nodes use.
 	Seed int64
 }
 
@@ -256,9 +257,10 @@ func WLKernel(p1, p2 *Profile) float64 {
 	return k12 / math.Sqrt(k11*k22)
 }
 
-// ASD computes the Adjacency Spectral Distance: the Euclidean distance
-// between the top-k adjacency eigenvalues (shorter spectra are
-// zero-padded). Higher = more different.
+// ASD computes the Adjacency Spectral Distance as NetComp's λ-distance
+// defines it: the Euclidean distance between the k largest adjacency
+// eigenvalues by value (k = 20; a graph of fewer nodes has a shorter
+// spectrum, zero-padded). Higher = more different.
 func ASD(p1, p2 *Profile) float64 {
 	n := len(p1.spectrum)
 	if len(p2.spectrum) > n {

@@ -260,6 +260,30 @@ func (t TT) AndNot(u TT) TT {
 	return r
 }
 
+// AndCompl returns t AND u with t complemented when ct holds and u when
+// cu holds, masked as Not masks: the AND of two literals' tables without
+// building a table for either complement.
+func (t TT) AndCompl(ct bool, u TT, cu bool) TT {
+	t.check(u)
+	mt, mu := complMask(ct), complMask(cu)
+	if len(t.words) == 0 {
+		return TT{w: [1]uint64{(t.w[0] ^ mt) & (u.w[0] ^ mu) & topMask(t.NumVars())}, words: t.words}
+	}
+	r := New(t.NumVars())
+	for i := range r.words {
+		r.words[i] = (t.words[i] ^ mt) & (u.words[i] ^ mu)
+	}
+	return r
+}
+
+// complMask returns the word that XOR-complements a word when c holds.
+func complMask(c bool) uint64 {
+	if c {
+		return ^uint64(0)
+	}
+	return 0
+}
+
 // Not returns the complement of t.
 func (t TT) Not() TT {
 	if len(t.words) == 0 {

@@ -61,6 +61,29 @@ func TestBooleanAlgebra(t *testing.T) {
 	}
 }
 
+// TestAndCompl checks AndCompl against Not and And under all four
+// complement flags, on both table forms.
+func TestAndCompl(t *testing.T) {
+	r := rand.New(rand.NewSource(2))
+	for n := 0; n <= 9; n++ {
+		a, b := Random(n, r), Random(n, r)
+		for _, ca := range []bool{false, true} {
+			for _, cb := range []bool{false, true} {
+				x, y := a, b
+				if ca {
+					x = x.Not()
+				}
+				if cb {
+					y = y.Not()
+				}
+				if got, want := a.AndCompl(ca, b, cb), x.And(y); !got.Equal(want) {
+					t.Fatalf("n=%d AndCompl(%v, %v) = %s, want %s", n, ca, cb, got.Hex(), want.Hex())
+				}
+			}
+		}
+	}
+}
+
 func TestDeMorganProperty(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 200}
 	f := func(w0, w1 uint64) bool {

@@ -344,35 +344,49 @@ func (g *AIG) reref(id int, refs []int, boundary []int) {
 	}
 }
 
-// Cleanup returns a copy of g containing only nodes reachable from the
-// primary outputs, renumbered densely, along with the old→new literal
-// map for the outputs (already applied).
-func (g *AIG) Cleanup() *AIG {
+// Cleanup returns a copy of g containing only the nodes reachable from
+// the primary outputs, renumbered densely.
+func (g *AIG) Cleanup() *AIG { return g.Rebuild(nil) }
+
+// Rebuild returns a structurally hashed copy of the logic reachable from
+// g's primary outputs, built demand-driven from the outputs in order,
+// each AND node after its fanins (fanin0 first). PO order and names are
+// kept; dead cones are dropped. The first time an AND node is reached,
+// a non-nil replace may supply its new literal instead: it builds over
+// ng, reads other nodes' new literals through build, and returns true,
+// or returns false to have the node copied from its fanins. build is
+// memoized, so every node is built, and replace called, at most once.
+// The literal of node id must implement node id's plain function.
+func (g *AIG) Rebuild(replace func(ng *AIG, id int, build func(id int) Lit) (Lit, bool)) *AIG {
 	ng := New(g.numPIs)
-	ng.piNames = append([]string(nil), g.piNames...)
-	ng.poNames = append([]string(nil), g.poNames...)
+	ng.piNames = slices.Clone(g.piNames)
+	ng.poNames = slices.Clone(g.poNames)
+	const unbuilt = Lit(0xFFFFFFFF)
 	m := make([]Lit, g.NumObjs())
 	for i := range m {
-		m[i] = Lit(0xFFFFFFFF)
+		m[i] = unbuilt
 	}
-	m[0] = LitFalse
-	for i := 1; i <= g.numPIs; i++ {
-		m[i] = MakeLit(i, false)
+	for id := 0; id <= g.numPIs; id++ {
+		m[id] = MakeLit(id, false)
 	}
 	var build func(id int) Lit
 	build = func(id int) Lit {
-		if m[id] != Lit(0xFFFFFFFF) {
+		if m[id] != unbuilt {
 			return m[id]
 		}
-		f0 := build(g.fanin0[id].Node()).NotCond(g.fanin0[id].IsCompl())
-		f1 := build(g.fanin1[id].Node()).NotCond(g.fanin1[id].IsCompl())
-		l := ng.And(f0, f1)
+		l, ok := Lit(0), false
+		if replace != nil {
+			l, ok = replace(ng, id, build)
+		}
+		if !ok {
+			f0, f1 := g.fanin0[id], g.fanin1[id]
+			l = ng.And(build(f0.Node()).NotCond(f0.IsCompl()), build(f1.Node()).NotCond(f1.IsCompl()))
+		}
 		m[id] = l
 		return l
 	}
 	for _, po := range g.pos {
-		l := build(po.Node()).NotCond(po.IsCompl())
-		ng.AddPO(l)
+		ng.AddPO(build(po.Node()).NotCond(po.IsCompl()))
 	}
 	return ng
 }

@@ -122,34 +122,23 @@ func Map(g *aig.AIG, opts Options) Mapping {
 // LUT function with the multi-paradigm resynthesis engine (NPN library
 // for functions up to 4 inputs, memoized best-structure search above).
 // The round trip AIG -> LUTs -> AIG is the structural shake-up move of
-// the DeepSyn flow.
+// the DeepSyn flow. The rebuild (aig.Rebuild) replaces every mapped
+// root it reaches by its LUT's structure over the leaves' new literals
+// and copies any other node from its fanins; Cleanup then drops what
+// the LUT structures left unused.
 func Resynthesize(g *aig.AIG, m Mapping) *aig.AIG {
-	ng := aig.New(g.NumPIs())
-	for i := 0; i < g.NumPIs(); i++ {
-		if n := g.PIName(i); n != "" {
-			ng.SetPIName(i, n)
+	return g.Rebuild(func(ng *aig.AIG, id int, build func(int) aig.Lit) (aig.Lit, bool) {
+		i, ok := m.RootOf[id]
+		if !ok {
+			return 0, false
 		}
-	}
-	lits := make([]aig.Lit, g.NumObjs())
-	lits[0] = aig.LitFalse
-	for i := 1; i <= g.NumPIs(); i++ {
-		lits[i] = aig.MakeLit(i, false)
-	}
-	for _, lut := range m.LUTs {
+		lut := m.LUTs[i]
 		leafLits := make([]aig.Lit, len(lut.Leaves))
-		for i, leaf := range lut.Leaves {
-			leafLits[i] = lits[leaf]
+		for j, leaf := range lut.Leaves {
+			leafLits[j] = build(leaf)
 		}
-		lits[lut.Root] = buildLUT(ng, lut.Func, leafLits)
-	}
-	for i := 0; i < g.NumPOs(); i++ {
-		po := g.PO(i)
-		ng.AddPO(lits[po.Node()].NotCond(po.IsCompl()))
-		if n := g.POName(i); n != "" {
-			ng.SetPOName(i, n)
-		}
-	}
-	return ng.Cleanup()
+		return buildLUT(ng, lut.Func, leafLits), true
+	}).Cleanup()
 }
 
 func buildLUT(ng *aig.AIG, f tt.TT, leaves []aig.Lit) aig.Lit {

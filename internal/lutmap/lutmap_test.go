@@ -107,3 +107,32 @@ func TestMapTinyGraphs(t *testing.T) {
 		t.Error("constant/passthrough round trip broken")
 	}
 }
+
+// TestResynthesizePartialMapping drops every other LUT from a mapping.
+// Resynthesize must copy each node RootOf lacks from its fanins, down to
+// mapped roots and inputs, and never read such a node as LUT 0.
+func TestResynthesizePartialMapping(t *testing.T) {
+	r := rand.New(rand.NewSource(115))
+	g := synth.SynthSOP([]tt.TT{tt.Random(6, r), tt.Random(6, r)})
+	full := Map(g, Options{K: 4})
+	for keep := 0; keep < 2; keep++ {
+		m := Mapping{RootOf: make(map[int]int)}
+		for i, lut := range full.LUTs {
+			if i%2 == keep {
+				m.RootOf[lut.Root] = len(m.LUTs)
+				m.LUTs = append(m.LUTs, lut)
+			}
+		}
+		ng := Resynthesize(g, m)
+		idx, err := aig.Equivalent(g, ng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if idx != -1 {
+			t.Fatalf("keeping LUTs of parity %d broke output %d", keep, idx)
+		}
+		if err := ng.CheckStrict(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -12,18 +12,6 @@ import (
 // operands first (ABC's "b"). Structural hashing reshapes shared logic.
 func Balance(g *aig.AIG) *aig.AIG {
 	refs := g.RefCounts()
-	ng := aig.New(g.NumPIs())
-	copyNames(g, ng)
-	m := make([]aig.Lit, g.NumObjs())
-	for i := range m {
-		m[i] = unmapped
-	}
-	m[0] = aig.LitFalse
-	for i := 1; i <= g.NumPIs(); i++ {
-		m[i] = aig.MakeLit(i, false)
-	}
-
-	var build func(id int) aig.Lit
 	// collectSuper gathers the leaves of the maximal AND tree rooted at
 	// id, expanding through plain edges into single-fanout AND nodes.
 	var collectSuper func(l aig.Lit, root bool, leaves *[]aig.Lit)
@@ -39,10 +27,7 @@ func Balance(g *aig.AIG) *aig.AIG {
 		collectSuper(f0, false, leaves)
 		collectSuper(f1, false, leaves)
 	}
-	build = func(id int) aig.Lit {
-		if m[id] != unmapped {
-			return m[id]
-		}
+	return g.Rebuild(func(ng *aig.AIG, id int, build func(int) aig.Lit) (aig.Lit, bool) {
 		var leaves []aig.Lit
 		collectSuper(aig.MakeLit(id, false), true, &leaves)
 		// Map the leaves into the new graph.
@@ -50,23 +35,14 @@ func Balance(g *aig.AIG) *aig.AIG {
 		for i, l := range leaves {
 			mapped[i] = build(l.Node()).NotCond(l.IsCompl())
 		}
-		// Huffman-style: repeatedly AND the two shallowest operands.
+		// Huffman-style: repeatedly AND the two shallowest operands. A
+		// supergate has at least two leaves, so one operand remains.
 		for len(mapped) > 1 {
 			slices.SortStableFunc(mapped, func(a, b aig.Lit) int {
 				return ng.Level(a.Node()) - ng.Level(b.Node())
 			})
 			mapped = append(mapped[2:], ng.And(mapped[0], mapped[1]))
 		}
-		l := aig.LitTrue
-		if len(mapped) == 1 {
-			l = mapped[0]
-		}
-		m[id] = l
-		return l
-	}
-	for i := 0; i < g.NumPOs(); i++ {
-		po := g.PO(i)
-		ng.AddPO(build(po.Node()).NotCond(po.IsCompl()))
-	}
-	return ng
+		return mapped[0], true
+	})
 }

@@ -119,7 +119,7 @@ func DC2Converge(ctx context.Context, g *aig.AIG) *aig.AIG {
 // to the end regardless of cancellation.
 func DC2(ctx context.Context, g *aig.AIG) *aig.AIG {
 	cur := runPasses(ctx, g, passB, passRW, passRF, passB, passRW, passRWZ, passB, passRFZ, passRWZ, passB)
-	return keepSmaller(g, cur, true)
+	return keepSmaller(g, cur)
 }
 
 // DeepSynOptions tunes the randomized DeepSyn flow.

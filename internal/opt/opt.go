@@ -24,77 +24,71 @@ import (
 // decision records a chosen replacement for an AND node of the old graph:
 // a single-output structure over the functions of the given old-graph
 // leaf nodes. The structure's output literal implements the node's plain
-// (non-complemented) function.
+// (non-complemented) function. Structures are shared and only read.
 type decision struct {
 	mini   *aig.AIG
 	leaves []int
 }
 
-// litDecision builds a decision replacing a node by a literal of another
-// old-graph node (possibly complemented) — the 0-resubstitution shape.
-func litDecision(node int, compl bool) decision {
-	mini := aig.New(1)
-	mini.AddPO(mini.PI(0).NotCond(compl))
-	return decision{mini: mini, leaves: []int{node}}
+// The gate shapes of every decision that is not a resynthesized cut
+// structure, each built once per input polarity: entry p complements
+// input i when bit i of p is set. A constant is the literal of node 0.
+// They are package state that concurrent passes read, never modify.
+var (
+	litShape  = gateShapes(1, func(g *aig.AIG, in []aig.Lit) aig.Lit { return in[0] })
+	andShape  = gateShapes(2, func(g *aig.AIG, in []aig.Lit) aig.Lit { return g.And(in[0], in[1]) })
+	orShape   = gateShapes(2, func(g *aig.AIG, in []aig.Lit) aig.Lit { return g.Or(in[0], in[1]) })
+	xorShape  = gateShapes(2, func(g *aig.AIG, in []aig.Lit) aig.Lit { return g.Xor(in[0], in[1]) })
+	and3Shape = gateShapes(3, func(g *aig.AIG, in []aig.Lit) aig.Lit { return g.And(g.And(in[0], in[1]), in[2]) })
+	or3Shape  = gateShapes(3, func(g *aig.AIG, in []aig.Lit) aig.Lit { return g.Or(g.Or(in[0], in[1]), in[2]) })
+)
+
+// gateShapes builds the single-output structure f over n inputs for
+// each of the 2^n input polarities.
+func gateShapes(n int, f func(g *aig.AIG, in []aig.Lit) aig.Lit) []*aig.AIG {
+	shapes := make([]*aig.AIG, 1<<n)
+	in := make([]aig.Lit, n)
+	for p := range shapes {
+		g := aig.New(n)
+		for i := range in {
+			in[i] = g.PI(i).NotCond(p>>i&1 == 1)
+		}
+		g.AddPO(f(g, in))
+		shapes[p] = g
+	}
+	return shapes
 }
 
-// unmapped marks not-yet-rebuilt nodes during rebuild.
-const unmapped = aig.Lit(0xFFFFFFFF)
+// gateDecision replaces a node by shape over the literals ds of old-graph
+// nodes: the shape's structure for ds' polarities, over ds' nodes.
+func gateDecision(shape []*aig.AIG, ds ...aig.Lit) decision {
+	p := 0
+	leaves := make([]int, len(ds))
+	for i, d := range ds {
+		leaves[i] = d.Node()
+		if d.IsCompl() {
+			p |= 1 << i
+		}
+	}
+	return decision{mini: shape[p], leaves: leaves}
+}
 
-// rebuild constructs a new AIG implementing the same outputs as g,
-// materializing only the logic reachable from the POs and splicing in the
-// per-node decisions. The invariant maintained is that the literal mapped
-// for old node id implements exactly the function of node id.
+// rebuild copies the logic of g reachable from the outputs (aig.Rebuild),
+// splicing in the per-node decisions. The literal built for old node id
+// implements exactly the function of node id.
 func rebuild(g *aig.AIG, decisions map[int]decision) *aig.AIG {
-	ng := aig.New(g.NumPIs())
-	copyNames(g, ng)
-	m := make([]aig.Lit, g.NumObjs())
-	for i := range m {
-		m[i] = unmapped
-	}
-	m[0] = aig.LitFalse
-	for i := 1; i <= g.NumPIs(); i++ {
-		m[i] = aig.MakeLit(i, false)
-	}
-	var build func(id int) aig.Lit
-	build = func(id int) aig.Lit {
-		if m[id] != unmapped {
-			return m[id]
+	return g.Rebuild(func(ng *aig.AIG, id int, build func(int) aig.Lit) (aig.Lit, bool) {
+		dec, ok := decisions[id]
+		if !ok {
+			return 0, false
 		}
-		if dec, ok := decisions[id]; ok {
-			leafLits := make([]aig.Lit, len(dec.leaves))
-			for i, leaf := range dec.leaves {
-				leafLits[i] = build(leaf)
-			}
-			l := synth.Instantiate(ng, dec.mini, leafLits)
-			m[id] = l
-			return l
+		var litBuf [16]aig.Lit
+		leafLits := litBuf[:0]
+		for _, leaf := range dec.leaves {
+			leafLits = append(leafLits, build(leaf))
 		}
-		f0, f1 := g.Fanins(id)
-		a := build(f0.Node()).NotCond(f0.IsCompl())
-		b := build(f1.Node()).NotCond(f1.IsCompl())
-		l := ng.And(a, b)
-		m[id] = l
-		return l
-	}
-	for i := 0; i < g.NumPOs(); i++ {
-		po := g.PO(i)
-		ng.AddPO(build(po.Node()).NotCond(po.IsCompl()))
-	}
-	return ng
-}
-
-func copyNames(from, to *aig.AIG) {
-	for i := 0; i < from.NumPIs(); i++ {
-		if n := from.PIName(i); n != "" {
-			to.SetPIName(i, n)
-		}
-	}
-	for i := 0; i < from.NumPOs(); i++ {
-		if n := from.POName(i); n != "" {
-			to.SetPOName(i, n)
-		}
-	}
+		return synth.Instantiate(ng, dec.mini, leafLits), true
+	})
 }
 
 // replacement scores replacing AND node id by logic over the cut
@@ -107,11 +101,11 @@ func replacement(g *aig.AIG, id int, leaves, mffc []int, structure func(tt.TT) *
 	leaves, f := compactCut(leaves, g.CutTT(id, leaves))
 	switch {
 	case f.IsConst0():
-		return constDecision(false), len(mffc)
+		return gateDecision(litShape, aig.LitFalse), len(mffc)
 	case f.IsConst1():
-		return constDecision(true), len(mffc)
+		return gateDecision(litShape, aig.LitTrue), len(mffc)
 	case len(leaves) == 1:
-		return litDecision(leaves[0], f.Equal(tt.Var(0, 1).Not())), len(mffc)
+		return gateDecision(litShape, aig.MakeLit(leaves[0], f.Equal(tt.Var(0, 1).Not()))), len(mffc)
 	}
 	mini := structure(f)
 	var litBuf [16]aig.Lit
@@ -149,17 +143,10 @@ func compactCut(leaves []int, f tt.TT) ([]int, tt.TT) {
 	return kept, g.Shrink(len(support))
 }
 
-// constDecision replaces a node by a constant.
-func constDecision(v bool) decision {
-	mini := aig.New(0)
-	mini.AddPO(aig.LitFalse.NotCond(v))
-	return decision{mini: mini, leaves: nil}
-}
-
-// keepSmaller returns the candidate when it improves on (or, when
-// allowEqual, matches) the incumbent's AND count, else the incumbent.
-func keepSmaller(old, candidate *aig.AIG, allowEqual bool) *aig.AIG {
-	if candidate.NumAnds() < old.NumAnds() || (allowEqual && candidate.NumAnds() == old.NumAnds()) {
+// keepSmaller returns the candidate unless it has more AND nodes than
+// the incumbent.
+func keepSmaller(old, candidate *aig.AIG) *aig.AIG {
+	if candidate.NumAnds() <= old.NumAnds() {
 		return candidate
 	}
 	return old

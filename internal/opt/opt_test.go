@@ -273,20 +273,41 @@ func TestConstantOutputsCollapse(t *testing.T) {
 }
 
 func TestDecisionRebuildDirect(t *testing.T) {
-	// White-box: replacing a node with an equivalent structure through
-	// rebuild keeps the function.
-	g := aig.New(3)
-	a, b, c := g.PI(0), g.PI(1), g.PI(2)
+	// White-box: replacing a node through rebuild by a structure over
+	// other nodes keeps the node's function: the rebuilt output's table
+	// must equal the replaced node's.
+	g := aig.New(4)
+	a, b, c, d := g.PI(0), g.PI(1), g.PI(2), g.PI(3)
 	ab := g.And(a, b)
-	out := g.And(ab, c)
-	g.AddPO(out)
-	// Replace out with AND3 mini over PIs directly.
+	and3 := g.And(ab, c)
+	// Plain AND nodes computing a OR !b OR c (as or & (or | d)) and
+	// ab XOR c (as (ab | c) & !(ab & c)).
+	or := g.Or(g.Or(a, b.Not()), c)
+	or3 := g.And(or, g.Or(or, d))
+	xor := g.And(g.Or(ab, c), g.And(ab, c).Not())
+	// AND3 from a mini built here, over the PIs directly.
 	mini := aig.New(3)
 	mini.AddPO(mini.And(mini.And(mini.PI(0), mini.PI(1)), mini.PI(2)))
-	ng := rebuild(g, map[int]decision{
-		out.Node(): {mini: mini, leaves: []int{a.Node(), b.Node(), c.Node()}},
-	})
-	mustEquiv(t, "rebuild", g, ng)
+	if or3.IsCompl() || xor.IsCompl() {
+		t.Fatal("setup: the replaced nodes must be read plain")
+	}
+	for _, tc := range []struct {
+		name string
+		node aig.Lit
+		dec  decision
+	}{
+		{"and3", and3, decision{mini: mini, leaves: []int{a.Node(), b.Node(), c.Node()}}},
+		{"or3 with a complemented divisor", or3, gateDecision(or3Shape, b.Not(), a, c)},
+		{"xor", xor, gateDecision(xorShape, ab, c)},
+	} {
+		h := g.Clone()
+		h.AddPO(tc.node)
+		ng := rebuild(h, map[int]decision{tc.node.Node(): tc.dec})
+		mustEquiv(t, tc.name, h, ng)
+		if got, want := ng.OutputTTs()[0], h.SimAll()[tc.node.Node()]; !got.Equal(want) {
+			t.Errorf("%s: rebuilt output %v, replaced node %v", tc.name, got, want)
+		}
+	}
 }
 
 func TestFlowsHonorCancellation(t *testing.T) {

@@ -25,20 +25,13 @@ func ttHashOracle(t tt.TT) uint64 {
 	return h
 }
 
-func divTTOracle(tabs []tt.TT, d divisor) tt.TT {
-	if d.compl {
-		return tabs[d.node].Not()
-	}
-	return tabs[d.node]
-}
-
 func findZeroResubOracle(id int, target tt.TT, hashes, notHashes []uint64, index map[uint64][]int, tabs []tt.TT) (decision, bool) {
 	for _, cand := range index[hashes[id]] {
 		if cand >= id {
 			break
 		}
 		if tabs[cand].Equal(target) {
-			return litDecision(cand, false), true
+			return gateDecision(litShape, aig.MakeLit(cand, false)), true
 		}
 	}
 	for _, cand := range index[notHashes[id]] {
@@ -46,49 +39,49 @@ func findZeroResubOracle(id int, target tt.TT, hashes, notHashes []uint64, index
 			break
 		}
 		if tabs[cand].Equal(target.Not()) {
-			return litDecision(cand, true), true
+			return gateDecision(litShape, aig.MakeLit(cand, true)), true
 		}
 	}
 	if target.IsConst0() {
-		return constDecision(false), true
+		return gateDecision(litShape, aig.LitFalse), true
 	}
 	if target.IsConst1() {
-		return constDecision(true), true
+		return gateDecision(litShape, aig.LitTrue), true
 	}
 	return decision{}, false
 }
 
-func candidateListsOracle(target tt.TT, divs []int, tabs []tt.TT) (andList, orList []divisor) {
+func candidateListsOracle(target tt.TT, divs []int, tabs []tt.TT) (andList, orList []aig.Lit) {
 	notTarget := target.Not()
 	for _, d := range divs {
 		t := tabs[d]
 		if target.AndNot(t).IsConst0() {
-			andList = append(andList, divisor{d, false})
+			andList = append(andList, aig.MakeLit(d, false))
 		}
 		if notTarget.AndNot(t.Not()).IsConst0() {
-			andList = append(andList, divisor{d, true})
+			andList = append(andList, aig.MakeLit(d, true))
 		}
 		if t.AndNot(target).IsConst0() {
-			orList = append(orList, divisor{d, false})
+			orList = append(orList, aig.MakeLit(d, false))
 		}
 		if t.Not().AndNot(target).IsConst0() {
-			orList = append(orList, divisor{d, true})
+			orList = append(orList, aig.MakeLit(d, true))
 		}
 	}
 	return andList, orList
 }
 
-func matchPairsOracle(target tt.TT, list []divisor, tabs []tt.TT, isAnd bool) (decision, bool) {
+func matchPairsOracle(target tt.TT, list []aig.Lit, tabs []tt.TT, isAnd bool) (decision, bool) {
 	if len(list) > 60 {
 		list = list[:60]
 	}
 	for i := 0; i < len(list); i++ {
-		ti := divTTOracle(tabs, list[i])
+		ti := aig.LitTT(tabs, list[i])
 		for j := i + 1; j < len(list); j++ {
-			if list[i].node == list[j].node {
+			if list[i].Node() == list[j].Node() {
 				continue
 			}
-			tj := divTTOracle(tabs, list[j])
+			tj := aig.LitTT(tabs, list[j])
 			var combined tt.TT
 			if isAnd {
 				combined = ti.And(tj)
@@ -97,9 +90,9 @@ func matchPairsOracle(target tt.TT, list []divisor, tabs []tt.TT, isAnd bool) (d
 			}
 			if combined.Equal(target) {
 				if isAnd {
-					return gateDecision(gateAnd, list[i], list[j]), true
+					return gateDecision(andShape, list[i], list[j]), true
 				}
-				return gateDecision(gateOr, list[i], list[j]), true
+				return gateDecision(orShape, list[i], list[j]), true
 			}
 		}
 	}
@@ -112,18 +105,18 @@ func xorSearchOracle(target tt.TT, divs []int, tabs []tt.TT, hashes []uint64) (d
 		h := ttHashOracle(want)
 		for _, d2 := range divs {
 			if hashes[d2] == h && d2 != d1 && tabs[d2].Equal(want) {
-				return gateDecision(gateXor, divisor{d1, false}, divisor{d2, false}), true
+				return gateDecision(xorShape, aig.MakeLit(d1, false), aig.MakeLit(d2, false)), true
 			}
 		}
 	}
 	return decision{}, false
 }
 
-func matchTriplesOracle(target tt.TT, list []divisor, tabs []tt.TT, isAnd bool) (decision, bool) {
+func matchTriplesOracle(target tt.TT, list []aig.Lit, tabs []tt.TT, isAnd bool) (decision, bool) {
 	for i := 0; i < len(list); i++ {
-		ti := divTTOracle(tabs, list[i])
+		ti := aig.LitTT(tabs, list[i])
 		for j := i + 1; j < len(list); j++ {
-			tj := divTTOracle(tabs, list[j])
+			tj := aig.LitTT(tabs, list[j])
 			var tij tt.TT
 			if isAnd {
 				tij = ti.And(tj)
@@ -131,10 +124,10 @@ func matchTriplesOracle(target tt.TT, list []divisor, tabs []tt.TT, isAnd bool) 
 				tij = ti.Or(tj)
 			}
 			for k := j + 1; k < len(list); k++ {
-				if list[i].node == list[j].node || list[j].node == list[k].node || list[i].node == list[k].node {
+				if list[i].Node() == list[j].Node() || list[j].Node() == list[k].Node() || list[i].Node() == list[k].Node() {
 					continue
 				}
-				tk := divTTOracle(tabs, list[k])
+				tk := aig.LitTT(tabs, list[k])
 				var combined tt.TT
 				if isAnd {
 					combined = tij.And(tk)
@@ -142,11 +135,10 @@ func matchTriplesOracle(target tt.TT, list []divisor, tabs []tt.TT, isAnd bool) 
 					combined = tij.Or(tk)
 				}
 				if combined.Equal(target) {
-					kind := gateAnd3
-					if !isAnd {
-						kind = gateOr3
+					if isAnd {
+						return gateDecision(and3Shape, list[i], list[j], list[k]), true
 					}
-					return gateDecision3(kind, list[i], list[j], list[k]), true
+					return gateDecision(or3Shape, list[i], list[j], list[k]), true
 				}
 			}
 		}
@@ -154,31 +146,10 @@ func matchTriplesOracle(target tt.TT, list []divisor, tabs []tt.TT, isAnd bool) 
 	return decision{}, false
 }
 
-// sameDecision reports whether two decisions splice in the same mini
+// sameDecision reports whether two decisions splice in the same shared
 // structure over the same leaves.
 func sameDecision(a, b decision) bool {
-	if !slices.Equal(a.leaves, b.leaves) || (a.mini == nil) != (b.mini == nil) {
-		return false
-	}
-	if a.mini == nil {
-		return true
-	}
-	if a.mini.NumObjs() != b.mini.NumObjs() || a.mini.NumPOs() != b.mini.NumPOs() {
-		return false
-	}
-	for id := a.mini.NumPIs() + 1; id < a.mini.NumObjs(); id++ {
-		a0, a1 := a.mini.Fanins(id)
-		b0, b1 := b.mini.Fanins(id)
-		if a0 != b0 || a1 != b1 {
-			return false
-		}
-	}
-	for i := 0; i < a.mini.NumPOs(); i++ {
-		if a.mini.PO(i) != b.mini.PO(i) {
-			return false
-		}
-	}
-	return true
+	return a.mini == b.mini && slices.Equal(a.leaves, b.leaves)
 }
 
 // oracleAIGs returns AIGs of 3 to 10 inputs: SOP and factored syntheses
@@ -235,7 +206,7 @@ func TestResubMatchersMatchOracles(t *testing.T) {
 		}
 		supp := structuralSupport(g)
 		var divs []int
-		var andList, orList []divisor
+		var andList, orList []aig.Lit
 		for id := g.NumPIs() + 1; id < g.NumObjs(); id++ {
 			target := tabs[id]
 			where := func(what string) string {

@@ -42,5 +42,5 @@ func RefactorOnce(g *aig.AIG, opts RefactorOptions) *aig.AIG {
 			decisions[id] = dec
 		}
 	}
-	return keepSmaller(g, rebuild(g, decisions), true)
+	return keepSmaller(g, rebuild(g, decisions))
 }

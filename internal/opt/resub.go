@@ -66,7 +66,7 @@ func ResubOnce(g *aig.AIG, opts ResubOptions) *aig.AIG {
 	depth := opts.depth()
 	supp := structuralSupport(g)
 	var divs []int
-	var andList, orList []divisor
+	var andList, orList []aig.Lit
 
 	for id := g.NumPIs() + 1; id < g.NumObjs(); id++ {
 		if refs[id] == 0 {
@@ -109,7 +109,7 @@ func ResubOnce(g *aig.AIG, opts ResubOptions) *aig.AIG {
 			}
 		}
 	}
-	return keepSmaller(g, rebuild(g, decisions), true)
+	return keepSmaller(g, rebuild(g, decisions))
 }
 
 // The matchers below read the words of the SimAll tables in place and
@@ -167,7 +167,7 @@ func findZeroResub(id int, target tt.TT, used uint64, hashes, notHashes []uint64
 			break
 		}
 		if tabs[cand].Equal(target) {
-			return litDecision(cand, false), true
+			return gateDecision(litShape, aig.MakeLit(cand, false)), true
 		}
 	}
 	for _, cand := range index[notHashes[id]] {
@@ -175,28 +175,23 @@ func findZeroResub(id int, target tt.TT, used uint64, hashes, notHashes []uint64
 			break
 		}
 		if isNot(tabs[cand], target, used) {
-			return litDecision(cand, true), true
+			return gateDecision(litShape, aig.MakeLit(cand, true)), true
 		}
 	}
 	if target.IsConst0() {
-		return constDecision(false), true
+		return gateDecision(litShape, aig.LitFalse), true
 	}
 	if target.IsConst1() {
-		return constDecision(true), true
+		return gateDecision(litShape, aig.LitTrue), true
 	}
 	return decision{}, false
 }
 
-// divisor is a candidate node with a chosen polarity.
-type divisor struct {
-	node  int
-	compl bool
-}
-
-// word returns word i of the divisor's table, complemented when compl.
-func (d divisor) word(tabs []tt.TT, i int, used uint64) uint64 {
-	w := tabs[d.node].Word(i)
-	if d.compl {
+// word returns word i of the table of divisor literal d, complemented
+// when d is.
+func word(tabs []tt.TT, d aig.Lit, i int, used uint64) uint64 {
+	w := tabs[d.Node()].Word(i)
+	if d.IsCompl() {
 		w ^= used
 	}
 	return w
@@ -234,7 +229,7 @@ func collectDivisors(id int, supp []uint32, max int, divs []int) []int {
 // polarities, from the candidate lists) and XOR (over divs, matched by
 // the per-node table hashes first), returning the decision and its cost
 // in fresh AND nodes (1 for AND/OR, 3 for XOR).
-func findOneResub(target tt.TT, used uint64, divs []int, andList, orList []divisor, tabs []tt.TT, hashes []uint64) (decision, int, bool) {
+func findOneResub(target tt.TT, used uint64, divs []int, andList, orList []aig.Lit, tabs []tt.TT, hashes []uint64) (decision, int, bool) {
 	if dec, ok := matchPairs(target, used, andList, tabs, true); ok {
 		return dec, 1, true
 	}
@@ -245,7 +240,7 @@ func findOneResub(target tt.TT, used uint64, divs []int, andList, orList []divis
 		h := xorHash(tabs[d1], target)
 		for _, d2 := range divs {
 			if hashes[d2] == h && d2 != d1 && isXor(tabs[d2], tabs[d1], target) {
-				return gateDecision(gateXor, divisor{d1, false}, divisor{d2, false}), 3, true
+				return gateDecision(xorShape, aig.MakeLit(d1, false), aig.MakeLit(d2, false)), 3, true
 			}
 		}
 	}
@@ -255,7 +250,7 @@ func findOneResub(target tt.TT, used uint64, divs []int, andList, orList []divis
 // candidateLists filters the divisor literals for AND and OR shapes,
 // appending to andList the literals an AND of divisors implementing
 // target may use, and to orList those an OR may use.
-func candidateLists(target tt.TT, used uint64, divs []int, tabs []tt.TT, andList, orList []divisor) ([]divisor, []divisor) {
+func candidateLists(target tt.TT, used uint64, divs []int, tabs []tt.TT, andList, orList []aig.Lit) ([]aig.Lit, []aig.Lit) {
 	for _, d := range divs {
 		t := tabs[d]
 		// The bits of target t lacks, of t target lacks, and of neither.
@@ -267,19 +262,19 @@ func candidateLists(target tt.TT, used uint64, divs []int, tabs []tt.TT, andList
 			neither |= ^(a | b) & used
 		}
 		if targetOnly == 0 { // target ⊆ t
-			andList = append(andList, divisor{d, false})
+			andList = append(andList, aig.MakeLit(d, false))
 		}
 		// This admits ~t when t ⊆ target, where an AND operand needs
 		// target ⊆ ~t. Matches are verified, so it costs only search
 		// quality; the recorded results depend on it as written.
 		if tOnly == 0 {
-			andList = append(andList, divisor{d, true})
+			andList = append(andList, aig.MakeLit(d, true))
 		}
 		if tOnly == 0 { // t ⊆ target
-			orList = append(orList, divisor{d, false})
+			orList = append(orList, aig.MakeLit(d, false))
 		}
 		if neither == 0 { // ~t ⊆ target
-			orList = append(orList, divisor{d, true})
+			orList = append(orList, aig.MakeLit(d, true))
 		}
 	}
 	return andList, orList
@@ -296,11 +291,11 @@ func gate(isAnd bool, a, b uint64) uint64 {
 // combines reports whether the gate over the divisors' tables equals
 // target. Callers compare the first words themselves, which rules out
 // most candidates, so it starts at the second.
-func combines(target tt.TT, used uint64, tabs []tt.TT, isAnd bool, ds ...divisor) bool {
+func combines(target tt.TT, used uint64, tabs []tt.TT, isAnd bool, ds ...aig.Lit) bool {
 	for i := 1; i < target.NumWords(); i++ {
-		w := ds[0].word(tabs, i, used)
+		w := word(tabs, ds[0], i, used)
 		for _, d := range ds[1:] {
-			w = gate(isAnd, w, d.word(tabs, i, used))
+			w = gate(isAnd, w, word(tabs, d, i, used))
 		}
 		if w != target.Word(i) {
 			return false
@@ -310,23 +305,24 @@ func combines(target tt.TT, used uint64, tabs []tt.TT, isAnd bool, ds ...divisor
 }
 
 // matchPairs finds d1 op d2 == target within a pre-filtered literal list.
-func matchPairs(target tt.TT, used uint64, list []divisor, tabs []tt.TT, isAnd bool) (decision, bool) {
+func matchPairs(target tt.TT, used uint64, list []aig.Lit, tabs []tt.TT, isAnd bool) (decision, bool) {
 	const capPairs = 60
 	if len(list) > capPairs {
 		list = list[:capPairs]
 	}
+	shape := orShape
+	if isAnd {
+		shape = andShape
+	}
 	t0 := target.Word(0)
 	for i := 0; i < len(list); i++ {
-		wi := list[i].word(tabs, 0, used)
+		wi := word(tabs, list[i], 0, used)
 		for j := i + 1; j < len(list); j++ {
-			if list[i].node == list[j].node {
+			if list[i].Node() == list[j].Node() {
 				continue
 			}
-			if gate(isAnd, wi, list[j].word(tabs, 0, used)) == t0 && combines(target, used, tabs, isAnd, list[i], list[j]) {
-				if isAnd {
-					return gateDecision(gateAnd, list[i], list[j]), true
-				}
-				return gateDecision(gateOr, list[i], list[j]), true
+			if gate(isAnd, wi, word(tabs, list[j], 0, used)) == t0 && combines(target, used, tabs, isAnd, list[i], list[j]) {
+				return gateDecision(shape, list[i], list[j]), true
 			}
 		}
 	}
@@ -334,7 +330,7 @@ func matchPairs(target tt.TT, used uint64, list []divisor, tabs []tt.TT, isAnd b
 }
 
 // findTripleResub searches AND3 / OR3 shapes over the candidate lists.
-func findTripleResub(target tt.TT, used uint64, andList, orList []divisor, tabs []tt.TT) (decision, bool) {
+func findTripleResub(target tt.TT, used uint64, andList, orList []aig.Lit, tabs []tt.TT) (decision, bool) {
 	const capTriples = 24
 	if len(andList) > capTriples {
 		andList = andList[:capTriples]
@@ -348,76 +344,28 @@ func findTripleResub(target tt.TT, used uint64, andList, orList []divisor, tabs 
 	return matchTriples(target, used, orList, tabs, false)
 }
 
-func matchTriples(target tt.TT, used uint64, list []divisor, tabs []tt.TT, isAnd bool) (decision, bool) {
+func matchTriples(target tt.TT, used uint64, list []aig.Lit, tabs []tt.TT, isAnd bool) (decision, bool) {
+	shape := or3Shape
+	if isAnd {
+		shape = and3Shape
+	}
 	t0 := target.Word(0)
 	for i := 0; i < len(list); i++ {
-		wi := list[i].word(tabs, 0, used)
+		wi := word(tabs, list[i], 0, used)
 		for j := i + 1; j < len(list); j++ {
-			if list[i].node == list[j].node {
+			if list[i].Node() == list[j].Node() {
 				continue
 			}
-			wij := gate(isAnd, wi, list[j].word(tabs, 0, used))
+			wij := gate(isAnd, wi, word(tabs, list[j], 0, used))
 			for k := j + 1; k < len(list); k++ {
-				if list[j].node == list[k].node || list[i].node == list[k].node {
+				if list[j].Node() == list[k].Node() || list[i].Node() == list[k].Node() {
 					continue
 				}
-				if gate(isAnd, wij, list[k].word(tabs, 0, used)) == t0 && combines(target, used, tabs, isAnd, list[i], list[j], list[k]) {
-					kind := gateAnd3
-					if !isAnd {
-						kind = gateOr3
-					}
-					return gateDecision3(kind, list[i], list[j], list[k]), true
+				if gate(isAnd, wij, word(tabs, list[k], 0, used)) == t0 && combines(target, used, tabs, isAnd, list[i], list[j], list[k]) {
+					return gateDecision(shape, list[i], list[j], list[k]), true
 				}
 			}
 		}
 	}
 	return decision{}, false
-}
-
-type gateKind int
-
-const (
-	gateAnd gateKind = iota
-	gateOr
-	gateXor
-	gateAnd3
-	gateOr3
-)
-
-// gateDecision builds the mini structure target = op(d1, d2).
-func gateDecision(kind gateKind, d1, d2 divisor) decision {
-	mini := aig.New(2)
-	a := mini.PI(0).NotCond(d1.compl)
-	b := mini.PI(1).NotCond(d2.compl)
-	var out aig.Lit
-	switch kind {
-	case gateAnd:
-		out = mini.And(a, b)
-	case gateOr:
-		out = mini.Or(a, b)
-	case gateXor:
-		out = mini.Xor(a, b)
-	default:
-		panic("opt: bad binary gate kind")
-	}
-	mini.AddPO(out)
-	return decision{mini: mini, leaves: []int{d1.node, d2.node}}
-}
-
-func gateDecision3(kind gateKind, d1, d2, d3 divisor) decision {
-	mini := aig.New(3)
-	a := mini.PI(0).NotCond(d1.compl)
-	b := mini.PI(1).NotCond(d2.compl)
-	c := mini.PI(2).NotCond(d3.compl)
-	var out aig.Lit
-	switch kind {
-	case gateAnd3:
-		out = mini.And(mini.And(a, b), c)
-	case gateOr3:
-		out = mini.Or(mini.Or(a, b), c)
-	default:
-		panic("opt: bad ternary gate kind")
-	}
-	mini.AddPO(out)
-	return decision{mini: mini, leaves: []int{d1.node, d2.node, d3.node}}
 }

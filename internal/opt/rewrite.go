@@ -60,5 +60,5 @@ func RewriteOnce(g *aig.AIG, opts RewriteOptions) *aig.AIG {
 	}
 	// Gain accounting is an estimate (overlapping MFFCs, sharing with the
 	// not-yet-rebuilt fanout logic); never return a larger graph.
-	return keepSmaller(g, rebuild(g, decisions), true)
+	return keepSmaller(g, rebuild(g, decisions))
 }

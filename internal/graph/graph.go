@@ -120,28 +120,6 @@ func (g *Graph) Clustering(u int) float64 {
 	return 2 * float64(links) / float64(d*(d-1))
 }
 
-// EgonetStats returns, for node u's egonet (u plus its neighbors): the
-// number of internal edges, the number of edges leaving the egonet, and
-// the number of distinct outside neighbors of the egonet.
-func (g *Graph) EgonetStats(u int) (within, outgoing, outsideNeighbors int) {
-	ego := map[int]bool{u: true}
-	for _, v := range g.adj[u] {
-		ego[v] = true
-	}
-	outside := map[int]bool{}
-	for m := range ego {
-		for _, w := range g.adj[m] {
-			if ego[w] {
-				within++ // counted twice
-			} else {
-				outgoing++
-				outside[w] = true
-			}
-		}
-	}
-	return within / 2, outgoing, len(outside)
-}
-
 // NetSimileFeatures extracts the seven per-node NetSimile features
 // (Berlingerio et al.): degree, clustering coefficient, average neighbor
 // degree, average neighbor clustering coefficient, egonet edges, egonet
@@ -156,6 +134,7 @@ func (g *Graph) NetSimileFeatures() [7][]float64 {
 	for u := 0; u < g.N; u++ {
 		clustering[u] = g.Clustering(u)
 	}
+	mark := make([]int, g.N)
 	for u := 0; u < g.N; u++ {
 		d := float64(g.Degree(u))
 		f[0][u] = d
@@ -169,10 +148,42 @@ func (g *Graph) NetSimileFeatures() [7][]float64 {
 			f[2][u] = sumDeg / d
 			f[3][u] = sumClu / d
 		}
-		within, outgoing, outside := g.EgonetStats(u)
+		within, outgoing, outside := g.egonet(u, mark)
 		f[4][u] = float64(within)
 		f[5][u] = float64(outgoing)
 		f[6][u] = float64(outside)
 	}
 	return f
+}
+
+// egonet returns, for node u's egonet (u plus its neighbors): the number
+// of internal edges, the number of edges leaving it, and the number of
+// distinct outside neighbors. mark[w] becomes 2u+1 while w is in the
+// egonet and 2u+2 once w is counted as an outside neighbor, so calls in
+// ascending order of u share one mark slice, zeroed once.
+func (g *Graph) egonet(u int, mark []int) (within, outgoing, outside int) {
+	in, out := 2*u+1, 2*u+2
+	mark[u] = in
+	for _, v := range g.adj[u] {
+		mark[v] = in
+	}
+	count := func(m int) {
+		for _, w := range g.adj[m] {
+			switch mark[w] {
+			case in:
+				within++ // counted from both ends
+			case out:
+				outgoing++
+			default:
+				outgoing++
+				outside++
+				mark[w] = out
+			}
+		}
+	}
+	count(u)
+	for _, v := range g.adj[u] {
+		count(v)
+	}
+	return within / 2, outgoing, outside
 }

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/aig"
@@ -57,6 +59,29 @@ func TestClustering(t *testing.T) {
 	}
 }
 
+// egonetStatsOracle is the map-based egonet count NetSimileFeatures
+// replaced: for node u's egonet (u plus its neighbors), the number of
+// internal edges, the number of edges leaving it, and the number of
+// distinct outside neighbors.
+func egonetStatsOracle(g *Graph, u int) (within, outgoing, outsideNeighbors int) {
+	ego := map[int]bool{u: true}
+	for _, v := range g.adj[u] {
+		ego[v] = true
+	}
+	outside := map[int]bool{}
+	for m := range ego {
+		for _, w := range g.adj[m] {
+			if ego[w] {
+				within++ // counted twice
+			} else {
+				outgoing++
+				outside[w] = true
+			}
+		}
+	}
+	return within / 2, outgoing, len(outside)
+}
+
 func TestEgonetStats(t *testing.T) {
 	// Path 0-1-2-3: ego(1) = {0,1,2}; edges within = 2 (01, 12);
 	// outgoing = 1 (2-3); outside neighbors = {3}.
@@ -64,9 +89,74 @@ func TestEgonetStats(t *testing.T) {
 	g.AddEdge(0, 1)
 	g.AddEdge(1, 2)
 	g.AddEdge(2, 3)
-	within, outgoing, outside := g.EgonetStats(1)
-	if within != 2 || outgoing != 1 || outside != 1 {
-		t.Errorf("EgonetStats(1) = %d,%d,%d", within, outgoing, outside)
+	f := g.NetSimileFeatures()
+	if f[4][1] != 2 || f[5][1] != 1 || f[6][1] != 1 {
+		t.Errorf("egonet of node 1 = %v,%v,%v", f[4][1], f[5][1], f[6][1])
+	}
+	if within, outgoing, outside := egonetStatsOracle(g, 1); within != 2 || outgoing != 1 || outside != 1 {
+		t.Errorf("egonetStatsOracle(1) = %d,%d,%d", within, outgoing, outside)
+	}
+}
+
+// TestEgonetsMatchOracle requires NetSimileFeatures' egonet counts to
+// equal the map-based oracle's on every node of random graphs and AIG
+// skeletons, sparse and dense, with isolated nodes and shared outside
+// neighbors.
+func TestEgonetsMatchOracle(t *testing.T) {
+	r := rand.New(rand.NewSource(61))
+	var graphs []*Graph
+	for trial := 0; trial < 40; trial++ {
+		n := 1 + r.Intn(60)
+		graphs = append(graphs, randomGraph(r, n, r.Intn(4*n+1)), randomSkeleton(r, 1+r.Intn(8), r.Intn(50)))
+	}
+	for gi, g := range graphs {
+		f := g.NetSimileFeatures()
+		for u := 0; u < g.N; u++ {
+			within, outgoing, outside := egonetStatsOracle(g, u)
+			if f[4][u] != float64(within) || f[5][u] != float64(outgoing) || f[6][u] != float64(outside) {
+				t.Fatalf("graph %d (%d nodes, %d edges) node %d: egonet %v,%v,%v, oracle %d,%d,%d",
+					gi, g.N, g.NumEdges(), u, f[4][u], f[5][u], f[6][u], within, outgoing, outside)
+			}
+		}
+	}
+}
+
+// TestNetSimileConcurrentMatchesSerial computes the NetSimile features
+// and top eigenvalues of the same graphs from four goroutines at once,
+// as harness and aigd workers do, and requires each result to equal the
+// serial one.
+func TestNetSimileConcurrentMatchesSerial(t *testing.T) {
+	r := rand.New(rand.NewSource(62))
+	var graphs []*Graph
+	for i := 0; i < 8; i++ {
+		graphs = append(graphs, randomSkeleton(r, 2+i, 20+40*i))
+	}
+	run := func(g *Graph) []float64 {
+		f := g.NetSimileFeatures()
+		return append(slices.Concat(f[:]...), g.TopEigenvalues(20, 7)...)
+	}
+	var want [][]float64
+	for _, g := range graphs {
+		want = append(want, run(g))
+	}
+	var wg sync.WaitGroup
+	got := make([][][]float64, 4)
+	for w := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, g := range graphs {
+				got[w] = append(got[w], run(g))
+			}
+		}()
+	}
+	wg.Wait()
+	for w := range got {
+		for i := range graphs {
+			if !slices.Equal(got[w][i], want[i]) {
+				t.Fatalf("worker %d graph %d: features or spectrum differ from the serial run", w, i)
+			}
+		}
 	}
 }
 

@@ -204,6 +204,7 @@ func TestResubMatchersMatchOracles(t *testing.T) {
 			}
 			index[hashes[id]] = append(index[hashes[id]], id)
 		}
+		chains := newHashIndex(hashes)
 		supp := structuralSupport(g)
 		var divs []int
 		var andList, orList []aig.Lit
@@ -212,7 +213,7 @@ func TestResubMatchersMatchOracles(t *testing.T) {
 			where := func(what string) string {
 				return fmt.Sprintf("graph %d (%d inputs) node %d: %s", gi, g.NumPIs(), id, what)
 			}
-			dec, ok := findZeroResub(id, target, used, hashes, notHashes, index, tabs)
+			dec, ok := findZeroResub(id, target, used, hashes, notHashes, chains, tabs)
 			if wdec, wok := findZeroResubOracle(id, target, hashes, notHashes, index, tabs); ok != wok || !sameDecision(dec, wdec) {
 				t.Fatal(where("0-resub differs from the oracle"))
 			}

@@ -52,15 +52,13 @@ func ResubOnce(g *aig.AIG, opts ResubOptions) *aig.AIG {
 	refs := g.RefCounts()
 	decisions := make(map[int]decision)
 
-	// Global hash index for 0-resub: table hash -> node ids (ascending).
-	hashIndex := make(map[uint64][]int, g.NumObjs())
 	hashes := make([]uint64, g.NumObjs())
 	notHashes := make([]uint64, g.NumObjs())
 	for id := 0; id < g.NumObjs(); id++ {
 		hashes[id] = ttHash(tabs[id], 0)
 		notHashes[id] = ttHash(tabs[id], used)
-		hashIndex[hashes[id]] = append(hashIndex[hashes[id]], id)
 	}
+	index := newHashIndex(hashes)
 
 	maxDiv := opts.maxDivisors()
 	depth := opts.depth()
@@ -76,7 +74,7 @@ func ResubOnce(g *aig.AIG, opts ResubOptions) *aig.AIG {
 		mffc := g.MFFCSize(id, refs)
 
 		// --- 0-resub: an existing node already computes the function.
-		if dec, ok := findZeroResub(id, target, used, hashes, notHashes, hashIndex, tabs); ok {
+		if dec, ok := findZeroResub(id, target, used, hashes, notHashes, index, tabs); ok {
 			decisions[id] = dec
 			continue
 		}
@@ -161,19 +159,13 @@ func isXor(t, a, b tt.TT) bool {
 	return true
 }
 
-func findZeroResub(id int, target tt.TT, used uint64, hashes, notHashes []uint64, index map[uint64][]int, tabs []tt.TT) (decision, bool) {
-	for _, cand := range index[hashes[id]] {
-		if cand >= id {
-			break
-		}
+func findZeroResub(id int, target tt.TT, used uint64, hashes, notHashes []uint64, index hashIndex, tabs []tt.TT) (decision, bool) {
+	for cand := index.head[hashes[id]] - 1; cand >= 0 && cand < id; cand = index.next[cand] {
 		if tabs[cand].Equal(target) {
 			return gateDecision(litShape, aig.MakeLit(cand, false)), true
 		}
 	}
-	for _, cand := range index[notHashes[id]] {
-		if cand >= id {
-			break
-		}
+	for cand := index.head[notHashes[id]] - 1; cand >= 0 && cand < id; cand = index.next[cand] {
 		if isNot(tabs[cand], target, used) {
 			return gateDecision(litShape, aig.MakeLit(cand, true)), true
 		}
@@ -185,6 +177,25 @@ func findZeroResub(id int, target tt.TT, used uint64, hashes, notHashes []uint64
 		return gateDecision(litShape, aig.LitTrue), true
 	}
 	return decision{}, false
+}
+
+// hashIndex lists, for 0-resub, the nodes whose tables share a hash in
+// ascending id order: head maps the hash to the lowest id plus one, so a
+// missing hash reads as id -1, and next maps each id to the next one, or
+// -1.
+type hashIndex struct {
+	head map[uint64]int
+	next []int
+}
+
+// newHashIndex indexes node ids by hashes[id].
+func newHashIndex(hashes []uint64) hashIndex {
+	x := hashIndex{head: make(map[uint64]int, len(hashes)), next: make([]int, len(hashes))}
+	for id := len(hashes) - 1; id >= 0; id-- {
+		x.next[id] = x.head[hashes[id]] - 1
+		x.head[hashes[id]] = id + 1
+	}
+	return x
 }
 
 // word returns word i of the table of divisor literal d, complemented

@@ -109,10 +109,10 @@ func gedDirected(a1, a2 *graph.Graph) float64 {
 type nodeFeature [3]float64 // degree, clustering, egonet edges
 
 func nodeFeatures(g *graph.Graph, n int) []nodeFeature {
+	f := g.NetSimileFeatures()
 	fs := make([]nodeFeature, n)
 	for u := 0; u < g.N; u++ {
-		within, _, _ := g.EgonetStats(u)
-		fs[u] = nodeFeature{float64(g.Degree(u)), g.Clustering(u), float64(within)}
+		fs[u] = nodeFeature{f[0][u], f[1][u], f[4][u]}
 	}
 	return fs
 }

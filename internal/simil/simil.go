@@ -56,6 +56,7 @@ type Profile struct {
 	edges    map[[2]int]bool
 	features [35]float64 // NetSimile signature: 7 features x 5 aggregates
 	wlHist   map[string]int
+	wlSelf   float64 // wlDot(wlHist, wlHist)
 	spectrum []float64
 
 	// Single-step optimization reductions (rewrite, refactor, resub),
@@ -150,6 +151,7 @@ func (p *Profile) add(a *aig.AIG, opts ProfileOptions, needs Artifacts) {
 	if needs&NeedWL != 0 {
 		// Weisfeiler-Lehman label histogram.
 		p.wlHist = wlHistogram(und, wlIterations)
+		p.wlSelf = wlDot(p.wlHist, p.wlHist)
 	}
 
 	if needs&NeedSpectrum != 0 {
@@ -239,22 +241,25 @@ func NetSimile(p1, p2 *Profile) float64 {
 // iterations, normalized so identical graphs score 1. Higher = more
 // similar.
 func WLKernel(p1, p2 *Profile) float64 {
-	dot := func(a, b map[string]int) float64 {
-		s := 0.0
-		for l, c := range a {
-			if c2, ok := b[l]; ok {
-				s += float64(c) * float64(c2)
-			}
-		}
-		return s
-	}
-	k12 := dot(p1.wlHist, p2.wlHist)
-	k11 := dot(p1.wlHist, p1.wlHist)
-	k22 := dot(p2.wlHist, p2.wlHist)
+	k11, k22 := p1.wlSelf, p2.wlSelf
 	if k11 == 0 || k22 == 0 {
 		return 0
 	}
-	return k12 / math.Sqrt(k11*k22)
+	return wlDot(p1.wlHist, p2.wlHist) / math.Sqrt(k11*k22)
+}
+
+// wlDot is the dot product of two label histograms. A histogram counts
+// each node once in each of its four rounds, so below 2^24 nodes per
+// graph the terms and partial sums are integers under 2^53: the sum is
+// exact, and map order cannot change a bit of it.
+func wlDot(a, b map[string]int) float64 {
+	s := 0.0
+	for l, c := range a {
+		if c2, ok := b[l]; ok {
+			s += float64(c) * float64(c2)
+		}
+	}
+	return s
 }
 
 // ASD computes the Adjacency Spectral Distance as NetComp's λ-distance

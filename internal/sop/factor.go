@@ -2,6 +2,7 @@ package sop
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/tt"
@@ -158,7 +159,15 @@ func cubeExpr(c tt.Cube, nvars int) *Expr {
 
 // Factor converts the cover into a factored form using kernel-based
 // "good factor" with a quick-factor fallback, in the style of MIS/SIS.
+// Its kernel searches share one kernelFinder.
 func Factor(c Cover) *Expr {
+	var kf kernelFinder
+	return kf.factor(c)
+}
+
+// factor is Factor. It copies c before its first kernel search, so c may
+// be a kernel living in the arena.
+func (kf *kernelFinder) factor(c Cover) *Expr {
 	if len(c.Cubes) == 0 {
 		return &Expr{Kind: ExprConst0}
 	}
@@ -176,29 +185,29 @@ func Factor(c Cover) *Expr {
 	if cc.Mask != 0 {
 		prefix = cubeExpr(cc, c.NumVars)
 	}
-	body := factorCubeFree(free)
+	body := kf.factorCubeFree(free)
 	return mkAnd(prefix, body)
 }
 
 // factorCubeFree factors a cube-free cover with at least two cubes.
-func factorCubeFree(c Cover) *Expr {
+func (kf *kernelFinder) factorCubeFree(c Cover) *Expr {
 	if len(c.Cubes) == 1 {
 		return cubeExpr(c.Cubes[0], c.NumVars)
 	}
 	if len(c.Cubes) == 0 {
 		return &Expr{Kind: ExprConst0}
 	}
-	if d, ok := bestKernelDivisor(c); ok {
+	if d, ok := kf.bestDivisor(c); ok {
 		quot, rem := c.Divide(d)
 		if len(quot.Cubes) > 0 && len(quot.Cubes)*len(d.Cubes) > len(quot.Cubes)+len(d.Cubes)-1 {
-			return mkOr(mkAnd(Factor(d), Factor(quot)), Factor(rem))
+			return mkOr(mkAnd(kf.factor(d), kf.factor(quot)), kf.factor(rem))
 		}
 	}
 	// Quick factor: divide by the most frequent literal.
 	if l, ok := c.bestLiteral(); ok {
 		quot, rem := c.DivideByLiteral(l.variable(), l.positive())
 		if len(quot.Cubes) > 0 {
-			return mkOr(mkAnd(lit(l.variable(), l.positive()), Factor(quot)), Factor(rem))
+			return mkOr(mkAnd(lit(l.variable(), l.positive()), kf.factor(quot)), kf.factor(rem))
 		}
 	}
 	// No sharing at all: plain OR of cubes.
@@ -209,16 +218,18 @@ func factorCubeFree(c Cover) *Expr {
 	return mkOr(args...)
 }
 
-// bestKernelDivisor picks the kernel giving the best literal savings when
-// used as a divisor. Kernels identical to the whole cover are skipped
+// maxKernels is how many kernels, the first in Kernels' order, compete
+// as divisors.
+const maxKernels = 64
+
+// bestDivisor picks the kernel giving the best literal savings when used
+// as a divisor. Kernels identical to the whole cover are skipped
 // (dividing by them makes no progress). A kernel is scored by counting
-// the literals of its quotient and remainder, which are not built.
-func bestKernelDivisor(c Cover) (Cover, bool) {
-	kernels := c.Kernels()
-	const maxKernels = 64
-	if len(kernels) > maxKernels {
-		kernels = kernels[:maxKernels]
-	}
+// the literals of its quotient and remainder, which are not built: the
+// remainder is the cubes of c missing from the sorted quotient×kernel
+// products. The divisor lives in the arena.
+func (kf *kernelFinder) bestDivisor(c Cover) (Cover, bool) {
+	kernels := kf.search(c, maxKernels)
 	bestGain := 0
 	var best Cover
 	found := false
@@ -238,8 +249,9 @@ func bestKernelDivisor(c Cover) (Cover, bool) {
 		for _, q := range quot {
 			cost += q.NumLits()
 		}
+		kf.keys = productKeys(quot, k.Cover.Cubes, kf.keys[:0])
 		for _, cube := range c.Cubes {
-			if !produced(cube, quot, k.Cover.Cubes) {
+			if _, ok := slices.BinarySearch(kf.keys, cubeKey(cube)); !ok {
 				cost += cube.NumLits()
 			}
 		}

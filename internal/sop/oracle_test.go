@@ -414,3 +414,47 @@ func TestAlgebraMatchesOracles(t *testing.T) {
 		}
 	}
 }
+
+// TestBoundedKernelsMatchFull requires a search for the first limit
+// kernels to return exactly the first limit of the full Kernels(), cube
+// for cube, on random covers of 1 to 10 variables. One finder serves
+// every search, as in a Factor call, so each search also starts from
+// the arena, seen set and kernel slice the one before left.
+func TestBoundedKernelsMatchFull(t *testing.T) {
+	r := rand.New(rand.NewSource(75))
+	var kf kernelFinder
+	many := 0
+	for n := 1; n <= 10; n++ {
+		for trial := 0; trial < 30; trial++ {
+			f := tt.Random(n, r)
+			switch trial % 3 {
+			case 1:
+				f = f.And(tt.Random(n, r)).And(tt.Random(n, r))
+			case 2:
+				f = f.Or(tt.Random(n, r))
+			}
+			cover := MinimizeTT(f)
+			full := cover.Kernels()
+			if len(full) > maxKernels {
+				many++
+			}
+			for _, limit := range []int{1, 2, 5, maxKernels} {
+				got := kf.search(cover, limit)
+				want := full[:min(limit, len(full))]
+				if len(got) != len(want) {
+					t.Fatalf("%d vars %s limit %d: %d kernels, want %d", n, f.Hex(), limit, len(got), len(want))
+				}
+				for i, k := range got {
+					w := want[i]
+					if k.CoKernel != w.CoKernel || k.fp != w.fp || k.Cover.NumVars != w.Cover.NumVars || !slices.Equal(k.Cover.Cubes, w.Cover.Cubes) {
+						t.Fatalf("%d vars %s limit %d: kernel %d is %v / %v, want %v / %v", n, f.Hex(), limit, i, k.CoKernel, k.Cover, w.CoKernel, w.Cover)
+					}
+				}
+			}
+		}
+	}
+	if many == 0 {
+		t.Fatal("no cover had more kernels than the divisor search keeps")
+	}
+	t.Logf("%d of 300 covers had more than %d kernels", many, maxKernels)
+}

@@ -7,6 +7,7 @@ package sop
 
 import (
 	"cmp"
+	"math"
 	"math/bits"
 	"slices"
 	"strings"
@@ -269,8 +270,10 @@ func (c Cover) Divide(d Cover) (quot, rem Cover) {
 	}
 	quot = Cover{NumVars: c.NumVars, Cubes: c.quotient(d.Cubes, nil)}
 	rem = Cover{NumVars: c.NumVars}
+	var buf [64]uint64
+	prods := productKeys(quot.Cubes, d.Cubes, buf[:0])
 	for _, cube := range c.Cubes {
-		if !produced(cube, quot.Cubes, d.Cubes) {
+		if _, ok := slices.BinarySearch(prods, cubeKey(cube)); !ok {
 			rem.Cubes = append(rem.Cubes, cube)
 		}
 	}
@@ -302,17 +305,19 @@ func (c Cover) quotient(d, q []tt.Cube) []tt.Cube {
 	return q
 }
 
-// produced reports whether cube is the product of a quotient cube and a
-// divisor cube: whether division leaves it out of the remainder.
-func produced(cube tt.Cube, quot, d []tt.Cube) bool {
+// productKeys appends to keys the sorted keys of the products of quot's
+// cubes with d's, where quot is a quotient c / d: the cubes of c that the
+// division accounts for, so every other cube of c is in the remainder.
+// quotient admits only cubes whose products with d are valid.
+func productKeys(quot, d []tt.Cube, keys []uint64) []uint64 {
 	for _, q := range quot {
 		for _, dc := range d {
-			if prod, valid := cubeProduct(q, dc); valid && prod == cube {
-				return true
-			}
+			prod, _ := cubeProduct(q, dc)
+			keys = append(keys, cubeKey(prod))
 		}
 	}
-	return false
+	slices.Sort(keys)
+	return keys
 }
 
 // cubeProduct multiplies two cubes; invalid when they clash (x and !x).
@@ -394,45 +399,83 @@ func coverFingerprint(co tt.Cube, cov Cover) uint64 {
 	return hashKeys(co, sortedKeys(cov.Cubes, buf[:0]))
 }
 
-// kernelFinder holds one kernel enumeration's state. Each quotient is
-// built in a window of arena and made cube-free there, and the kernels
-// keep their windows: a full arena is replaced, never grown.
+// kernelFinder holds the kernel searches of one Factor call, which
+// share its arena, seen set and kernel slice. Each quotient is built in a
+// window of the arena and made cube-free there, and the kernels keep
+// their windows until the next search starts over at the arena's front:
+// a full arena is replaced, never grown.
 type kernelFinder struct {
-	nvars int
-	arena []tt.Cube
-	keys  []uint64 // scratch for fingerprints
-	seen  map[uint64]bool
-	out   []Kernel
+	nvars   int
+	limit   int // kernels kept: the first limit in kernelCmp order
+	arena   []tt.Cube
+	keys    []uint64 // scratch for fingerprints and divisor products
+	seen    map[uint64]bool
+	kernels []Kernel // the first limit kernels found so far, sorted
 }
-
-// arenaCubes is the size of one kernel arena.
-const arenaCubes = 512
 
 // Kernels enumerates all kernels of the cover (including the cover itself
 // when cube-free) using the classic recursive literal-cofactor procedure,
 // sorted by co-kernel, size and fingerprint.
 func (c Cover) Kernels() []Kernel {
-	base, _ := c.MakeCubeFree()
-	if len(base.Cubes) == 0 {
-		return nil
-	}
-	kf := kernelFinder{nvars: c.NumVars, seen: make(map[uint64]bool)}
-	kf.rec(base.Cubes, tt.Cube{}, 0)
-	slices.SortFunc(kf.out, func(a, b Kernel) int {
-		if c := cmp.Compare(cubeKey(a.CoKernel), cubeKey(b.CoKernel)); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(len(a.Cover.Cubes), len(b.Cover.Cubes)); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.fp, b.fp)
-	})
-	return kf.out
+	var kf kernelFinder
+	return kf.search(c, math.MaxInt)
 }
 
-// rec records the cube-free cover cov with co-kernel co unless it has
-// been seen, then recurses into its quotients by every literal from
-// minLit on that at least two of its cubes contain.
+// kernelCmp orders kernels by co-kernel, size and fingerprint.
+func kernelCmp(a, b Kernel) int {
+	return cmp.Or(cmp.Compare(cubeKey(a.CoKernel), cubeKey(b.CoKernel)),
+		cmp.Compare(len(a.Cover.Cubes), len(b.Cover.Cubes)), cmp.Compare(a.fp, b.fp))
+}
+
+// search returns the first limit kernels of c in Kernels' order. They
+// live in the arena, so they are valid until the next search.
+func (kf *kernelFinder) search(c Cover, limit int) []Kernel {
+	if kf.seen == nil {
+		// Fewer than 4% of the pipeline's Factor calls write more than
+		// 16 cubes per cube of the cover into one search's arena.
+		kf.arena = make([]tt.Cube, 0, 16*len(c.Cubes))
+		kf.seen = make(map[uint64]bool)
+	}
+	kf.nvars, kf.limit = c.NumVars, limit
+	kf.arena, kf.kernels = kf.arena[:0], kf.kernels[:0]
+	clear(kf.seen)
+	base := kf.window(len(c.Cubes))
+	cc := c.commonCube()
+	for i, cube := range c.Cubes {
+		base[i] = cubeDiff(cube, cc)
+	}
+	if len(base) > 0 {
+		kf.rec(base, tt.Cube{}, 0)
+	}
+	return kf.kernels
+}
+
+// beyond reports whether the search holds limit kernels whose
+// co-kernels all precede co. A co-kernel only gains literals down the
+// recursion, so its key only grows: a branch whose co-kernel is beyond
+// yields no kernel among the first limit.
+func (kf *kernelFinder) beyond(co tt.Cube) bool {
+	n := len(kf.kernels)
+	return n == kf.limit && cubeKey(co) > cubeKey(kf.kernels[n-1].CoKernel)
+}
+
+// keep inserts k in order if it is among the first limit kernels found
+// so far, dropping the last of them when they are limit already.
+func (kf *kernelFinder) keep(k Kernel) {
+	i, _ := slices.BinarySearchFunc(kf.kernels, k, kernelCmp)
+	if i == kf.limit {
+		return
+	}
+	if len(kf.kernels) == kf.limit {
+		kf.kernels = kf.kernels[:kf.limit-1]
+	}
+	kf.kernels = slices.Insert(kf.kernels, i, k)
+}
+
+// rec keeps the cube-free cover cov with co-kernel co unless it has been
+// seen, then recurses into its quotients by every literal from minLit on
+// that at least two of its cubes contain, but for those beyond the
+// kernels kept.
 func (kf *kernelFinder) rec(cov []tt.Cube, co tt.Cube, minLit litIndex) {
 	kf.keys = sortedKeys(cov, kf.keys[:0])
 	key := hashKeys(co, kf.keys)
@@ -441,7 +484,7 @@ func (kf *kernelFinder) rec(cov []tt.Cube, co tt.Cube, minLit litIndex) {
 	}
 	kf.seen[key] = true
 	if len(cov) > 1 {
-		kf.out = append(kf.out, Kernel{co, Cover{NumVars: kf.nvars, Cubes: cov}, hashKeys(tt.Cube{}, kf.keys)})
+		kf.keep(Kernel{co, Cover{NumVars: kf.nvars, Cubes: cov}, hashKeys(tt.Cube{}, kf.keys)})
 	}
 	// Literals in index order: the seen-fingerprint dedup prunes by
 	// first visit, so the order decides which co-kernels get expanded.
@@ -450,38 +493,37 @@ func (kf *kernelFinder) rec(cov []tt.Cube, co tt.Cube, minLit litIndex) {
 		if counts[l] < 2 {
 			continue
 		}
-		quot := kf.quotient(cov, l, counts[l])
-		cc := Cover{Cubes: quot}.commonCube()
-		if cc.Mask != 0 {
-			for i := range quot {
-				quot[i] = cubeDiff(quot[i], cc)
-			}
-		}
 		newCo, ok := cubeProduct(co, tt.Cube{}.WithLit(l.variable(), l.positive()))
-		if !ok {
+		if !ok || kf.beyond(newCo) {
 			continue
 		}
+		quot := kf.window(counts[l])[:0]
+		for _, cube := range cov {
+			if cubeHasLit(cube, l) {
+				quot = append(quot, cubeRemoveLit(cube, l))
+			}
+		}
+		cc := Cover{Cubes: quot}.commonCube()
+		for i := range quot {
+			quot[i] = cubeDiff(quot[i], cc)
+		}
 		newCo, ok = cubeProduct(newCo, cc)
-		if !ok {
+		if !ok || kf.beyond(newCo) {
 			continue
 		}
 		kf.rec(quot, newCo, l+1)
 	}
 }
 
-// quotient builds cov's quotient by literal l, which n of its cubes
-// contain, in a fresh window of the arena.
-func (kf *kernelFinder) quotient(cov []tt.Cube, l litIndex, n int) []tt.Cube {
+// window returns n fresh cubes at the end of the arena, replacing a full
+// arena by one twice its size.
+func (kf *kernelFinder) window(n int) []tt.Cube {
 	if cap(kf.arena)-len(kf.arena) < n {
-		kf.arena = make([]tt.Cube, 0, max(arenaCubes, n))
+		kf.arena = make([]tt.Cube, 0, max(2*cap(kf.arena), n))
 	}
 	start := len(kf.arena)
-	for _, cube := range cov {
-		if cubeHasLit(cube, l) {
-			kf.arena = append(kf.arena, cubeRemoveLit(cube, l))
-		}
-	}
-	return kf.arena[start:len(kf.arena):len(kf.arena)]
+	kf.arena = kf.arena[:start+n]
+	return kf.arena[start : start+n : start+n]
 }
 
 // bestLiteral returns the most frequent literal, breaking ties toward the

@@ -2,6 +2,7 @@ package sop
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -279,5 +280,39 @@ func TestExprString(t *testing.T) {
 	s := e.String()
 	if s == "" || s == "?" {
 		t.Errorf("String = %q", s)
+	}
+}
+
+// TestFactorConcurrentMatchesSerial minimizes and factors the same
+// tables of 7 to 10 variables from four goroutines at once, as harness
+// and aigd workers do, and requires each result to equal the serial
+// one: every Factor call's kernel searches own their finder.
+func TestFactorConcurrentMatchesSerial(t *testing.T) {
+	r := rand.New(rand.NewSource(76))
+	var fs []tt.TT
+	want := map[int]string{}
+	for i := 0; i < 16; i++ {
+		f := tt.Random(7+i%4, r)
+		fs = append(fs, f)
+		want[i] = Factor(MinimizeTT(f)).String()
+	}
+	var wg sync.WaitGroup
+	got := make([][]string, 4)
+	for w := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, f := range fs {
+				got[w] = append(got[w], Factor(MinimizeTT(f)).String())
+			}
+		}()
+	}
+	wg.Wait()
+	for w := range got {
+		for i, e := range got[w] {
+			if e != want[i] {
+				t.Fatalf("worker %d table %d: %s, serial %s", w, i, e, want[i])
+			}
+		}
 	}
 }

@@ -138,12 +138,17 @@ func LUTStructure(f tt.TT) *aig.AIG {
 }
 
 // Instantiate copies the single-output mini AIG into dst, substituting
-// leaves for its primary inputs, and returns the output literal.
+// leaves for its primary inputs, and returns the output literal. A
+// structure of up to 64 nodes is copied without touching the heap.
 func Instantiate(dst *aig.AIG, mini *aig.AIG, leaves []aig.Lit) aig.Lit {
 	if mini.NumPIs() != len(leaves) {
 		panic("synth: Instantiate leaf count mismatch")
 	}
-	m := make([]aig.Lit, mini.NumObjs())
+	var buf [64]aig.Lit
+	m := buf[:]
+	if mini.NumObjs() > len(buf) {
+		m = make([]aig.Lit, mini.NumObjs())
+	}
 	m[0] = aig.LitFalse
 	for i := 0; i < mini.NumPIs(); i++ {
 		m[i+1] = leaves[i]

@@ -3,6 +3,7 @@ package tt
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"strings"
 )
 
@@ -168,35 +169,103 @@ func CoverTT(n int, cover []Cube) TT {
 // with on-set lower bound L and upper bound U (L implies U) using the
 // Minato-Morreale procedure. The returned cover satisfies
 // L <= cover <= U. Passing L == U yields an ISOP of the exact function.
+//
+// The recursion appends to one cube slice. Above 6 variables it splits
+// the tables' words in halves and keeps every table it builds on one
+// word stack; once the variables left fit a word, it works on one-word
+// tables, which allocate nothing.
 func Isop(L, U TT) []Cube {
 	L.check(U)
 	if !L.AndNot(U).IsConst0() {
 		panic("tt: Isop requires L <= U")
 	}
-	cover, _ := isopRec(L, U, L.NumVars())
-	return cover
+	n := L.NumVars()
+	if n <= 6 {
+		cover, _ := isopWord(L.Expand(6), U.Expand(6), n, nil)
+		return cover
+	}
+	// f takes the tables' length, and each level of h-word halves 4h
+	// words of the rest.
+	stack := make([]uint64, 5*len(L.words))
+	return isopWords(L.words, U.words, stack[:len(L.words)], stack[len(L.words):], n, nil)
 }
 
 // IsopOf computes an irredundant SOP cover of f exactly.
 func IsopOf(f TT) []Cube { return Isop(f, f) }
 
-// isopRec returns a cover and the function it realizes, considering only
-// the first nv variables (all higher variables are constant within the
-// current recursion branch).
-func isopRec(L, U TT, nv int) ([]Cube, TT) {
-	if nv <= 6 && len(L.words) > 0 {
-		// Variables 6 and up are constant here, so every word is the
-		// same: recurse on one-word tables, which allocate nothing.
-		cover, f := isopRec(L.firstWord(), U.firstWord(), nv)
-		return cover, f.Expand(L.NumVars())
+// isopWords is the recursion on tables of len(L) = 2^(nv-6) words, nv >
+// 6, for which the variables from nv up are constant. It appends the
+// cover of [L, U] to cover and writes the function it realizes to f. The
+// tables it builds take 4h words of free, where h is its halves' length,
+// and its children the rest.
+func isopWords(L, U, f, free []uint64, nv int, cover []Cube) []Cube {
+	if slices.Max(L) == 0 {
+		clear(f)
+		return cover
 	}
-	if L.IsConst0() {
-		return nil, New(L.NumVars())
-	}
-	if U.IsConst1() {
-		return []Cube{{}}, Const(L.NumVars(), true)
+	if slices.Min(U) == ^uint64(0) {
+		for i := range f {
+			f[i] = ^uint64(0)
+		}
+		return append(cover, Cube{})
 	}
 	// Find the topmost variable on which L or U actually depends.
+	v := nv - 1
+	for v >= 6 && !(TT{words: L}).HasVar(v) && !(TT{words: U}).HasVar(v) {
+		v--
+	}
+	if v < 6 {
+		// Every word is the same: recurse on the first.
+		cover, w := isopWord(wordTable(L[0]), wordTable(U[0]), 6, cover)
+		for i := range f {
+			f[i] = w.w[0]
+		}
+		return cover
+	}
+	h := 1 << (v - 6)
+	L0, L1, U0, U1 := L[:h], L[h:2*h], U[:h], U[h:2*h]
+	t, f0, f1, u, rest := free[:h], free[h:2*h], free[2*h:3*h], free[3*h:4*h], free[4*h:]
+	// Cubes that must contain the negative literal of v, then the
+	// positive one.
+	start := len(cover)
+	for i := range t {
+		t[i] = L0[i] &^ U1[i]
+	}
+	cover = isopWords(t, U0, f0, rest, v, cover)
+	mid := len(cover)
+	for i := range t {
+		t[i] = L1[i] &^ U0[i]
+	}
+	cover = isopWords(t, U1, f1, rest, v, cover)
+	for i := start; i < len(cover); i++ {
+		cover[i] = cover[i].WithLit(v, i >= mid)
+	}
+	// Remainder handled without a literal on v; it realizes f[:h].
+	for i := range t {
+		t[i] = L0[i]&^f0[i] | L1[i]&^f1[i]
+		u[i] = U0[i] & U1[i]
+	}
+	cover = isopWords(t, u, f[:h], rest, v, cover)
+	for i := range h {
+		f[h+i] = f[i] | f1[i]
+		f[i] |= f0[i]
+	}
+	for i := 2 * h; i < len(f); i += 2 * h {
+		copy(f[i:], f[:2*h])
+	}
+	return cover
+}
+
+// isopWord is the recursion on tables over 6 variables, for which the
+// variables from nv up are constant: it appends the cover of [L, U] to
+// cover and returns the function it realizes.
+func isopWord(L, U TT, nv int, cover []Cube) ([]Cube, TT) {
+	if L.IsConst0() {
+		return cover, L
+	}
+	if U.IsConst1() {
+		return append(cover, Cube{}), U
+	}
 	v := nv - 1
 	for v >= 0 && !L.HasVar(v) && !U.HasVar(v) {
 		v--
@@ -208,25 +277,14 @@ func isopRec(L, U TT, nv int) ([]Cube, TT) {
 	}
 	L0, L1 := L.Cofactor(v, false), L.Cofactor(v, true)
 	U0, U1 := U.Cofactor(v, false), U.Cofactor(v, true)
-
-	// Cubes that must contain the negative literal of v.
-	c0, f0 := isopRec(L0.AndNot(U1), U0, v)
-	// Cubes that must contain the positive literal of v.
-	c1, f1 := isopRec(L1.AndNot(U0), U1, v)
-	// Remainder handled without a literal on v.
-	Lstar := L0.AndNot(f0).Or(L1.AndNot(f1))
-	cs, fs := isopRec(Lstar, U0.And(U1), v)
-
-	cover := make([]Cube, 0, len(c0)+len(c1)+len(cs))
-	for _, c := range c0 {
-		cover = append(cover, c.WithLit(v, false))
+	start := len(cover)
+	cover, f0 := isopWord(L0.AndNot(U1), U0, v, cover)
+	mid := len(cover)
+	cover, f1 := isopWord(L1.AndNot(U0), U1, v, cover)
+	for i := start; i < len(cover); i++ {
+		cover[i] = cover[i].WithLit(v, i >= mid)
 	}
-	for _, c := range c1 {
-		cover = append(cover, c.WithLit(v, true))
-	}
-	cover = append(cover, cs...)
-
-	x := Var(v, L.NumVars())
-	f := fs.Or(x.Not().And(f0)).Or(x.And(f1))
-	return cover, f
+	cover, fs := isopWord(L0.AndNot(f0).Or(L1.AndNot(f1)), U0.And(U1), v, cover)
+	x := Var(v, 6)
+	return cover, fs.Or(x.Not().And(f0)).Or(x.And(f1))
 }

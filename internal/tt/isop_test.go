@@ -234,3 +234,42 @@ func TestIsopMatchesOracle(t *testing.T) {
 		}
 	}
 }
+
+// TestIsopAllocations pins the ISOP of a fixed random 8-variable table:
+// the L <= U check's table, one word stack and the growth of the one
+// cube slice to its 51 cubes make 9 allocations, and the budget sits
+// about 25% above. A recursion that built tables and a cover at every
+// level above 6 variables made 334.
+func TestIsopAllocations(t *testing.T) {
+	f := Random(8, rand.New(rand.NewSource(88)))
+	const budget = 11
+	allocs := testing.AllocsPerRun(3, func() { IsopOf(f) })
+	t.Logf("IsopOf over 8 variables: %v allocations", allocs)
+	if allocs > budget {
+		t.Errorf("IsopOf over 8 variables made %v allocations, budget %v", allocs, budget)
+	}
+}
+
+// TestIsopSkippedVariablesMatchOracle requires the oracle's cubes on
+// intervals that ignore some of their variables, so the recursion meets
+// tables whose top variables are don't-cares and must repeat a smaller
+// realized function across their words.
+func TestIsopSkippedVariablesMatchOracle(t *testing.T) {
+	r := rand.New(rand.NewSource(14))
+	for n := 7; n <= 10; n++ {
+		for trial := 0; trial < 40; trial++ {
+			L := Random(n, r).And(Random(n, r))
+			U := L.Or(Random(n, r))
+			for v := 0; v < n; v++ {
+				if r.Intn(3) == 0 {
+					b := r.Intn(2) == 0
+					L, U = L.Cofactor(v, b), U.Cofactor(v, b)
+				}
+			}
+			want, _ := isopRecOracle(L, U, n)
+			if got := Isop(L, U); !slices.Equal(got, want) {
+				t.Fatalf("n=%d L=%s U=%s: Isop %v, oracle %v", n, L.Hex(), U.Hex(), got, want)
+			}
+		}
+	}
+}

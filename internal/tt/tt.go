@@ -165,8 +165,8 @@ func (t TT) NumWords() int { return WordCount(t.NumVars()) }
 // Word returns word i of the table, 0 <= i < NumWords().
 func (t TT) Word(i int) uint64 { return t.ws()[i] }
 
-// firstWord returns the table over 6 variables that is t's first word.
-func (t TT) firstWord() TT { return TT{w: [1]uint64{t.ws()[0]}, words: smallShape[:0:6]} }
+// wordTable returns the table over 6 variables whose one word is w.
+func wordTable(w uint64) TT { return TT{w: [1]uint64{w}, words: smallShape[:0:6]} }
 
 // Clone returns a copy of t that shares no words with it.
 func (t TT) Clone() TT {

@@ -107,9 +107,10 @@ func TestChaosTornFillReply(t *testing.T) {
 }
 
 // TestChaosKillMidReplication: killing AIG replication entirely must
-// not lose answers — peer fill inlines the AIGER payloads, so an owner
-// that never received the structures interns them on demand and the
-// replication repairs itself through the read path.
+// not lose answers — an owner that never received the structures
+// answers the fingerprint-only fill with a 404, gets both AIGER
+// payloads in one resend and interns them, so replication repairs
+// itself through the read path.
 func TestChaosKillMidReplication(t *testing.T) {
 	resetFaults(t)
 	aigA, aigB := testAIG(t, 15), testAIG(t, 16)
@@ -119,26 +120,27 @@ func TestChaosKillMidReplication(t *testing.T) {
 		faultinject.Fault{Mode: faultinject.ModeError})
 	faultinject.Enable()
 
+	// Submitted through the non-owner, the graphs stay there alone, so
+	// the first owner it asks lacks both.
 	tc := newTestCluster(t, 3, nil)
-	a := tc.submit(tc.ids[0], aigA)
-	b := tc.submit(tc.ids[0], aigB)
-	owners, nonOwner := tc.pairRoles(a, b)
+	owners, nonOwner := tc.pairRoles(fingerprint(t, aigA), fingerprint(t, aigB))
+	a := tc.submit(nonOwner, aigA)
+	b := tc.submit(nonOwner, aigB)
+	first := tc.svcs[owners[0]]
+	if first.HasAIG(a) || first.HasAIG(b) {
+		t.Fatalf("owner %s holds a graph before any fill", owners[0])
+	}
 
 	scores, _, err := tc.metrics(nonOwner, a, b, nil, nil)
 	if err != nil {
 		t.Fatalf("metrics with replication dead: %v", err)
 	}
 	assertBitIdentical(t, scores, want, "answer with replication dead")
-
-	// Self-repair: the serving owner interned the inline payloads.
-	var repaired bool
-	for _, id := range owners {
-		if tc.svcs[id].HasAIG(a) && tc.svcs[id].HasAIG(b) {
-			repaired = true
-		}
+	if n := tc.reg.Counter("cluster/fill_payload_resends").Value(); n != 1 {
+		t.Fatalf("fill_payload_resends = %d, want 1", n)
 	}
-	if !repaired && !tc.svcs[nonOwner].HasAIG(a) {
-		t.Fatal("no owner holds the pair after a successful fill — inline repair failed")
+	if !first.HasAIG(a) || !first.HasAIG(b) {
+		t.Fatalf("owner %s lacks the pair after the resend — inline repair failed", owners[0])
 	}
 }
 

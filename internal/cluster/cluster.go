@@ -40,6 +40,7 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -313,26 +314,20 @@ func (n *Node) routePair(ctx context.Context, fpA, fpB string, names []string) (
 // fill resolves a pair this node does not own with one deduplicated
 // peer fill per (pair, metrics).
 func (n *Node) fill(ctx context.Context, key, fpA, fpB string, names []string) (map[string]float64, error) {
-	scores, err, _ := n.fills.Do(ctx, key+"\x00"+fmt.Sprint(names), func() (map[string]float64, error) {
+	scores, err, _ := n.fills.Do(ctx, key+"\x00"+strings.Join(names, ","), func() (map[string]float64, error) {
 		return n.fillLeader(ctx, key, fpA, fpB, names)
 	})
 	return scores, err
 }
 
 // fillLeader does the actual peer-fill fan-out: ask each alive owner
-// in ring order, inlining both AIGER payloads so an owner that missed
-// replication can intern them and still answer; if every owner is
-// unreachable, compute locally (degraded but correct — scores are
-// location-independent).
+// in ring order by fingerprints alone; an owner that missed replication
+// answers 404, and gets both AIGER payloads in a resend so it can
+// intern them and still answer. If every owner is unreachable, compute
+// locally (degraded but correct — scores are location-independent).
 func (n *Node) fillLeader(ctx context.Context, key, fpA, fpB string, names []string) (map[string]float64, error) {
 	if err := faultinject.HitCtx(ctx, PointFill); err == nil {
 		req := client.FillRequest{A: fpA, B: fpB, Metrics: names}
-		// The service resolved the pair before routing, so both graphs
-		// are in the local store; failing to encode them is a bug, not
-		// a recoverable condition — send without payload and let the
-		// owner answer from its own store if it can.
-		req.AIGERA, _ = n.svc.AIGERFor(fpA)
-		req.AIGERB, _ = n.svc.AIGERFor(fpB)
 		v := n.view()
 		for _, id := range n.table.Owners(key) { // alive owners only
 			if id == n.cfg.NodeID {
@@ -343,6 +338,18 @@ func (n *Node) fillLeader(ctx context.Context, key, fpA, fpB string, names []str
 				continue // owner left between lookup and view load
 			}
 			scores, err := c.ClusterFill(ctx, req)
+			if req.AIGERA == nil && isNotFound(err) {
+				// The owner lacks a graph: resend with both payloads,
+				// and keep them for the owners after it. The service
+				// resolved the pair before routing, so both graphs are
+				// local; an encoding failure is a bug, and the resend
+				// then draws the same 404.
+				req.AIGERA, _ = n.svc.AIGERFor(fpA)
+				req.AIGERB, _ = n.svc.AIGERFor(fpB)
+				telemetry.Add("cluster/fill_payload_resends", 1)
+				trace.AddEvent(ctx, "cluster_fill_payload_resend", trace.A("peer", id))
+				scores, err = c.ClusterFill(ctx, req)
+			}
 			if err == nil {
 				n.peerOK(id)
 				n.svc.FillPairCache(fpA, fpB, scores)
@@ -493,8 +500,7 @@ func (n *Node) ensureLocal(ctx context.Context, fp string) error {
 			if ctx.Err() != nil {
 				return ctx.Err()
 			}
-			var ae *client.APIError
-			if !errors.As(err, &ae) || ae.Status != http.StatusNotFound {
+			if !isNotFound(err) {
 				// A contract 404 just means this peer doesn't have it
 				// either; anything else counts against its health.
 				n.peerFail(id)
@@ -512,6 +518,13 @@ func (n *Node) ensureLocal(ctx context.Context, fp string) error {
 		return nil
 	}
 	return fmt.Errorf("%w %q (not stored anywhere in the cluster)", service.ErrUnknownFingerprint, fp)
+}
+
+// isNotFound reports whether err is a peer's contract 404: the peer
+// lacks a graph the request names.
+func isNotFound(err error) bool {
+	var ae *client.APIError
+	return errors.As(err, &ae) && ae.Status == http.StatusNotFound
 }
 
 // aliveTargets filters an owner list down to alive peers (self

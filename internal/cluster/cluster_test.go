@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"net/http"
@@ -17,6 +18,7 @@ import (
 	"repro/internal/aiger"
 	"repro/internal/cluster/ring"
 	"repro/internal/service"
+	"repro/internal/service/client"
 	"repro/internal/synth"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/trace"
@@ -34,6 +36,16 @@ func testAIG(t *testing.T, seed int64) []byte {
 		t.Fatal(err)
 	}
 	return b.Bytes()
+}
+
+// fingerprint is the fingerprint a node stores an AIGER payload under.
+func fingerprint(t *testing.T, payload []byte) string {
+	t.Helper()
+	g, err := aiger.Read(bytes.NewReader(payload))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g.Cleanup().Fingerprint()
 }
 
 // partitionTransport injects network partitions: a blocked host fails
@@ -316,6 +328,50 @@ func TestClusterNoDoubleCompute(t *testing.T) {
 	}
 	if n := tc.reg.Counter("cluster/fills").Value(); n != 1 {
 		t.Fatalf("fan-in cost %d peer fills, want exactly 1 (singleflight)", n)
+	}
+}
+
+// TestClusterFillSendsFingerprintsOnly: when the owners already hold
+// both graphs, as replication at submit makes the common case, a fill
+// reaches the owner with no AIGER payload and no resend is made.
+func TestClusterFillSendsFingerprintsOnly(t *testing.T) {
+	aigA, aigB := testAIG(t, 9), testAIG(t, 10)
+	tc := newTestCluster(t, 3, nil)
+	var a, b string
+	for _, id := range tc.ids {
+		a, b = tc.submit(id, aigA), tc.submit(id, aigB)
+	}
+	owners, nonOwner := tc.pairRoles(a, b)
+
+	var fills, payloads atomic.Int32
+	for _, id := range owners {
+		inner := *tc.swaps[id].h.Load()
+		var spy http.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/cluster/fill" {
+				raw, err := io.ReadAll(r.Body)
+				var req client.FillRequest
+				if err != nil || json.Unmarshal(raw, &req) != nil {
+					t.Errorf("owner %s could not decode a fill request", id)
+				}
+				fills.Add(1)
+				if req.AIGERA != nil || req.AIGERB != nil {
+					payloads.Add(1)
+				}
+				r.Body = io.NopCloser(bytes.NewReader(raw))
+			}
+			inner.ServeHTTP(w, r)
+		})
+		tc.swaps[id].h.Store(&spy)
+	}
+
+	if _, _, err := tc.metrics(nonOwner, a, b, []string{"VEO"}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if fills.Load() != 1 || payloads.Load() != 0 {
+		t.Fatalf("owners decoded %d fills, %d with payloads; want 1 without", fills.Load(), payloads.Load())
+	}
+	if n := tc.reg.Counter("cluster/fill_payload_resends").Value(); n != 0 {
+		t.Fatalf("fill_payload_resends = %d, want 0", n)
 	}
 }
 

@@ -36,9 +36,14 @@ const atomicTempMark = ".atomictmp-"
 // complete file or the new complete file — never a truncated hybrid.
 // Results files (CSV exports, the service's spilled job results) are
 // replaced through this helper so a reader can never observe a torn
-// file.
+// file. The new file keeps the permissions of the file it replaces, or
+// gets 0644 when there is none.
 func WriteFileAtomic(path string, write func(w io.Writer) error) (err error) {
 	dir := filepath.Dir(path)
+	mode := os.FileMode(0o644)
+	if fi, serr := os.Stat(path); serr == nil {
+		mode = fi.Mode().Perm()
+	}
 	if err := faultinject.Hit(PointAtomicCreate); err != nil {
 		return fmt.Errorf("creating temp for %s: %w", path, err)
 	}
@@ -57,6 +62,10 @@ func WriteFileAtomic(path string, write func(w io.Writer) error) (err error) {
 	}
 	if err := faultinject.Hit(PointAtomicSync); err != nil {
 		return fmt.Errorf("syncing %s: %w", path, err)
+	}
+	// os.CreateTemp makes the file 0600, and the rename would keep it.
+	if err := tmp.Chmod(mode); err != nil {
+		return fmt.Errorf("setting the mode of %s: %w", path, err)
 	}
 	if err := tmp.Sync(); err != nil {
 		return fmt.Errorf("syncing %s: %w", path, err)

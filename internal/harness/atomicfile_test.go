@@ -39,6 +39,36 @@ func TestWriteFileAtomicReplaces(t *testing.T) {
 	}
 }
 
+// TestWriteFileAtomicMode: the new file keeps the mode of the file it
+// replaces, and a file with no predecessor is 0644 — not the 0600 that
+// os.CreateTemp gives the temp file the rename moves into place.
+func TestWriteFileAtomicMode(t *testing.T) {
+	write := func(w io.Writer) error {
+		_, err := io.WriteString(w, "rows")
+		return err
+	}
+	dir := t.TempDir()
+	kept := filepath.Join(dir, "kept.csv")
+	if err := os.WriteFile(kept, []byte("old"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chmod(kept, 0o640); err != nil { // past any umask
+		t.Fatal(err)
+	}
+	for path, want := range map[string]os.FileMode{kept: 0o640, filepath.Join(dir, "new.csv"): 0o644} {
+		if err := WriteFileAtomic(path, write); err != nil {
+			t.Fatal(err)
+		}
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fi.Mode().Perm(); got != want {
+			t.Errorf("%s: mode %v, want %v", filepath.Base(path), got, want)
+		}
+	}
+}
+
 func TestWriteFileAtomicKeepsOldOnError(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "out.csv")

@@ -16,11 +16,13 @@ import (
 // same rule: the client marshals the request and response types
 // internal/service declares.
 
-// FillRequest asks a pair's ring owner for its scores. The AIGER
-// payloads ride along so an owner that has not yet received the
-// structures (replication raced the request, or the owner restarted)
-// can intern them and still answer — peer fill doubles as lazy
-// replication repair. encoding/json carries []byte as base64.
+// FillRequest asks a pair's ring owner for its scores. A fill names
+// the pair by fingerprints only; an owner that has not yet received
+// the structures (replication raced the request, or the owner
+// restarted) answers 404, and the requester resends with both AIGER
+// payloads, which the owner interns before it answers — peer fill
+// doubles as lazy replication repair. encoding/json carries []byte as
+// base64.
 type FillRequest struct {
 	A       string   `json:"a"`
 	B       string   `json:"b"`

@@ -10,6 +10,7 @@ package simil
 import (
 	"hash/fnv"
 	"math"
+	"slices"
 
 	"repro/internal/aig"
 	"repro/internal/graph"
@@ -418,26 +419,30 @@ func Needs(metrics []Metric) Artifacts {
 	return n
 }
 
-// Metrics returns all eleven pairwise measures in the paper's order
-// (Table I then Table II, with the three operator scores and RRR).
+// registry holds all ten pairwise measures in the paper's order (Table
+// I then Table II, with the three operator scores and RRR). Nothing
+// writes it after package initialization.
+var registry = []Metric{
+	{"VEO", Traditional, true, NeedOverlap, VEO},
+	{"NetSimile", Traditional, false, NeedNetSimile, NetSimile},
+	{"WLKernel", Traditional, true, NeedWL, WLKernel},
+	{"ASD", Traditional, false, NeedSpectrum, ASD},
+	{"RGC", AIGSpecific, false, 0, RGC},
+	{"RLC", AIGSpecific, false, 0, RLC},
+	{"RewriteScore", AIGSpecific, false, NeedOptScores, RewriteScore},
+	{"RefactorScore", AIGSpecific, false, NeedOptScores, RefactorScore},
+	{"ResubScore", AIGSpecific, false, NeedOptScores, ResubScore},
+	{"RRRScore", AIGSpecific, false, NeedOptScores, RRRScore},
+}
+
+// Metrics returns a copy of the registry, which the caller may modify.
 func Metrics() []Metric {
-	return []Metric{
-		{"VEO", Traditional, true, NeedOverlap, VEO},
-		{"NetSimile", Traditional, false, NeedNetSimile, NetSimile},
-		{"WLKernel", Traditional, true, NeedWL, WLKernel},
-		{"ASD", Traditional, false, NeedSpectrum, ASD},
-		{"RGC", AIGSpecific, false, 0, RGC},
-		{"RLC", AIGSpecific, false, 0, RLC},
-		{"RewriteScore", AIGSpecific, false, NeedOptScores, RewriteScore},
-		{"RefactorScore", AIGSpecific, false, NeedOptScores, RefactorScore},
-		{"ResubScore", AIGSpecific, false, NeedOptScores, ResubScore},
-		{"RRRScore", AIGSpecific, false, NeedOptScores, RRRScore},
-	}
+	return slices.Clone(registry)
 }
 
 // MetricByName returns the named metric.
 func MetricByName(name string) (Metric, bool) {
-	for _, m := range Metrics() {
+	for _, m := range registry {
 		if m.Name == name {
 			return m, true
 		}

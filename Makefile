@@ -9,10 +9,11 @@
 # guards) in internal/harness. The packages whose workers, caches and
 # shared gate structures build a spec's variants concurrently, the
 # factoring (sop) and NetSimile (graph) code that harness and aigd
-# workers run side by side, and the cluster, whose fill singleflight and
-# payload resend serve many requesters at once, run again at one worker
-# and at four (-cpu 1,4), so both the serial and the parallel path are
-# raced.
+# workers run side by side, the cluster, whose fill singleflight and
+# payload resend serve many requesters at once, and the service, whose
+# result cache its handlers, batch workers and cluster fills share, run
+# again at one worker and at four (-cpu 1,4), so both the serial and
+# the parallel path are raced.
 
 .PHONY: tier1 tier2 lint size bench fuzz chaos serve smoke experiments
 
@@ -21,7 +22,7 @@ tier1:
 
 tier2:
 	go vet ./... && go run ./cmd/aiglint ./... && go test -race ./...
-	go test -race -cpu 1,4 ./internal/harness ./internal/opt ./internal/synth ./internal/tt ./internal/sop ./internal/graph ./internal/cluster
+	go test -race -cpu 1,4 ./internal/harness ./internal/opt ./internal/synth ./internal/tt ./internal/sop ./internal/graph ./internal/cluster ./internal/service
 
 # lint runs only the domain analyzers, verbosely (finding counts,
 # suppression counts, and per-analyzer timings — the ten analyzers run

@@ -94,7 +94,7 @@ func run() int {
 	addr := flag.String("addr", ":8347", "listen address")
 	workers := flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 	queueDepth := flag.Int("queue-depth", 0, "worker queue depth (0 = 4x workers)")
-	cacheEntries := flag.Int("cache-entries", 0, "pairwise result cache capacity (0 = 65536)")
+	cacheEntries := flag.Int("cache-entries", 0, "pairwise result cache capacity in AIG pairs (0 = 65536)")
 	storeEntries := flag.Int("store-entries", 0, "content-addressed AIG store capacity (0 = 4096)")
 	spillDir := flag.String("spill-dir", "", "directory for oversized job results (empty = keep in memory)")
 	spillThreshold := flag.Int("spill-threshold", 0, "spill job results larger than this many bytes (0 = 256 KiB)")

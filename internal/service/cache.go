@@ -1,121 +1,196 @@
 package service
 
 import (
-	"container/list"
 	"context"
-	"hash/fnv"
+	"encoding/hex"
+	"math/bits"
+	"strings"
 	"sync"
 
 	"repro/internal/faultinject"
+	"repro/internal/simil"
 	"repro/internal/telemetry"
 )
 
 // PointCacheGet is the fault-injection point on result-cache lookup: a
-// firing schedule forces a miss, driving traffic down the singleflight
-// + recompute path. Because a hit is bit-identical to fresh
-// computation by construction, a forced miss must never change an
-// answer — the chaos suite asserts exactly that.
+// firing schedule forces a miss on every metric the pair lookup asked
+// for, driving traffic down the singleflight + recompute path. Because
+// a hit is bit-identical to fresh computation by construction, a forced
+// miss must never change an answer — the chaos suite asserts exactly
+// that.
 const PointCacheGet = "service/cache_get"
 
-// resultCache is a sharded in-memory LRU of pairwise metric scores
-// keyed "(metric, fpA, fpB)" with the fingerprints in sorted order
-// (every metric in the registry is symmetric). Sharding keeps lock
-// contention bounded under concurrent traffic; each shard holds its own
-// LRU list.
+// pairKey names an unordered AIG pair: both fingerprints decoded to 16
+// bytes, the smaller first. Every registered metric is symmetric, so
+// (A,B) and (B,A) share one entry.
+type pairKey [32]byte
+
+// newPairKey orders and decodes a pair; swapped reports that fpA sorts
+// after fpB. ok is false unless both fingerprints are 32 lowercase hex
+// digits, as aig.Fingerprint writes them; no other pair is cached.
+func newPairKey(fpA, fpB string) (k pairKey, swapped, ok bool) {
+	if swapped = fpA > fpB; swapped {
+		fpA, fpB = fpB, fpA
+	}
+	ok = decodeFingerprint(k[:16], fpA) && decodeFingerprint(k[16:], fpB)
+	return k, swapped, ok
+}
+
+func decodeFingerprint(dst []byte, fp string) bool {
+	if len(fp) != 2*len(dst) || strings.ToLower(fp) != fp {
+		return false
+	}
+	_, err := hex.Decode(dst, []byte(fp))
+	return err == nil
+}
+
+// scoreSet is some of a pair's scores: values in registry order, and a
+// bit in have for each one present.
+type scoreSet struct {
+	vals [simil.NumMetrics]float64
+	have uint16
+}
+
+const _ uint16 = 1<<simil.NumMetrics - 1 // have has a bit per metric
+
+// metricTable is the registry in scoreSet's order.
+var metricTable = simil.Metrics()
+
+func (ss *scoreSet) set(i int, v float64) { ss.vals[i], ss.have = v, ss.have|1<<i }
+
+// byName returns the scores present, keyed by metric name.
+func (ss *scoreSet) byName() map[string]float64 {
+	out := make(map[string]float64, bits.OnesCount16(ss.have))
+	for i, m := range metricTable {
+		if ss.have&(1<<i) != 0 {
+			out[m.Name] = ss.vals[i]
+		}
+	}
+	return out
+}
+
+// resultCache is a sharded LRU of pairwise metric scores, one entry per
+// unordered pair. Sharding keeps lock contention bounded under
+// concurrent traffic. A shard keeps its pairs in a slab indexed by key;
+// slot 0 is the sentinel of a circular recency list of int32 links,
+// whose next is the most recently used pair and prev the least. Nothing
+// in the cache holds a pointer, so the GC never scans it.
 type resultCache struct {
-	shards []cacheShard
+	shards [cacheShards]cacheShard
 }
 
 type cacheShard struct {
 	mu    sync.Mutex
-	byKey map[string]*list.Element
-	order *list.List // front = most recently used
+	index map[pairKey]int32
+	slab  []pairEntry
 	cap   int
 }
 
-type cacheItem struct {
-	key string
-	val float64
+type pairEntry struct {
+	key pairKey
+	scoreSet
+	prev, next int32
 }
 
 const cacheShards = 16
 
-func newResultCache(entries int) *resultCache {
-	perShard := entries / cacheShards
-	if perShard < 1 {
-		perShard = 1
-	}
-	c := &resultCache{shards: make([]cacheShard, cacheShards)}
+// newResultCache bounds the cache at about pairs entries.
+func newResultCache(pairs int) *resultCache {
+	c := &resultCache{}
 	for i := range c.shards {
-		c.shards[i] = cacheShard{byKey: make(map[string]*list.Element), order: list.New(), cap: perShard}
+		c.shards[i] = cacheShard{index: make(map[pairKey]int32), slab: make([]pairEntry, 1), cap: max(pairs/cacheShards, 1)}
 	}
 	return c
 }
 
-func (c *resultCache) shardIndex(key string) int {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return int(h.Sum32() % cacheShards)
-}
+// shardOf spreads pairs by the last byte of each fingerprint, a hash
+// byte, so their XOR is uniform too.
+func shardOf(k pairKey) int { return int(k[15]^k[31]) % cacheShards }
 
-func (c *resultCache) shard(key string) *cacheShard {
-	return &c.shards[c.shardIndex(key)]
-}
-
-// get looks the key up and additionally reports which shard served it,
-// so per-request traces can attribute contention to a specific shard.
-// ctx carries the requesting trace for fault-injection attribution.
-func (c *resultCache) get(ctx context.Context, key string) (val float64, shard int, ok bool) {
-	shard = c.shardIndex(key)
-	if err := faultinject.HitCtx(ctx, PointCacheGet); err != nil {
-		telemetry.Add("service/cache_misses", 1)
-		return 0, shard, false
+// get looks a pair up for the metrics in want and refreshes it if
+// cached. It returns the wanted scores present and the shard that
+// served it, so per-request traces can attribute contention to a
+// specific shard. Hits and misses count per metric. ctx carries the
+// requesting trace for fault-injection attribution.
+func (c *resultCache) get(ctx context.Context, k pairKey, want uint16) (got scoreSet, shard int) {
+	shard = shardOf(k)
+	if faultinject.HitCtx(ctx, PointCacheGet) == nil {
+		s := &c.shards[shard]
+		s.mu.Lock()
+		if i, ok := s.index[k]; ok {
+			s.unlink(i)
+			s.pushFront(i)
+			got = s.slab[i].scoreSet
+			got.have &= want
+		}
+		s.mu.Unlock()
 	}
-	s := &c.shards[shard]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.byKey[key]
-	if !ok {
-		telemetry.Add("service/cache_misses", 1)
-		return 0, shard, false
+	if n := bits.OnesCount16(got.have); n > 0 {
+		telemetry.Add("service/cache_hits", int64(n))
 	}
-	s.order.MoveToFront(el)
-	telemetry.Add("service/cache_hits", 1)
-	return el.Value.(*cacheItem).val, shard, true
+	if n := bits.OnesCount16(want &^ got.have); n > 0 {
+		telemetry.Add("service/cache_misses", int64(n))
+	}
+	return got, shard
 }
 
-func (c *resultCache) put(key string, val float64) {
-	s := c.shard(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.byKey[key]; ok {
-		el.Value.(*cacheItem).val = val
-		s.order.MoveToFront(el)
+// put merges scores into the pair's entry and makes it the most
+// recently used; a new pair in a full shard takes the slot of the
+// least recently used one.
+func (c *resultCache) put(k pairKey, scores scoreSet) {
+	if scores.have == 0 {
 		return
 	}
-	s.byKey[key] = s.order.PushFront(&cacheItem{key: key, val: val})
-	for s.order.Len() > s.cap {
-		oldest := s.order.Back()
-		s.order.Remove(oldest)
-		delete(s.byKey, oldest.Value.(*cacheItem).key)
+	s := &c.shards[shardOf(k)]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	i, ok := s.index[k]
+	switch {
+	case ok:
+		s.unlink(i)
+	case len(s.slab) <= s.cap:
+		i = int32(len(s.slab))
+		s.slab = append(s.slab, pairEntry{key: k})
+	default:
+		i = s.slab[0].prev
+		s.unlink(i)
+		delete(s.index, s.slab[i].key)
+		s.slab[i] = pairEntry{key: k}
 		telemetry.Add("service/cache_evictions", 1)
 	}
+	s.index[k] = i
+	s.pushFront(i)
+	e := &s.slab[i]
+	for m := range e.vals {
+		if scores.have&(1<<m) != 0 {
+			e.vals[m] = scores.vals[m]
+		}
+	}
+	e.have |= scores.have
 }
 
-// entries returns every cached (key, value) pair across all shards,
+func (s *cacheShard) unlink(i int32) {
+	e := &s.slab[i]
+	s.slab[e.prev].next, s.slab[e.next].prev = e.next, e.prev
+}
+
+func (s *cacheShard) pushFront(i int32) {
+	e := &s.slab[i]
+	e.prev, e.next = 0, s.slab[0].next
+	s.slab[e.next].prev, s.slab[0].next = i, i
+}
+
+// entries returns a copy of every cached pair across all shards,
 // without bumping recency — the enumeration base for membership-change
-// key handoff. The slice is a point-in-time copy per shard (the cache
-// may move under a concurrent walk; handoff tolerates that because a
-// result installed anywhere is bit-identical).
-func (c *resultCache) entries() []cacheItem {
-	var out []cacheItem
+// key handoff. Each shard is copied under its lock; the cache may move
+// between shards, which handoff tolerates because a result installed
+// anywhere is bit-identical.
+func (c *resultCache) entries() []pairEntry {
+	var out []pairEntry
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		for el := s.order.Front(); el != nil; el = el.Next() {
-			it := el.Value.(*cacheItem)
-			out = append(out, cacheItem{key: it.key, val: it.val})
-		}
+		out = append(out, s.slab[1:]...)
 		s.mu.Unlock()
 	}
 	return out

@@ -3,10 +3,10 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/hex"
 	"errors"
 	"fmt"
-	"sort"
-	"strings"
+	"slices"
 
 	"repro/internal/aiger"
 	"repro/internal/simil"
@@ -114,30 +114,46 @@ func (s *Server) scorePair(ctx context.Context, fpA, fpB string, metrics []simil
 
 // PairFromCache returns the pair's scores if every requested metric is
 // already in the local result cache; ok is false on any miss (the
-// caller then decides between peer fill and local compute). ctx only
+// caller then decides between peer fill and local compute), and for a
+// malformed fingerprint or a name outside the registry. ctx only
 // attributes fault-injected misses to the requesting trace.
 func (s *Server) PairFromCache(ctx context.Context, fpA, fpB string, metricNames []string) (map[string]float64, bool) {
-	out := make(map[string]float64, len(metricNames))
+	key, _, ok := newPairKey(fpA, fpB)
+	if !ok {
+		return nil, false
+	}
+	var want uint16
 	for _, name := range metricNames {
-		key, _ := cacheKey(name, fpA, fpB)
-		v, _, ok := s.cache.get(ctx, key)
+		i, ok := simil.MetricIndex(name)
 		if !ok {
 			return nil, false
 		}
-		out[name] = v
+		want |= 1 << i
 	}
-	return out, true
+	if got, _ := s.cache.get(ctx, key, want); got.have == want {
+		return got.byName(), true
+	}
+	return nil, false
 }
 
 // FillPairCache installs peer-obtained scores into the local result
 // cache. Sound because scores are a pure function of (pair, metric):
 // a peer-computed value is bit-identical to what this node would have
-// computed, so a later local hit still equals fresh computation.
+// computed, so a later local hit still equals fresh computation. Names
+// outside the registry, and a pair with a malformed fingerprint, are
+// dropped.
 func (s *Server) FillPairCache(fpA, fpB string, scores map[string]float64) {
-	for name, v := range scores {
-		key, _ := cacheKey(name, fpA, fpB)
-		s.cache.put(key, v)
+	key, _, ok := newPairKey(fpA, fpB)
+	if !ok {
+		return
 	}
+	var fill scoreSet
+	for name, v := range scores {
+		if i, ok := simil.MetricIndex(name); ok {
+			fill.set(i, v)
+		}
+	}
+	s.cache.put(key, fill)
 }
 
 // StoredFingerprints returns every fingerprint in the local store in
@@ -152,45 +168,25 @@ func (s *Server) StoredFingerprints() []string {
 	return out
 }
 
-// PairResult is one pair's cached scores, re-assembled from the result
-// cache's per-metric lines — the unit a handoff streams via
-// ClusterPutResult.
+// PairResult is one pair's cached scores — the unit a handoff streams
+// via ClusterPutResult.
 type PairResult struct {
 	A, B   string
 	Scores map[string]float64
 }
 
-// CachedPairResults groups the local result cache back into per-pair
-// score maps, sorted by (A, B) for deterministic handoff plans. Like
+// CachedPairResults returns every pair in the local result cache with
+// its scores, sorted by (A, B) for deterministic handoff plans. Like
 // entries(), this is a point-in-time view; a result missed by a
 // concurrent put is recomputable anywhere, so handoff completeness is
 // best-effort by design — correctness rests on purity, not on the copy
 // being exhaustive.
 func (s *Server) CachedPairResults() []PairResult {
-	byPair := make(map[string]*PairResult)
-	for _, it := range s.cache.entries() {
-		// Keys are "metric|fpA|fpB" with sorted fingerprints; metric
-		// names never contain '|'.
-		parts := strings.SplitN(it.key, "|", 3)
-		if len(parts) != 3 {
-			continue
-		}
-		pk := parts[1] + "|" + parts[2]
-		pr, ok := byPair[pk]
-		if !ok {
-			pr = &PairResult{A: parts[1], B: parts[2], Scores: make(map[string]float64)}
-			byPair[pk] = pr
-		}
-		pr.Scores[parts[0]] = it.val
-	}
-	keys := make([]string, 0, len(byPair))
-	for k := range byPair {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]PairResult, len(keys))
-	for i, k := range keys {
-		out[i] = *byPair[k]
+	pairs := s.cache.entries()
+	slices.SortFunc(pairs, func(x, y pairEntry) int { return bytes.Compare(x.key[:], y.key[:]) })
+	out := make([]PairResult, len(pairs))
+	for i, e := range pairs {
+		out[i] = PairResult{A: hex.EncodeToString(e.key[:16]), B: hex.EncodeToString(e.key[16:]), Scores: e.byName()}
 	}
 	return out
 }

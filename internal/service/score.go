@@ -47,17 +47,6 @@ func safeExtend(ctx context.Context, p *simil.Profile, opts simil.ProfileOptions
 	return nil
 }
 
-// cacheKey builds the canonical result-cache key. Every metric in the
-// registry is symmetric, so the fingerprints are ordered — (A,B) and
-// (B,A) share one cache line.
-func cacheKey(metric, fpA, fpB string) (string, bool) {
-	swapped := fpA > fpB
-	if swapped {
-		fpA, fpB = fpB, fpA
-	}
-	return metric + "|" + fpA + "|" + fpB, swapped
-}
-
 // resolveMetrics maps requested metric names (empty = all ten) onto the
 // registry.
 func resolveMetrics(names []string) ([]simil.Metric, error) {
@@ -76,11 +65,11 @@ func resolveMetrics(names []string) ([]simil.Metric, error) {
 }
 
 // pairScores computes the requested metrics for one AIG pair: profiles
-// once per graph (coalesced), then per metric a cache lookup, a
-// singleflighted compute on miss, and a cache fill. The invariant the
-// cache rests on: a hit is bit-identical to what a fresh computation
-// would produce (deterministic profiles via simil.ProfileSeed, symmetric
-// metrics in canonical operand order).
+// once per graph (coalesced), one cache lookup for the pair, then per
+// missed metric a singleflighted compute and a cache fill. The
+// invariant the cache rests on: a hit is bit-identical to what a fresh
+// computation would produce (deterministic profiles via
+// simil.ProfileSeed, symmetric metrics in canonical operand order).
 //
 // The whole pair is one "service/pair_scores" span; each metric's
 // cache outcome (hit, miss, shard, singleflight role) is an event on
@@ -100,12 +89,21 @@ func (s *Server) pairScores(ctx context.Context, ea, eb *storedAIG, metrics []si
 	if err != nil {
 		return nil, err
 	}
+	// Stored fingerprints come from aig.Fingerprint, so the key is
+	// well-formed.
+	key, swapped, _ := newPairKey(ea.fp, eb.fp)
+	var want uint16
+	for _, m := range metrics {
+		i, _ := simil.MetricIndex(m.Name)
+		want |= 1 << i
+	}
+	cached, shard := s.cache.get(sctx, key, want)
 	out := make(map[string]float64, len(metrics))
 	for _, m := range metrics {
-		key, swapped := cacheKey(m.Name, ea.fp, eb.fp)
-		if v, shard, ok := s.cache.get(sctx, key); ok {
+		i, _ := simil.MetricIndex(m.Name)
+		if cached.have&(1<<i) != 0 {
 			sp.Event("cache_lookup", trace.A("metric", m.Name), trace.A("shard", shard), trace.A("outcome", "hit"))
-			out[m.Name] = v
+			out[m.Name] = cached.vals[i]
 			continue
 		}
 		p1, p2 := pa, pb
@@ -113,12 +111,12 @@ func (s *Server) pairScores(ctx context.Context, ea, eb *storedAIG, metrics []si
 			p1, p2 = pb, pa
 		}
 		led := false
-		v, cerr, shared := s.flights.Do(sctx, key, func() (val float64, err error) {
+		v, cerr, shared := s.flights.Do(sctx, m.Name+"|"+string(key[:]), func() (val float64, err error) {
 			led = true
 			// Re-check under the flight: a caller that missed the cache
 			// while another flight was mid-fill must not recompute.
-			if v, _, ok := s.cache.get(sctx, key); ok {
-				return v, nil
+			if got, _ := s.cache.get(sctx, key, 1<<i); got.have != 0 {
+				return got.vals[i], nil
 			}
 			defer harness.Recover(&err, "metric "+m.Name)
 			if s.testComputeDelay != nil {
@@ -126,14 +124,15 @@ func (s *Server) pairScores(ctx context.Context, ea, eb *storedAIG, metrics []si
 			}
 			val = harness.ComputeMetric(sctx, m, p1, p2)
 			telemetry.Add("service/metric_computes", 1)
-			s.cache.put(key, val)
+			var fresh scoreSet
+			fresh.set(i, val)
+			s.cache.put(key, fresh)
 			return val, nil
 		})
 		role := "leader"
 		if shared || !led {
 			role = "follower"
 		}
-		shard := s.cache.shardIndex(key)
 		sp.Event("cache_lookup", trace.A("metric", m.Name), trace.A("shard", shard), trace.A("outcome", "miss"), trace.A("role", role))
 		if cerr != nil {
 			return nil, cerr

@@ -10,9 +10,10 @@
 //     fingerprint (aig.Fingerprint), so an identical structure is
 //     parsed, validated, and profiled exactly once no matter how many
 //     clients submit it;
-//   - a sharded LRU result cache keyed (metric, fpA, fpB) whose hits
-//     are bit-identical to fresh computation, with singleflight
-//     deduplication of concurrent identical requests;
+//   - a sharded LRU result cache with one pointer-free entry per
+//     unordered fingerprint pair, holding that pair's scores for every
+//     metric, whose hits are bit-identical to fresh computation, with
+//     singleflight deduplication of concurrent identical requests;
 //   - a bounded worker pool fed by a coalescing batch path: per-graph
 //     preprocessing (NetSimile features, WL labels, spectra, reduction
 //     vectors) is computed once per graph per batch, never once per
@@ -52,7 +53,8 @@ type Config struct {
 	// 2×QueueDepth and QueueDepth).
 	PendingMetrics int
 	PendingJobs    int
-	// CacheEntries bounds the pairwise result cache (default 65536).
+	// CacheEntries bounds the pairwise result cache in AIG pairs, each
+	// with room for all ten scores (default 65536; about 215 B a pair).
 	CacheEntries int
 	// StoreEntries bounds the content-addressed AIG store (default 4096).
 	StoreEntries int

@@ -8,9 +8,12 @@
 package simil
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"hash/fnv"
 	"math"
 	"slices"
+	"strconv"
 
 	"repro/internal/aig"
 	"repro/internal/graph"
@@ -281,30 +284,40 @@ func ASD(p1, p2 *Profile) float64 {
 
 // wlHistogram runs Weisfeiler-Lehman label refinement and accumulates
 // label counts across iterations (iteration 0 uses degrees as labels).
+// A node's signature is its label, then '|' and each neighbour's label
+// in sorted order; its next label is the hex of the signature's sha256
+// truncated to 8 bytes. The stored label is a suffix of the histogram
+// key "round:label", the one allocation per node and round.
 func wlHistogram(g *graph.Graph, iterations int) map[string]int {
 	hist := make(map[string]int)
 	labels := make([]string, g.N)
-	for u := 0; u < g.N; u++ {
-		labels[u] = itoa(g.Degree(u))
-		hist["0:"+labels[u]]++
+	for u := range labels {
+		key := "0:" + strconv.Itoa(g.Degree(u))
+		hist[key]++
+		labels[u] = key[2:]
 	}
+	next := make([]string, g.N)
+	var ns []string
+	var sig, key []byte
 	for it := 1; it <= iterations; it++ {
-		next := make([]string, g.N)
-		for u := 0; u < g.N; u++ {
-			nb := g.Neighbors(u)
-			ns := make([]string, len(nb))
-			for i, v := range nb {
-				ns[i] = labels[v]
+		round := strconv.Itoa(it) + ":"
+		for u := range labels {
+			ns = ns[:0]
+			for _, v := range g.Neighbors(u) {
+				ns = append(ns, labels[v])
 			}
-			sortStrings(ns)
-			sig := labels[u]
-			for _, s := range ns {
-				sig += "|" + s
+			slices.Sort(ns)
+			sig = append(sig[:0], labels[u]...)
+			for _, l := range ns {
+				sig = append(append(sig, '|'), l...)
 			}
-			next[u] = hashLabel(sig)
-			hist[itoa(it)+":"+next[u]]++
+			sum := sha256.Sum256(sig)
+			key = hex.AppendEncode(append(key[:0], round...), sum[:8])
+			k := string(key)
+			hist[k]++
+			next[u] = k[len(round):]
 		}
-		labels = next
+		labels, next = next, labels
 	}
 	return hist
 }
@@ -422,7 +435,7 @@ func Needs(metrics []Metric) Artifacts {
 // registry holds all ten pairwise measures in the paper's order (Table
 // I then Table II, with the three operator scores and RRR). Nothing
 // writes it after package initialization.
-var registry = []Metric{
+var registry = [...]Metric{
 	{"VEO", Traditional, true, NeedOverlap, VEO},
 	{"NetSimile", Traditional, false, NeedNetSimile, NetSimile},
 	{"WLKernel", Traditional, true, NeedWL, WLKernel},
@@ -435,17 +448,25 @@ var registry = []Metric{
 	{"RRRScore", AIGSpecific, false, NeedOptScores, RRRScore},
 }
 
+// NumMetrics is the number of registered metrics.
+const NumMetrics = len(registry)
+
 // Metrics returns a copy of the registry, which the caller may modify.
 func Metrics() []Metric {
-	return slices.Clone(registry)
+	return slices.Clone(registry[:])
+}
+
+// MetricIndex returns the named metric's position in the order
+// Metrics returns, or -1 and false for a name outside the registry.
+func MetricIndex(name string) (int, bool) {
+	i := slices.IndexFunc(registry[:], func(m Metric) bool { return m.Name == name })
+	return i, i >= 0
 }
 
 // MetricByName returns the named metric.
 func MetricByName(name string) (Metric, bool) {
-	for _, m := range registry {
-		if m.Name == name {
-			return m, true
-		}
+	if i, ok := MetricIndex(name); ok {
+		return registry[i], true
 	}
 	return Metric{}, false
 }

@@ -8,6 +8,10 @@
 # Binaries and scratch files go under $TMPDIR (default /tmp). The
 # smokes listen on 127.0.0.1 ports 8347, 8351-8353, 8358 and 8361-8363.
 set -euxo pipefail
+# Under pipefail a reader that quits early (grep -q, head -1) fails the
+# pipeline when its producer then dies of SIGPIPE (141) or curl exits
+# 23. So output is checked from a file, and a pipe's reader reads to
+# the end (sed -n 1p, tail, jq).
 cd "$(dirname "$0")/.."
 T=${TMPDIR:-/tmp}
 # A failed assertion must not leave daemons holding the ports.
@@ -50,7 +54,8 @@ smoke_aigd() {
   grep -q 'service/pair_scores' $T/trace.json
   # RED metrics for the endpoint made it to /metrics, and the
   # access log carries the trace ID.
-  curl -sf localhost:8347/metrics | grep -q 'repro_service_red_post_v1_metrics_requests_total 1'
+  curl -sf localhost:8347/metrics > $T/metrics.txt
+  grep -q 'repro_service_red_post_v1_metrics_requests_total 1' $T/metrics.txt
   grep -q "\"trace_id\":\"$TID\"" $T/access.jsonl
   kill -TERM "$AIGD_PID"
   wait "$AIGD_PID"
@@ -129,7 +134,7 @@ smoke_cluster() {
   done
   A=$($T/aigw -peers "$PEERS" submit $T/a.aag | sed -En 's/.*"fingerprint": "([^"]*)".*/\1/p')
   B=$($T/aigw -peers "$PEERS" submit $T/b.aag | sed -En 's/.*"fingerprint": "([^"]*)".*/\1/p')
-  OWNER=$($T/aigw -peers "$PEERS" route "$A" "$B" | head -1)
+  OWNER=$($T/aigw -peers "$PEERS" route "$A" "$B" | sed -n 1p)
   OWNER_PORT=835${OWNER#n}
   SURVIVOR=$($T/aigw -peers "$PEERS" route "$A" "$B" | tail -1)
   SURVIVOR_PORT=835${SURVIVOR#n}
@@ -147,7 +152,8 @@ smoke_cluster() {
   grep -qi "X-Trace-Id: $TID" $T/h2.txt
   # health exits 1 while a member is down; the assertion here is
   # the report, not the exit code.
-  ($T/aigw -peers "$PEERS" health || true) | grep -q "$OWNER down"
+  ($T/aigw -peers "$PEERS" health || true) > $T/health.txt
+  grep -q "$OWNER down" $T/health.txt
   for id in n1 n2 n3; do
     [ "$id" = "$OWNER" ] || kill -TERM "${PIDS[$id]}"
   done
@@ -200,7 +206,8 @@ smoke_rolling_restart() {
   curl -s -o /dev/null -D $T/dh.txt 127.0.0.1:8361/healthz
   grep -q '503' $T/dh.txt
   grep -qi 'Retry-After:' $T/dh.txt
-  ($T/aigw -peers "$PEERS" health || true) | grep -q 'n1 down'
+  ($T/aigw -peers "$PEERS" health || true) > $T/health0.txt
+  grep -q 'n1 down' $T/health0.txt
   # ... while scores keep answering byte-identically mid-drain.
   $T/aigw -peers "$PEERS" metrics "$A" "$B" > $T/m1.json
   diff $T/m0.json $T/m1.json

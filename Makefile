@@ -59,15 +59,17 @@ smoke:
 	scripts/smoke.sh rolling_restart
 
 # fuzz hammers the AIGER parser, the aigd request decoders, the
-# optimization passes, two-level minimization and factoring, XAG/MIG
-# cone rewriting and the dense eigensolver with coverage-guided random
-# inputs: parse-or-error (never panic), round trips, every pass and flow
-# returning a valid AIG equivalent to its input, covers and factored
-# forms of tables of 1 to 10 variables realizing them and equal to the
-# map-based oracles', AIG imports into XAGs and MIGs staying valid and
-# equivalent through a rewriting pass, and the adjacency spectra of
-# graphs of up to 300 nodes summing to 0 with squares summing to twice
-# the edge count (and matching the Jacobi oracle up to 48 nodes).
+# optimization passes, two-level minimization and factoring, the
+# synthesis recipes, XAG/MIG cone rewriting and the dense eigensolver
+# with coverage-guided random inputs: parse-or-error (never panic), round
+# trips, every pass and flow returning a valid AIG equivalent to its
+# input, covers and factored forms of tables of 1 to 10 variables
+# realizing them and equal to the map-based oracles', every AIG, XAG and
+# MIG recipe building such a table as a valid graph, AIG imports into
+# XAGs and MIGs staying valid and equivalent through a rewriting pass,
+# and the adjacency spectra of graphs of up to 300 nodes summing to 0
+# with squares summing to twice the edge count (and matching the Jacobi
+# oracle up to 48 nodes).
 # Override the budget with FUZZTIME=1m.
 FUZZTIME ?= 10s
 
@@ -76,6 +78,7 @@ fuzz:
 	go test -run '^$$' -fuzz '^FuzzHandlers$$' -fuzztime $(FUZZTIME) ./internal/service
 	go test -run '^$$' -fuzz '^FuzzOptimize$$' -fuzztime $(FUZZTIME) ./internal/opt
 	go test -run '^$$' -fuzz '^FuzzFactor$$' -fuzztime $(FUZZTIME) ./internal/sop
+	go test -run '^$$' -fuzz '^FuzzRecipes$$' -fuzztime $(FUZZTIME) ./internal/gatenet
 	go test -run '^$$' -fuzz '^FuzzRewrite$$' -fuzztime $(FUZZTIME) ./internal/gatenet
 	go test -run '^$$' -fuzz '^FuzzSpectrum$$' -fuzztime $(FUZZTIME) ./internal/graph
 

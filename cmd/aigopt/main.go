@@ -10,6 +10,12 @@
 // zero-cost), rf/rfz (refactor), rs/rsz (resub), lut4/lut6 (LUT round
 // trip) — or a flow name (orchestrate, dc2, deepsyn, compress).
 //
+// -verify checks the result against the input with aig.CheckEquivalence,
+// as aigsim -equiv does: a differing output exits 1 without writing the
+// output file. Above 16 inputs random simulation cannot prove
+// equivalence, so when no output differs aigopt still writes the output
+// but prints aigsim's INCONCLUSIVE verdict to stderr and exits 3.
+//
 // SIGINT/SIGTERM stop the script gracefully: the flow in progress
 // returns its best equivalent AIG so far, remaining atoms are skipped,
 // and the output file is still written. -flow-timeout bounds each flow
@@ -35,7 +41,7 @@ import (
 func main() {
 	script := flag.String("script", "dc2", "optimization script (see doc)")
 	seed := flag.Int64("seed", 1, "seed for randomized flows")
-	verify := flag.Bool("verify", false, "check equivalence by random simulation (and exhaustively up to 16 inputs)")
+	verify := flag.Bool("verify", false, "check equivalence exhaustively up to 16 inputs; above, exit 3 unless random simulation refutes it")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /debug/vars, /debug/pprof on this address during the run")
 	eventsPath := flag.String("events", "", "append JSONL optimization events to this file")
 	flowTimeout := flag.Duration("flow-timeout", 0, "wall-clock budget per flow atom (0 = unbounded)")
@@ -103,9 +109,16 @@ func main() {
 	if ctx.Err() != nil {
 		fmt.Fprintln(os.Stderr, "aigopt: interrupted; writing the best AIG reached so far")
 	}
+	inconclusive := ""
 	if *verify {
-		if err := verifyEquiv(g, og); err != nil {
+		verdict, outcome, err := aig.CheckEquivalence(g, og)
+		switch {
+		case err != nil:
 			fatal(err)
+		case outcome == aig.EquivRefuted:
+			fatal(fmt.Errorf("VERIFICATION FAILED: %s", verdict))
+		case outcome == aig.EquivInconclusive:
+			inconclusive = verdict
 		}
 	}
 	final := og.Cleanup()
@@ -134,6 +147,10 @@ func main() {
 		if err := eventsFile.Close(); err != nil {
 			fatal(fmt.Errorf("closing events file %s: %w", *eventsPath, err))
 		}
+	}
+	if inconclusive != "" {
+		fmt.Fprintln(os.Stderr, inconclusive)
+		os.Exit(aig.EquivInconclusive)
 	}
 }
 
@@ -182,28 +199,6 @@ func runScript(ctx context.Context, g *aig.AIG, script string, seed int64, flowT
 		}
 	}
 	return cur, nil
-}
-
-func verifyEquiv(a, b *aig.AIG) error {
-	if a.NumPIs() <= 16 {
-		idx, err := aig.Equivalent(a, b)
-		if err != nil {
-			return err
-		}
-		if idx != -1 {
-			return fmt.Errorf("VERIFICATION FAILED: output %d differs", idx)
-		}
-		return nil
-	}
-	r := newRand()
-	idx, err := aig.RandomSimCheck(a, b, 256, r)
-	if err != nil {
-		return err
-	}
-	if idx != -1 {
-		return fmt.Errorf("VERIFICATION FAILED: output %d differs", idx)
-	}
-	return nil
 }
 
 func fatal(err error) {

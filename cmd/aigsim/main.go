@@ -16,20 +16,10 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 
 	"repro/internal/aig"
 	"repro/internal/aiger"
-	"repro/internal/tt"
-)
-
-// randomRounds is the number of 64-pattern simulation rounds -equiv runs
-// above tt.MaxVars inputs; exitInconclusive is its status when none
-// differs.
-const (
-	randomRounds     = 256
-	exitInconclusive = 3
 )
 
 func main() {
@@ -50,7 +40,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		verdict, code, err := checkEquiv(a, b)
+		verdict, code, err := aig.CheckEquivalence(a, b)
 		if err != nil {
 			fatal(err)
 		}
@@ -106,29 +96,6 @@ func main() {
 			fmt.Printf("%s = 0x%s\n", name, o.Hex())
 		}
 	}
-}
-
-// checkEquiv compares a and b and returns the verdict line and the exit
-// status. Only exhaustive simulation proves equivalence; above
-// tt.MaxVars inputs agreement on random patterns is inconclusive.
-func checkEquiv(a, b *aig.AIG) (string, int, error) {
-	var idx int
-	var err error
-	if a.NumPIs() <= tt.MaxVars {
-		idx, err = aig.Equivalent(a, b)
-	} else {
-		idx, err = aig.RandomSimCheck(a, b, randomRounds, rand.New(rand.NewSource(1)))
-	}
-	switch {
-	case err != nil:
-		return "", 1, err
-	case idx != -1:
-		return fmt.Sprintf("NOT EQUIVALENT: output %d differs", idx), 1, nil
-	case a.NumPIs() > tt.MaxVars:
-		return fmt.Sprintf("INCONCLUSIVE: no output differs on %d random patterns, but %d inputs exceed the exhaustive limit of %d",
-			randomRounds*64, a.NumPIs(), tt.MaxVars), exitInconclusive, nil
-	}
-	return "equivalent", 0, nil
 }
 
 func b2i(v bool) int {

@@ -53,17 +53,17 @@ func TestCheckEquiv(t *testing.T) {
 	}{
 		{"equivalent", andChain(8, true), andChain(8, false), 0, "equivalent"},
 		{"different", andChain(8, true), constZero(8), 1, "NOT EQUIVALENT: output 0 differs"},
-		{"inconclusive", andChain(17, true), andChain(17, false), exitInconclusive,
+		{"inconclusive", andChain(17, true), andChain(17, false), aig.EquivInconclusive,
 			"INCONCLUSIVE: no output differs on 16384 random patterns, but 17 inputs exceed the exhaustive limit of 16"},
 	} {
-		verdict, code, err := checkEquiv(tc.a, tc.b)
+		verdict, code, err := aig.CheckEquivalence(tc.a, tc.b)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		if code != tc.code || !strings.HasPrefix(verdict, tc.verdict) {
 			t.Errorf("%s: got %q, exit %d; want %q, exit %d", tc.name, verdict, code, tc.verdict, tc.code)
 		}
-		if code == exitInconclusive && strings.Contains(strings.ToLower(verdict), "equivalent") {
+		if code == aig.EquivInconclusive && strings.Contains(strings.ToLower(verdict), "equivalent") {
 			t.Errorf("%s: inconclusive verdict %q claims equivalence", tc.name, verdict)
 		}
 	}
@@ -75,7 +75,7 @@ func TestCheckEquiv(t *testing.T) {
 // be "equivalent".
 func TestCheckEquivNeverClaimsUnproven(t *testing.T) {
 	for m := uint(0); m < 8; m++ {
-		verdict, code, err := checkEquiv(minterm(17, m), constZero(17))
+		verdict, code, err := aig.CheckEquivalence(minterm(17, m), constZero(17))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -151,6 +151,42 @@ func RandomSimCheck(a, b *AIG, rounds int, r *rand.Rand) (int, error) {
 	return -1, nil
 }
 
+// EquivRounds is the number of 64-pattern random simulation rounds
+// CheckEquivalence runs above tt.MaxVars inputs.
+const EquivRounds = 256
+
+// The outcomes of CheckEquivalence. Their values are the exit statuses
+// of aigsim -equiv and aigopt -verify.
+const (
+	EquivProved       = 0 // every output agrees on every input pattern
+	EquivRefuted      = 1 // some output differs
+	EquivInconclusive = 3 // no output differs on random patterns alone
+)
+
+// CheckEquivalence compares a and b and returns a one-line verdict with
+// its outcome. Only exhaustive simulation proves equivalence: above
+// tt.MaxVars inputs, EquivRounds rounds of seeded random simulation can
+// refute it, and otherwise the verdict is EquivInconclusive.
+func CheckEquivalence(a, b *AIG) (string, int, error) {
+	var idx int
+	var err error
+	if a.NumPIs() <= tt.MaxVars {
+		idx, err = Equivalent(a, b)
+	} else {
+		idx, err = RandomSimCheck(a, b, EquivRounds, rand.New(rand.NewSource(1)))
+	}
+	switch {
+	case err != nil:
+		return "", EquivRefuted, err
+	case idx != -1:
+		return fmt.Sprintf("NOT EQUIVALENT: output %d differs", idx), EquivRefuted, nil
+	case a.NumPIs() > tt.MaxVars:
+		return fmt.Sprintf("INCONCLUSIVE: no output differs on %d random patterns, but %d inputs exceed the exhaustive limit of %d",
+			EquivRounds*64, a.NumPIs(), tt.MaxVars), EquivInconclusive, nil
+	}
+	return "equivalent", EquivProved, nil
+}
+
 // Eval evaluates all outputs on a single assignment, where bit i of input
 // holds the value of PI i.
 func (g *AIG) Eval(input uint64) []bool {

@@ -1,10 +1,13 @@
 package gatenet_test
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"repro/internal/aig"
 	"repro/internal/mig"
+	"repro/internal/synth"
+	"repro/internal/tt"
 	"repro/internal/xag"
 )
 
@@ -86,6 +89,64 @@ func FuzzRewrite(f *testing.F) {
 		if xr.NumGates() > x.NumGates() || mr.NumGates() > m.NumGates() {
 			t.Fatalf("rewrite grew the graph: xag %d -> %d, mig %d -> %d",
 				x.NumGates(), xr.NumGates(), m.NumGates(), mr.NumGates())
+		}
+	})
+}
+
+// decodeTable turns fuzz bytes into a table with sop's FuzzFactor
+// encoding. The first byte picks the variable count (1..10); the
+// following bytes fill its words, eight to a word, low byte first, and
+// missing bytes are zero.
+func decodeTable(data []byte) tt.TT {
+	n := 1
+	if len(data) > 0 {
+		n, data = 1+int(data[0])%10, data[1:]
+	}
+	words := make([]uint64, tt.WordCount(n))
+	for i := range words {
+		var b [8]byte
+		copy(b[:], data[min(len(data), 8*i):])
+		words[i] = binary.LittleEndian.Uint64(b[:])
+	}
+	return tt.FromWords(n, words)
+}
+
+// built is what FuzzRecipes needs of an AIG, an XAG or a MIG.
+type built interface {
+	Check() error
+	OutputTTs() []tt.TT
+}
+
+// FuzzRecipes builds a decoded table with every AIG, XAG and MIG
+// recipe: each graph must pass Check and compute the table.
+//
+// Run with: make fuzz   (or: go test -fuzz '^FuzzRecipes$' ./internal/gatenet)
+func FuzzRecipes(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{2, 0x96})                                     // 3-input parity
+	f.Add([]byte{2, 0xe8})                                     // majority
+	f.Add([]byte{6, 0x88, 0x00, 0x0f, 0xf0, 0x12, 0x34, 0x56}) // 7 inputs, sparse
+	f.Add([]byte{9, 0xff, 0x00, 0xaa, 0x55, 0xcc, 0x33, 0xf0, 0x0f, 0x01, 0x80, 0x7e})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fn := decodeTable(data)
+		spec := []tt.TT{fn}
+		check := func(name string, g built) {
+			t.Helper()
+			if err := g.Check(); err != nil {
+				t.Fatalf("%s on %d vars %s: %v", name, fn.NumVars(), fn.Hex(), err)
+			}
+			if out := g.OutputTTs(); len(out) != 1 || !out[0].Equal(fn) {
+				t.Fatalf("%s on %d vars %s: wrong function", name, fn.NumVars(), fn.Hex())
+			}
+		}
+		for _, r := range synth.Recipes() {
+			check("aig/"+r.Name, r.Build(spec))
+		}
+		for _, r := range xag.Recipes() {
+			check("xag/"+r.Name, r.Build(spec))
+		}
+		for _, r := range mig.Recipes() {
+			check("mig/"+r.Name, r.Build(spec))
 		}
 	})
 }

@@ -10,6 +10,11 @@
 // chained expression construction. What a graph type means — which
 // gates it builds and how it resynthesizes a cone — stays in xag and
 // mig.
+//
+// It also holds the recipe pieces that AIGs (package synth), XAGs and
+// MIGs share, written once over each graph type's own gates: the
+// recipe table and lookup, Shannon expansion, BDD-to-MUX conversion,
+// the balanced XOR tree and the sparser-polarity ANF.
 package gatenet
 
 import (

@@ -4,6 +4,8 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"regexp"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -102,6 +104,48 @@ func (g *callGraph) sortedNodes() []*funcNode {
 	}
 	sort.Slice(all, func(i, j int) bool { return QualifiedName(all[i].fn) < QualifiedName(all[j].fn) })
 	return all
+}
+
+// reachable walks static call edges breadth-first from every function
+// whose qualified name matches one of the root patterns, seeding the
+// roots in name order. It returns the reached functions ordered by
+// qualified name, and for each the name of the root that reached it
+// first (for diagnostics). No patterns reach nothing.
+func (g *callGraph) reachable(patterns []string) ([]*funcNode, map[*funcNode]string, error) {
+	var roots []*regexp.Regexp
+	for _, pat := range patterns {
+		re, err := regexp.Compile(pat)
+		if err != nil {
+			return nil, nil, err
+		}
+		roots = append(roots, re)
+	}
+	rootOf := map[*funcNode]string{}
+	var worklist []*funcNode
+	for _, node := range g.sortedNodes() {
+		name := QualifiedName(node.fn)
+		if slices.ContainsFunc(roots, func(re *regexp.Regexp) bool { return re.MatchString(name) }) {
+			worklist = append(worklist, node)
+			rootOf[node] = name
+		}
+	}
+	for len(worklist) > 0 {
+		node := worklist[0]
+		worklist = worklist[1:]
+		for _, callee := range g.calleesOf(node) {
+			if _, ok := rootOf[callee]; ok {
+				continue
+			}
+			rootOf[callee] = rootOf[node]
+			worklist = append(worklist, callee)
+		}
+	}
+	reached := make([]*funcNode, 0, len(rootOf))
+	for node := range rootOf {
+		reached = append(reached, node)
+	}
+	sort.Slice(reached, func(i, j int) bool { return QualifiedName(reached[i].fn) < QualifiedName(reached[j].fn) })
+	return reached, rootOf, nil
 }
 
 // --- per-function summaries -------------------------------------------

@@ -4,8 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"regexp"
-	"sort"
 )
 
 // DeterminismAnalyzer guards the repository's byte-identity surface:
@@ -37,57 +35,10 @@ var DeterminismAnalyzer = &Analyzer{
 }
 
 func runDeterminism(pass *Pass) error {
-	var roots []*regexp.Regexp
-	for _, pat := range pass.Config.DeterminismRoots {
-		re, err := regexp.Compile(pat)
-		if err != nil {
-			return err
-		}
-		roots = append(roots, re)
+	reached, rootOf, err := pass.Prog.graph(pass.Config).reachable(pass.Config.DeterminismRoots)
+	if err != nil {
+		return err
 	}
-	if len(roots) == 0 {
-		return nil
-	}
-	graph := pass.Prog.graph(pass.Config)
-
-	// Seed the worklist with every function matching a root pattern.
-	var worklist []*funcNode
-	rootOf := map[*funcNode]string{}
-	var all []*funcNode
-	for _, node := range graph.nodes {
-		all = append(all, node)
-	}
-	sort.Slice(all, func(i, j int) bool { return QualifiedName(all[i].fn) < QualifiedName(all[j].fn) })
-	for _, node := range all {
-		name := QualifiedName(node.fn)
-		for _, re := range roots {
-			if re.MatchString(name) {
-				worklist = append(worklist, node)
-				rootOf[node] = name
-				break
-			}
-		}
-	}
-
-	// BFS over static call edges, remembering which root reached each
-	// function (for the diagnostic message).
-	for len(worklist) > 0 {
-		node := worklist[0]
-		worklist = worklist[1:]
-		for _, callee := range graph.calleesOf(node) {
-			if _, ok := rootOf[callee]; ok {
-				continue
-			}
-			rootOf[callee] = rootOf[node]
-			worklist = append(worklist, callee)
-		}
-	}
-
-	reached := make([]*funcNode, 0, len(rootOf))
-	for node := range rootOf {
-		reached = append(reached, node)
-	}
-	sort.Slice(reached, func(i, j int) bool { return QualifiedName(reached[i].fn) < QualifiedName(reached[j].fn) })
 	for _, node := range reached {
 		checkDeterminism(pass, node, rootOf[node])
 	}

@@ -4,8 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"regexp"
-	"sort"
 )
 
 // GoLifecycleAnalyzer bans fire-and-forget goroutines in serving code.
@@ -41,53 +39,15 @@ var GoLifecycleAnalyzer = &Analyzer{
 }
 
 func runGoLifecycle(pass *Pass) error {
-	var roots []*regexp.Regexp
-	for _, pat := range pass.Config.GoLifecycleRoots {
-		re, err := regexp.Compile(pat)
-		if err != nil {
-			return err
-		}
-		roots = append(roots, re)
-	}
-	if len(roots) == 0 {
-		return nil
-	}
 	graph := pass.Prog.graph(pass.Config)
+	reached, rootOf, err := graph.reachable(pass.Config.GoLifecycleRoots)
+	if err != nil {
+		return err
+	}
 	detached := map[string]bool{}
 	for _, name := range pass.Config.DetachedGoroutines {
 		detached[name] = true
 	}
-
-	// BFS over static call edges from the roots (same discipline as the
-	// determinism analyzer).
-	rootOf := map[*funcNode]string{}
-	var worklist []*funcNode
-	for _, node := range graph.sortedNodes() {
-		name := QualifiedName(node.fn)
-		for _, re := range roots {
-			if re.MatchString(name) {
-				worklist = append(worklist, node)
-				rootOf[node] = name
-				break
-			}
-		}
-	}
-	for len(worklist) > 0 {
-		node := worklist[0]
-		worklist = worklist[1:]
-		for _, callee := range graph.calleesOf(node) {
-			if _, ok := rootOf[callee]; ok {
-				continue
-			}
-			rootOf[callee] = rootOf[node]
-			worklist = append(worklist, callee)
-		}
-	}
-	reached := make([]*funcNode, 0, len(rootOf))
-	for node := range rootOf {
-		reached = append(reached, node)
-	}
-	sort.Slice(reached, func(i, j int) bool { return QualifiedName(reached[i].fn) < QualifiedName(reached[j].fn) })
 	for _, node := range reached {
 		checkGoLifecycle(pass, graph, node, rootOf[node], detached)
 	}

@@ -2,7 +2,6 @@ package mig
 
 import (
 	"repro/internal/aig"
-	"repro/internal/bdd"
 	"repro/internal/gatenet"
 	"repro/internal/sop"
 	"repro/internal/tt"
@@ -105,34 +104,4 @@ func SynthFactored(spec []tt.TT) *MIG {
 
 // SynthBDD builds a shared sifted BDD and converts each node to a
 // majority multiplexer.
-func SynthBDD(spec []tt.TT) *MIG {
-	n := gatenet.Inputs(spec)
-	widest := 0
-	for i, f := range spec {
-		if f.SupportSize() > spec[widest].SupportSize() {
-			widest = i
-		}
-	}
-	order := bdd.SiftOrder(spec[widest], 2)
-	m := bdd.NewManager(n)
-	roots := make([]int32, len(spec))
-	for i, f := range spec {
-		roots[i] = m.FromTT(f.Permute(order))
-	}
-	g := New(n)
-	memo := map[int32]aig.Lit{bdd.False: aig.LitFalse, bdd.True: aig.LitTrue}
-	var conv func(node int32) aig.Lit
-	conv = func(node int32) aig.Lit {
-		if l, ok := memo[node]; ok {
-			return l
-		}
-		sel := g.PI(order[m.Level(node)])
-		l := g.Mux(sel, conv(m.High(node)), conv(m.Low(node)))
-		memo[node] = l
-		return l
-	}
-	for _, r := range roots {
-		g.AddPO(conv(r))
-	}
-	return g.Cleanup()
-}
+func SynthBDD(spec []tt.TT) *MIG { return gatenet.BDD(New, spec) }

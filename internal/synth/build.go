@@ -42,25 +42,6 @@ func BalancedOr(g *aig.AIG, lits []aig.Lit) aig.Lit {
 	return BalancedAnd(g, inv).Not()
 }
 
-// BalancedXor builds a minimum-depth XOR tree over the literals.
-func BalancedXor(g *aig.AIG, lits []aig.Lit) aig.Lit {
-	if len(lits) == 0 {
-		return aig.LitFalse
-	}
-	work := append([]aig.Lit(nil), lits...)
-	for len(work) > 1 {
-		var next []aig.Lit
-		for i := 0; i+1 < len(work); i += 2 {
-			next = append(next, g.Xor(work[i], work[i+1]))
-		}
-		if len(work)%2 == 1 {
-			next = append(next, work[len(work)-1])
-		}
-		work = next
-	}
-	return work[0]
-}
-
 // ChainAnd builds a left-deep AND chain (maximum depth, minimum width).
 func ChainAnd(g *aig.AIG, lits []aig.Lit) aig.Lit {
 	out := aig.LitTrue
@@ -128,20 +109,4 @@ func ExprLit(g *aig.AIG, e *sop.Expr, inputs []aig.Lit) aig.Lit {
 		return BalancedOr(g, lits)
 	}
 	panic("synth: invalid expression kind")
-}
-
-// mostBinateVar picks the support variable whose two cofactors differ the
-// most, a standard Shannon/BDD branching heuristic.
-func mostBinateVar(f tt.TT) int {
-	best, bestScore := -1, -1
-	for v := 0; v < f.NumVars(); v++ {
-		if !f.HasVar(v) {
-			continue
-		}
-		score := f.Cofactor(v, false).Xor(f.Cofactor(v, true)).CountOnes()
-		if score > bestScore {
-			best, bestScore = v, score
-		}
-	}
-	return best
 }

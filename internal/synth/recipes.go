@@ -1,11 +1,10 @@
 package synth
 
 import (
-	"fmt"
 	"math/bits"
 
 	"repro/internal/aig"
-	"repro/internal/bdd"
+	"repro/internal/gatenet"
 	"repro/internal/sop"
 	"repro/internal/tt"
 )
@@ -15,56 +14,24 @@ import (
 // ABC/Espresso synthesis scripts: each follows a different decomposition
 // paradigm and therefore yields a structurally different AIG for the same
 // function.
-type Recipe struct {
-	Name        string
-	Description string
-	Build       func(spec []tt.TT) *aig.AIG
-}
+type Recipe = gatenet.Recipe[*aig.AIG]
 
 // Recipes returns the seven synthesis recipes in canonical order.
 func Recipes() []Recipe {
 	return []Recipe{
-		{"sop", "two-level ISOP, balanced AND-OR trees", SynthSOP},
-		{"esp", "espresso-minimized SOP, chained trees", SynthEspresso},
-		{"fx", "minimized SOP with algebraic factoring", SynthFactored},
-		{"bdd", "sifted ROBDD converted to a MUX tree", SynthBDD},
-		{"shannon", "free-order Shannon decomposition", SynthShannon},
-		{"dsd", "disjoint-support decomposition with Shannon fallback", SynthDSD},
-		{"anf", "Reed-Muller XOR-of-ANDs (ANF) expansion", SynthANF},
+		{Name: "sop", Description: "two-level ISOP, balanced AND-OR trees", Build: SynthSOP},
+		{Name: "esp", Description: "espresso-minimized SOP, chained trees", Build: SynthEspresso},
+		{Name: "fx", Description: "minimized SOP with algebraic factoring", Build: SynthFactored},
+		{Name: "bdd", Description: "sifted ROBDD converted to a MUX tree", Build: SynthBDD},
+		{Name: "shannon", Description: "free-order Shannon decomposition", Build: SynthShannon},
+		{Name: "dsd", Description: "disjoint-support decomposition with Shannon fallback", Build: SynthDSD},
+		{Name: "anf", Description: "Reed-Muller XOR-of-ANDs (ANF) expansion", Build: SynthANF},
 	}
-}
-
-// RecipeNames lists the recipe names in canonical order.
-func RecipeNames() []string {
-	rs := Recipes()
-	names := make([]string, len(rs))
-	for i, r := range rs {
-		names[i] = r.Name
-	}
-	return names
 }
 
 // Synthesize runs the named recipe on the specification.
 func Synthesize(name string, spec []tt.TT) (*aig.AIG, error) {
-	for _, r := range Recipes() {
-		if r.Name == name {
-			return r.Build(spec), nil
-		}
-	}
-	return nil, fmt.Errorf("synth: unknown recipe %q (have %v)", name, RecipeNames())
-}
-
-func checkSpec(spec []tt.TT) int {
-	if len(spec) == 0 {
-		panic("synth: empty specification")
-	}
-	n := spec[0].NumVars()
-	for _, f := range spec[1:] {
-		if f.NumVars() != n {
-			panic("synth: outputs with differing input counts")
-		}
-	}
-	return n
+	return gatenet.Synthesize(Recipes(), name, spec)
 }
 
 func inputLits(g *aig.AIG) []aig.Lit {
@@ -78,8 +45,7 @@ func inputLits(g *aig.AIG) []aig.Lit {
 // SynthSOP builds each output as a balanced OR of balanced cube ANDs from
 // an irredundant SOP (no minimization beyond ISOP).
 func SynthSOP(spec []tt.TT) *aig.AIG {
-	n := checkSpec(spec)
-	g := aig.New(n)
+	g := aig.New(gatenet.Inputs(spec))
 	in := inputLits(g)
 	for _, f := range spec {
 		g.AddPO(CoverLit(g, sop.FromTT(f), in, true))
@@ -90,8 +56,7 @@ func SynthSOP(spec []tt.TT) *aig.AIG {
 // SynthEspresso builds each output from an espresso-minimized cover using
 // chained (left-deep) trees, emphasizing two-level minimization.
 func SynthEspresso(spec []tt.TT) *aig.AIG {
-	n := checkSpec(spec)
-	g := aig.New(n)
+	g := aig.New(gatenet.Inputs(spec))
 	in := inputLits(g)
 	for _, f := range spec {
 		g.AddPO(CoverLit(g, sop.MinimizeTT(f), in, false))
@@ -102,8 +67,7 @@ func SynthEspresso(spec []tt.TT) *aig.AIG {
 // SynthFactored minimizes each output and converts the kernel-factored
 // form into an AIG, the multi-level "fast extract"-style recipe.
 func SynthFactored(spec []tt.TT) *aig.AIG {
-	n := checkSpec(spec)
-	g := aig.New(n)
+	g := aig.New(gatenet.Inputs(spec))
 	in := inputLits(g)
 	for _, f := range spec {
 		expr := sop.Factor(sop.MinimizeTT(f))
@@ -115,82 +79,18 @@ func SynthFactored(spec []tt.TT) *aig.AIG {
 // SynthBDD builds a shared ROBDD of all outputs under a sifted variable
 // order and converts every BDD node into a 2:1 MUX, sharing nodes across
 // outputs.
-func SynthBDD(spec []tt.TT) *aig.AIG {
-	n := checkSpec(spec)
-	// Sift on the widest-support output; share the order across outputs.
-	widest := 0
-	for i, f := range spec {
-		if f.SupportSize() > spec[widest].SupportSize() {
-			widest = i
-		}
-	}
-	order := bdd.SiftOrder(spec[widest], 2)
-	perm := append([]int(nil), order...)
-
-	m := bdd.NewManager(n)
-	roots := make([]int32, len(spec))
-	for i, f := range spec {
-		roots[i] = m.FromTT(f.Permute(perm))
-	}
-
-	g := aig.New(n)
-	memo := map[int32]aig.Lit{
-		bdd.False: aig.LitFalse,
-		bdd.True:  aig.LitTrue,
-	}
-	var conv func(node int32) aig.Lit
-	conv = func(node int32) aig.Lit {
-		if l, ok := memo[node]; ok {
-			return l
-		}
-		// Manager level i tests original variable perm[i].
-		sel := g.PI(perm[m.Level(node)])
-		l := g.Mux(sel, conv(m.High(node)), conv(m.Low(node)))
-		memo[node] = l
-		return l
-	}
-	for _, r := range roots {
-		g.AddPO(conv(r))
-	}
-	return g.Cleanup()
-}
+func SynthBDD(spec []tt.TT) *aig.AIG { return gatenet.BDD(aig.New, spec) }
 
 // SynthShannon decomposes every output by recursive Shannon expansion on
 // the most binate variable, memoizing subfunctions across branches and
 // outputs (a free-order BDD flavor).
-func SynthShannon(spec []tt.TT) *aig.AIG {
-	n := checkSpec(spec)
-	g := aig.New(n)
-	memo := make(map[string]aig.Lit)
-	var rec func(f tt.TT) aig.Lit
-	rec = func(f tt.TT) aig.Lit {
-		if f.IsConst0() {
-			return aig.LitFalse
-		}
-		if f.IsConst1() {
-			return aig.LitTrue
-		}
-		key := f.Hex()
-		if l, ok := memo[key]; ok {
-			return l
-		}
-		v := mostBinateVar(f)
-		l := g.Mux(g.PI(v), rec(f.Cofactor(v, true)), rec(f.Cofactor(v, false)))
-		memo[key] = l
-		return l
-	}
-	for _, f := range spec {
-		g.AddPO(rec(f))
-	}
-	return g.Cleanup()
-}
+func SynthShannon(spec []tt.TT) *aig.AIG { return gatenet.Shannon(aig.New, spec) }
 
 // SynthDSD peels disjoint single-variable decompositions (f = x op g)
 // top-down and falls back to Shannon expansion when none applies,
 // memoizing subfunctions.
 func SynthDSD(spec []tt.TT) *aig.AIG {
-	n := checkSpec(spec)
-	g := aig.New(n)
+	g := aig.New(gatenet.Inputs(spec))
 	memo := make(map[string]aig.Lit)
 	var rec func(f tt.TT) aig.Lit
 	rec = func(f tt.TT) aig.Lit {
@@ -221,7 +121,7 @@ func SynthDSD(spec []tt.TT) *aig.AIG {
 				out = g.Xor(x, sub)
 			}
 		} else {
-			v := mostBinateVar(f)
+			v := gatenet.ShannonVar(f)
 			out = g.Mux(g.PI(v), rec(f.Cofactor(v, true)), rec(f.Cofactor(v, false)))
 		}
 		memo[key] = out
@@ -276,16 +176,11 @@ func topDecomp(f tt.TT) (int, decompOp, tt.TT, bool) {
 // monomials, and feeding such pathological outliers to the diversity
 // study would let raw size differences drown every structural signal.
 func SynthANF(spec []tt.TT) *aig.AIG {
-	n := checkSpec(spec)
-	g := aig.New(n)
+	g := aig.New(gatenet.Inputs(spec))
 	in := inputLits(g)
 	memo := make(map[string]aig.Lit)
 	for _, f := range spec {
-		monomials := f.ANF()
-		outFlip := false
-		if alt := f.Not().ANF(); len(alt) < len(monomials) {
-			monomials, outFlip = alt, true
-		}
+		monomials, outFlip := gatenet.SparserANF(f)
 		// Estimated AIG cost of the XOR expansion vs the factored form.
 		anfCost := 0
 		for _, m := range monomials {
@@ -327,11 +222,11 @@ func lutCascade(g *aig.AIG, f tt.TT, memo map[string]aig.Lit) aig.Lit {
 		expr := sop.Factor(sop.MinimizeTT(f))
 		out = ExprLit(g, expr, inputLits(g))
 	} else {
-		v1 := mostBinateVar(f)
+		v1 := gatenet.ShannonVar(f)
 		f0, f1 := f.Cofactor(v1, false), f.Cofactor(v1, true)
-		v2 := mostBinateVar(f0.Xor(f1).Or(f0)) // second selector from the residue
+		v2 := gatenet.ShannonVar(f0.Xor(f1).Or(f0)) // second selector from the residue
 		if v2 == v1 || v2 < 0 {
-			v2 = mostBinateVar(f1)
+			v2 = gatenet.ShannonVar(f1)
 		}
 		if v2 == v1 || v2 < 0 {
 			for _, s := range sup {
@@ -363,5 +258,5 @@ func buildANF(g *aig.AIG, in []aig.Lit, monomials []uint32) aig.Lit {
 		}
 		terms = append(terms, BalancedAnd(g, lits))
 	}
-	return BalancedXor(g, terms)
+	return gatenet.BalancedXor(g, terms)
 }

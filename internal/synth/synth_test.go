@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/aig"
+	"repro/internal/gatenet"
 	"repro/internal/tt"
 )
 
@@ -85,8 +86,8 @@ func TestSynthesizeDispatch(t *testing.T) {
 	if _, err := Synthesize("nope", spec); err == nil {
 		t.Error("unknown recipe should error")
 	}
-	if len(RecipeNames()) != 7 {
-		t.Errorf("want 7 recipes, have %d", len(RecipeNames()))
+	if len(Recipes()) != 7 {
+		t.Errorf("want 7 recipes, have %d", len(Recipes()))
 	}
 }
 
@@ -106,18 +107,18 @@ func TestBalancedTrees(t *testing.T) {
 	if BalancedAnd(g, nil) != aig.LitTrue || BalancedOr(g, nil) != aig.LitFalse {
 		t.Error("empty tree identities wrong")
 	}
-	if BalancedXor(g, nil) != aig.LitFalse {
+	if gatenet.BalancedXor(g, nil) != aig.LitFalse {
 		t.Error("empty XOR should be false")
 	}
 	one := []aig.Lit{g.PI(0)}
-	if BalancedAnd(g, one) != g.PI(0) || BalancedXor(g, one) != g.PI(0) {
+	if BalancedAnd(g, one) != g.PI(0) || gatenet.BalancedXor(g, one) != g.PI(0) {
 		t.Error("singleton tree should be identity")
 	}
 }
 
 func TestXorTreeCorrect(t *testing.T) {
 	g := aig.New(5)
-	g.AddPO(BalancedXor(g, inputLits(g)))
+	g.AddPO(gatenet.BalancedXor(g, inputLits(g)))
 	want := tt.Var(0, 5)
 	for v := 1; v < 5; v++ {
 		want = want.Xor(tt.Var(v, 5))

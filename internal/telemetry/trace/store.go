@@ -22,12 +22,13 @@ type StoreConfig struct {
 	// SampleRate is the probability a completed, unremarkable trace
 	// (no error, not slowest-N) survives eviction pressure. Default 0.1.
 	SampleRate float64
-	// MaxSpans caps spans recorded per trace; excess spans still feed
-	// the aggregate histograms but are dropped from the tree (counted
-	// in trace/spans_dropped). Default 1024. Events per span are capped
-	// by maxEventsPerSpan.
-	MaxSpans int
 }
+
+// maxSpansPerTrace caps the spans recorded per trace; excess spans still
+// feed the aggregate histograms but are dropped from the tree (counted
+// in trace/spans_dropped). Events per span are capped by
+// maxEventsPerSpan.
+const maxSpansPerTrace = 1024
 
 func (c StoreConfig) withDefaults() StoreConfig {
 	if c.Capacity <= 0 {
@@ -41,9 +42,6 @@ func (c StoreConfig) withDefaults() StoreConfig {
 	}
 	if c.SampleRate > 1 {
 		c.SampleRate = 1
-	}
-	if c.MaxSpans <= 0 {
-		c.MaxSpans = 1024
 	}
 	return c
 }
@@ -131,7 +129,7 @@ func (st *Store) spanStarted(sp *Span) {
 	if sp.start.Before(rec.start) {
 		rec.start = sp.start
 	}
-	if rec.started >= st.cfg.MaxSpans {
+	if rec.started >= maxSpansPerTrace {
 		sp.dropped = true
 		rec.dropped++
 		st.mu.Unlock()

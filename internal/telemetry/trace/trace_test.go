@@ -222,16 +222,16 @@ func TestSpanFailAndAttrs(t *testing.T) {
 }
 
 func TestSpanBudget(t *testing.T) {
-	st := withStore(t, StoreConfig{MaxSpans: 4})
+	st := withStore(t, StoreConfig{})
 	ctx, root := Start(context.Background(), "test/root")
-	for i := 0; i < 10; i++ {
+	for i := 0; i < maxSpansPerTrace+6; i++ {
 		_, sp := Start(ctx, "test/child")
 		sp.End()
 	}
 	root.End()
 	v, _ := st.Get(root.Context().TraceID.String())
-	if len(v.Spans) != 4 {
-		t.Fatalf("got %d spans, want 4 (budget)", len(v.Spans))
+	if len(v.Spans) != maxSpansPerTrace {
+		t.Fatalf("got %d spans, want %d (budget)", len(v.Spans), maxSpansPerTrace)
 	}
 	if v.DroppedSpans != 7 {
 		t.Fatalf("dropped = %d, want 7", v.DroppedSpans)

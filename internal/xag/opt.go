@@ -20,7 +20,7 @@ func Rewrite(g *XAG) *XAG { return &XAG{gatenet.Rewrite(g.Net, resynthesize)} }
 // resynthesize prices a cone function as the cheaper of its ANF, in the
 // sparser polarity, and its factored form, preferring the ANF on ties.
 func resynthesize(f tt.TT) (int, func(*gatenet.Net, []aig.Lit) aig.Lit) {
-	mon, invert := sparserANF(f)
+	mon, invert := gatenet.SparserANF(f)
 	anfCost := max(len(mon)-1, 0) // XORs joining the monomials
 	for _, m := range mon {
 		anfCost += max(bits.OnesCount32(m)-1, 0) // ANDs within each

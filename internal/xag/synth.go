@@ -33,24 +33,14 @@ func SynthANF(spec []tt.TT) *XAG {
 	g := New(gatenet.Inputs(spec))
 	pis := g.PIs()
 	for _, f := range spec {
-		mon, invert := sparserANF(f)
+		mon, invert := gatenet.SparserANF(f)
 		terms := make([]aig.Lit, len(mon))
 		for i, m := range mon {
 			terms[i] = g.monomial(m, pis)
 		}
-		g.AddPO(g.balancedXor(terms).NotCond(invert))
+		g.AddPO(gatenet.BalancedXor(g, terms).NotCond(invert))
 	}
 	return g.Cleanup()
-}
-
-// sparserANF returns the ANF monomials of f or of its complement,
-// whichever has fewer, and whether the complement was taken.
-func sparserANF(f tt.TT) ([]uint32, bool) {
-	mon := f.ANF()
-	if alt := f.Not().ANF(); len(alt) < len(mon) {
-		return alt, true
-	}
-	return mon, false
 }
 
 // monomial returns the AND chain of the leaves whose bits are set in m.
@@ -62,24 +52,6 @@ func (g *XAG) monomial(m uint32, leaves []aig.Lit) aig.Lit {
 		}
 	}
 	return term
-}
-
-// balancedXor returns the XOR of terms as a balanced tree.
-func (g *XAG) balancedXor(terms []aig.Lit) aig.Lit {
-	if len(terms) == 0 {
-		return aig.LitFalse
-	}
-	for len(terms) > 1 {
-		var next []aig.Lit
-		for i := 0; i+1 < len(terms); i += 2 {
-			next = append(next, g.Xor(terms[i], terms[i+1]))
-		}
-		if len(terms)%2 == 1 {
-			next = append(next, terms[len(terms)-1])
-		}
-		terms = next
-	}
-	return terms[0]
 }
 
 // SynthFactored minimizes and factors each output, building it from
@@ -96,28 +68,4 @@ func SynthFactored(spec []tt.TT) *XAG {
 
 // SynthShannon decomposes by Shannon expansion using the XOR-form
 // multiplexer e XOR (s AND (t XOR e)), memoizing subfunctions.
-func SynthShannon(spec []tt.TT) *XAG {
-	g := New(gatenet.Inputs(spec))
-	memo := make(map[string]aig.Lit)
-	var rec func(f tt.TT) aig.Lit
-	rec = func(f tt.TT) aig.Lit {
-		if f.IsConst0() {
-			return aig.LitFalse
-		}
-		if f.IsConst1() {
-			return aig.LitTrue
-		}
-		key := f.Hex()
-		if l, ok := memo[key]; ok {
-			return l
-		}
-		v := gatenet.ShannonVar(f)
-		l := g.Mux(g.PI(v), rec(f.Cofactor(v, true)), rec(f.Cofactor(v, false)))
-		memo[key] = l
-		return l
-	}
-	for _, f := range spec {
-		g.AddPO(rec(f))
-	}
-	return g.Cleanup()
-}
+func SynthShannon(spec []tt.TT) *XAG { return gatenet.Shannon(New, spec) }

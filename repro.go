@@ -36,7 +36,9 @@ type Variant struct {
 }
 
 // SynthesizeAll builds the function with every recipe and profiles each
-// result, ready for pairwise diversity measurement.
+// result, ready for pairwise diversity measurement. Each profile is
+// seeded from its AIG's fingerprint, as the harness and aigd seed
+// theirs, so an AIG scores the same everywhere.
 func SynthesizeAll(spec []tt.TT) []Variant {
 	var out []Variant
 	for _, r := range synth.Recipes() {
@@ -44,7 +46,7 @@ func SynthesizeAll(spec []tt.TT) []Variant {
 		out = append(out, Variant{
 			Recipe:  r.Name,
 			AIG:     g,
-			Profile: simil.NewProfile(g, simil.ProfileOptions{}),
+			Profile: simil.NewProfile(g, simil.ProfileOptions{Seed: simil.ProfileSeed(g.Fingerprint())}),
 		})
 	}
 	return out

@@ -2,10 +2,13 @@ package repro
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/aig"
+	"repro/internal/graph"
+	"repro/internal/simil"
 	"repro/internal/tt"
 	"repro/internal/workload"
 )
@@ -21,6 +24,28 @@ func TestSynthesizeAll(t *testing.T) {
 		if idx, err := aig.Equivalent(vs[0].AIG, v.AIG); err != nil || idx != -1 {
 			t.Fatalf("%s not equivalent (idx=%d err=%v)", v.Recipe, idx, err)
 		}
+	}
+}
+
+// TestSynthesizeAllSeedsProfilesFromFingerprints checks that the root
+// API profiles every variant as the harness and aigd do. parity8's
+// larger variants exceed graph.MaxDenseNodes nodes, where the spectrum
+// comes from a Lanczos iteration whose start depends on the seed; an ASD
+// of exactly +0 to a fingerprint-seeded profile of the same AIG means
+// the two spectra are equal element for element.
+func TestSynthesizeAllSeedsProfilesFromFingerprints(t *testing.T) {
+	lanczos := 0
+	for _, v := range SynthesizeAll([]tt.TT{workload.Parity(8)}) {
+		if v.AIG.NumObjs() > graph.MaxDenseNodes {
+			lanczos++
+		}
+		want := simil.NewProfile(v.AIG, simil.ProfileOptions{Seed: simil.ProfileSeed(v.AIG.Fingerprint())})
+		if d := simil.ASD(v.Profile, want); math.Float64bits(d) != 0 {
+			t.Errorf("%s: spectrum differs from the fingerprint-seeded one (ASD %g)", v.Recipe, d)
+		}
+	}
+	if lanczos == 0 {
+		t.Fatal("no variant exceeds the dense eigensolver; the test needs Lanczos")
 	}
 }
 
